@@ -316,11 +316,13 @@ def cmd_train(cfg: dict, args) -> int:
     if "target_loss" not in loss_cfg:
         raise ConfigError("missing config key loss.target_loss")
     try:
-        loss = LossSpec(nu=float(loss_cfg.get("nu", 0.0)),
-                        beta=float(loss_cfg.get("beta", 0.0)),
-                        lam=float(loss_cfg.get("lambda", 0.0)))
+        loss = LossSpec(nu=float(loss_cfg.get("nu", 0.0)))
+        inert = [key for key in ("beta", "lambda") if float(loss_cfg.get(key, 0.0)) != 0.0]
     except ValueError as err:
         raise ConfigError(f"loss: {err}") from None
+    if inert:
+        # training minimizes the L2-with-decay loss only; the penalty weights would do nothing
+        raise ConfigError(f"loss.{inert[0]} is not used by training; remove it or set it to 0")
     target_loss = float(loss_cfg["target_loss"])
     max_epochs = int(_need(t, "max_epochs", "train"))
     opt = _parse_optimizer(cfg)
@@ -347,7 +349,7 @@ def cmd_train(cfg: dict, args) -> int:
 
 def _save_trained_model(path: Path, model: train.Pipeline,
                         report: train.TrainReport) -> None:
-    per_layer = model._unpack(report.final_theta)
+    per_layer = model.params(report.final_theta)
     block_dicts = []
     for layer, params in zip(model.layers, per_layer):
         if isinstance(layer, train.DenseLayer):

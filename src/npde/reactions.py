@@ -21,12 +21,10 @@ DIFFERENTIABLE_KINDS = ("none", "fisher", "sigmoid", "linear")
 def sigmoid(x):
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) cannot overflow; a NaN keeps its sign bit, as with one branch per sign
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)

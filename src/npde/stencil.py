@@ -73,7 +73,8 @@ def variable_stencil_1d(a_left: float, a_center: float, a_right: float,
 
 
 def _correlate_1d(padded: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    return taps[0] * padded[:-2] + taps[1] * padded[1:-1] + taps[2] * padded[2:]
+    """3-tap correlation along the last axis; leading axes ride along."""
+    return taps[0] * padded[..., :-2] + taps[1] * padded[..., 1:-1] + taps[2] * padded[..., 2:]
 
 
 def _correlate_2d(padded: np.ndarray, taps: np.ndarray) -> np.ndarray:

@@ -14,6 +14,12 @@ initial/boundary data, randomize theta (uniform in +-1/sqrt(fan_in) per
 tensor), solve forward, take an optimizer step on the L2-with-weight-decay
 loss, and repeat until the target loss or the epoch cap is reached. Gradients
 are full batch (mean over samples); runs are deterministic given the seed.
+
+Samples ride a leading axis: every layer maps a batch (n_samples, n) in one
+call, dense layers as X W^T + b and diffusion layers with the stencil on the
+node axis. An epoch is one forward and one backward pass over the whole
+batch: the forward pass that scores an accepted step also supplies the
+caches from which the next step's gradient is taken.
 """
 
 from __future__ import annotations
@@ -25,15 +31,16 @@ import numpy as np
 
 from .grid import GridSpec, pad, pad_coefficient
 from .reactions import ReactionSpec, no_reaction
-from .stencil import diffusion_term
+from .stencil import _correlate_1d
 from .optim import (AdamState, LBFGSState, LossSpec, ThetaVector, adam_step,
                     gauss_newton_step, lbfgs_direction, lbfgs_update, sgd_step)
 
 DIVERGENCE_LOSS = 1e12
+_SECOND_DIFFERENCE = np.array([1.0, -2.0, 1.0])
 
 
 class DenseLayer:
-    """Fully connected layer with a composed activation."""
+    """Fully connected layer with a composed activation, on a batch of rows."""
 
     def __init__(self, n_in: int, n_out: int,
                  activation: ReactionSpec = no_reaction()):
@@ -53,14 +60,14 @@ class DenseLayer:
         return self.n_in
 
     def forward(self, params, x):
-        W, b = params["W"], params["b"]
-        z = W @ x + b
+        """x is (n_samples, n_in); returns act(x W^T + b), (n_samples, n_out)."""
+        z = x @ params["W"].T + params["b"]
         return self.activation.activate(z), (x, z)
 
     def backward(self, params, cache, gy):
         x, z = cache
         gz = gy * self.activation.activate_deriv(z)
-        return params["W"].T @ gz, {"W": np.outer(gz, x), "b": gz}
+        return gz @ params["W"], {"W": gz.T @ x, "b": gz.sum(axis=0)}
 
 
 class DiffusionLayer:
@@ -69,7 +76,9 @@ class DiffusionLayer:
     Each step is u <- u + k * diff(A, u) + k * C(u) on the layer's 1D grid,
     exactly the solver's explicit update, so the trained A drops straight
     into gen_conv1d / step_explicit. n_steps = 0 is the identity map (the
-    parameters then only feel weight decay).
+    parameters then only feel weight decay). Fields are rows of a batch
+    (n_samples, n_points): the stencil acts on the node axis and the batch
+    axis rides along.
     """
 
     def __init__(self, grid: GridSpec, n_steps: int,
@@ -83,6 +92,10 @@ class DiffusionLayer:
         self.grid = grid
         self.n_steps = n_steps
         self.reaction = reaction
+        # grid.pad applied to the node indices names the node each ghost cell
+        # copies; dirichlet ghosts hold a constant instead
+        self._ghost_index = None if grid.bc.kind == "dirichlet" else \
+            pad(np.arange(grid.n_points), grid.bc, 1).astype(np.intp)
 
     def param_shapes(self):
         return [("A", (self.grid.n_points,))]
@@ -91,73 +104,94 @@ class DiffusionLayer:
     def fan_in(self) -> int:
         return 3  # stencil support
 
-    def forward(self, params, x):
-        A = params["A"]
-        u = np.asarray(x, dtype=float)
-        states = [u]
-        k = self.grid.k
-        for _ in range(self.n_steps):
-            u = u + k * diffusion_term(u, A, self.grid)
-            if self.reaction.kind != "none":
-                u = u + k * self.reaction(states[-1])
-            states.append(u)
-        return u, states
+    def _pad(self, u: np.ndarray) -> np.ndarray:
+        """grid.pad(u, bc, 1) along the last axis only; leading axes are the batch."""
+        if self._ghost_index is not None:
+            return u[..., self._ghost_index]
+        ghost = np.full(u.shape[:-1] + (1,), self.grid.bc.value)
+        return np.concatenate([ghost, u, ghost], axis=-1)
 
-    def backward(self, params, cache, gy):
-        A = params["A"]
+    def forward(self, params, x):
         grid = self.grid
         k, h2 = grid.k, grid.h**2
+        Ap = pad_coefficient(params["A"], grid.bc, 1)
+        u = np.asarray(x, dtype=float)
+        padded = []
+        for _ in range(self.n_steps):
+            up = self._pad(u)
+            # the same kernel and operation order as stencil.diffusion_term
+            u_next = u + k * (_correlate_1d(Ap * up, _SECOND_DIFFERENCE) / h2)
+            if self.reaction.kind != "none":
+                u_next = u_next + k * self.reaction(u)
+            padded.append(up)
+            u = u_next
+        return u, (Ap, padded)
+
+    def backward(self, params, cache, gy):
+        Ap, padded = cache
+        grid = self.grid
+        c = grid.k / grid.h**2
         bc_kind = grid.bc.kind
         coeff_kind = "extend" if bc_kind == "dirichlet" else bc_kind
-        Ap = pad_coefficient(A, grid.bc, 1)
-        gA = np.zeros_like(A)
-        g = np.asarray(gy, dtype=float).copy()
-        for u_prev in reversed(cache[:-1]):
-            up = pad(u_prev, grid.bc, 1)
+        gAp = np.zeros(Ap.size)
+        g = np.asarray(gy, dtype=float)
+        for up in reversed(padded):
             # adjoint of the second difference of the padded product Ap * up
-            c = k / h2
-            gP = np.zeros(up.size)
-            gP[:-2] += c * g
-            gP[1:-1] -= 2.0 * c * g
-            gP[2:] += c * g
+            cg = c * g
+            gP = np.zeros(up.shape)
+            gP[..., :-2] = cg
+            gP[..., 1:-1] -= 2.0 * cg
+            gP[..., 2:] += cg
             gu = g + _pad_adjoint_1d(gP * Ap, bc_kind)
-            gA += _pad_adjoint_1d(gP * up, coeff_kind)
+            gAp += (gP * up).reshape(-1, Ap.size).sum(axis=0)
             if self.reaction.kind != "none":
-                gu = gu + k * self.reaction.deriv(u_prev) * g
+                gu = gu + grid.k * self.reaction.deriv(up[..., 1:-1]) * g
             g = gu
-        return g, {"A": gA}
+        return g, {"A": _pad_adjoint_1d(gAp, coeff_kind)}
 
 
 def _pad_adjoint_1d(gpad: np.ndarray, kind: str) -> np.ndarray:
-    """Scatter width-1 ghost-cell cotangents back onto their source nodes."""
-    core = gpad[1:-1].copy()
+    """Scatter width-1 ghost-cell cotangents back onto their source nodes.
+
+    Works on the last axis; leading axes are the batch.
+    """
+    core = gpad[..., 1:-1].copy()
     if kind == "periodic":
-        core[-1] += gpad[0]
-        core[0] += gpad[-1]
+        core[..., -1] += gpad[..., 0]
+        core[..., 0] += gpad[..., -1]
     elif kind == "extend":
-        core[0] += gpad[0]
-        core[-1] += gpad[-1]
+        core[..., 0] += gpad[..., 0]
+        core[..., -1] += gpad[..., -1]
     elif kind == "mirror":
-        core[1] += gpad[0]
-        core[-2] += gpad[-1]
+        core[..., 1] += gpad[..., 0]
+        core[..., -2] += gpad[..., -1]
     # dirichlet ghosts are constants: no contribution
     return core
 
 
 class Pipeline:
-    """Ordered differentiable layers sharing one flat parameter vector."""
+    """Ordered differentiable layers sharing one flat parameter vector.
+
+    Layers act on a batch: row s of the (n_samples, n) input is sample s.
+    """
 
     def __init__(self, layers: list):
         self.layers = list(layers)
+        # per layer: (name, slice of theta, shape) of each parameter tensor
+        self._tensors = []
         layout = []
         cursor = 0
         for i, layer in enumerate(self.layers):
+            tensors = []
             for name, shape in layer.param_shapes():
                 size = int(np.prod(shape))
+                tensors.append((name, slice(cursor, cursor + size), shape))
                 layout.append((f"layer{i}.{name}", cursor, cursor + size))
                 cursor += size
+            self._tensors.append(tuple(tensors))
         self.layout: tuple = tuple(layout)
         self.n_params = cursor
+        self._block_theta = None
 
     @classmethod
     def dense(cls, dims: list[int], activations: list[ReactionSpec]) -> "Pipeline":
@@ -177,60 +211,87 @@ class Pipeline:
         return pipe
 
     def theta_from_blocks(self) -> ThetaVector:
-        if not hasattr(self, "_block_theta"):
+        if self._block_theta is None:
             raise ValueError("pipeline was not built from blocks")
         return ThetaVector(self._block_theta.copy(), self.layout)
 
     def init_theta(self, rng: np.random.Generator) -> ThetaVector:
         """Uniform +-1/sqrt(fan_in) per tensor, in layer order."""
         values = np.empty(self.n_params)
-        cursor = 0
-        for layer in self.layers:
+        for layer, tensors in zip(self.layers, self._tensors):
             bound = 1.0 / np.sqrt(layer.fan_in)
-            for _, shape in layer.param_shapes():
-                size = int(np.prod(shape))
-                values[cursor:cursor + size] = rng.uniform(-bound, bound, size)
-                cursor += size
+            for _, sl, _ in tensors:
+                values[sl] = rng.uniform(-bound, bound, sl.stop - sl.start)
         return ThetaVector(values, self.layout)
 
-    def _unpack(self, theta: ThetaVector):
-        per_layer = []
-        cursor = 0
-        for layer in self.layers:
-            params = {}
-            for name, shape in layer.param_shapes():
-                size = int(np.prod(shape))
-                params[name] = theta.values[cursor:cursor + size].reshape(shape)
-                cursor += size
-            per_layer.append(params)
-        return per_layer
+    def params(self, theta: ThetaVector) -> list[dict]:
+        """Per layer, ``{name: tensor}`` views of theta shaped as the layer declares."""
+        return [{name: theta.values[sl].reshape(shape) for name, sl, shape in tensors}
+                for tensors in self._tensors]
 
     def forward(self, theta: ThetaVector, x: np.ndarray) -> np.ndarray:
-        out, _ = self.forward_with_caches(theta, x)
-        return out
+        """Output for one input (n_in,) or a batch (n_samples, n_in)."""
+        x = np.asarray(x, dtype=float)
+        out, _ = self.forward_with_caches(theta, np.atleast_2d(x))
+        return out if x.ndim > 1 else out[0]
 
     def forward_with_caches(self, theta: ThetaVector, x: np.ndarray):
-        params = self._unpack(theta)
+        """Batch output (n_samples, n_out) plus the per-layer backward caches."""
         caches = []
         out = np.asarray(x, dtype=float)
-        for layer, p in zip(self.layers, params):
+        for layer, p in zip(self.layers, self.params(theta)):
             out, cache = layer.forward(p, out)
             caches.append(cache)
         return out, caches
 
     def backward(self, theta: ThetaVector, caches, grad_out: np.ndarray) -> np.ndarray:
-        params = self._unpack(theta)
-        grad = np.zeros(self.n_params)
-        cursor = self.n_params
+        """Gradient w.r.t. theta of <grad_out, output>, summed over the batch."""
+        grad = np.empty(self.n_params)
         g = np.asarray(grad_out, dtype=float)
-        for layer, p, cache in zip(reversed(self.layers), reversed(params),
-                                   reversed(caches)):
+        for layer, p, cache, tensors in zip(reversed(self.layers),
+                                            reversed(self.params(theta)),
+                                            reversed(caches), reversed(self._tensors)):
             g, grads = layer.backward(p, cache, g)
-            for name, shape in reversed(layer.param_shapes()):
-                size = int(np.prod(shape))
-                cursor -= size
-                grad[cursor:cursor + size] = grads[name].ravel()
+            for name, sl, _ in tensors:
+                grad[sl] = grads[name].ravel()
         return grad
+
+
+def _stack(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs and targets of (x, target) samples as two (n_samples, n) arrays."""
+    X = np.stack([np.asarray(x, dtype=float) for x, _ in samples])
+    T = np.stack([np.asarray(t, dtype=float) for _, t in samples])
+    return X, T
+
+
+def _evaluate(model: Pipeline, theta: ThetaVector, X: np.ndarray, T: np.ndarray,
+              loss: LossSpec):
+    """One batched forward: the mean loss, the residual out - T and the caches."""
+    out, caches = model.forward_with_caches(theta, X)
+    residual = out - T
+    value = 0.5 * float(np.vdot(residual, residual)) / len(X)
+    if loss.nu > 0:
+        value += 0.5 * loss.nu * float(theta.values @ theta.values)
+    return value, residual, caches
+
+
+def _gradient(model: Pipeline, theta: ThetaVector, residual: np.ndarray, caches,
+              loss: LossSpec) -> np.ndarray:
+    """One batched backward: the gradient of the mean loss from _evaluate's pass."""
+    grad = model.backward(theta, caches, residual) / len(residual)
+    if loss.nu > 0:
+        grad += loss.nu * theta.values
+    return grad
+
+
+def _jacobian(model: Pipeline, theta: ThetaVector, caches, shape) -> np.ndarray:
+    """d residual / d theta: one backward per residual entry [s, i], row-major."""
+    rows = np.empty((int(np.prod(shape)), model.n_params))
+    for row, index in enumerate(np.ndindex(*shape)):
+        one_hot = np.zeros(shape)
+        one_hot[index] = 1.0
+        rows[row] = model.backward(theta, caches, one_hot)
+    return rows
 
 
 def pipeline_gradient(model: Pipeline, sample, loss: LossSpec,
@@ -239,55 +300,34 @@ def pipeline_gradient(model: Pipeline, sample, loss: LossSpec,
 
     Matches grad_fd within 1e-5 relative (absolute floor 1e-8) by contract.
     """
-    x, target = sample
-    out, caches = model.forward_with_caches(theta, x)
-    grad = model.backward(theta, caches, out - np.asarray(target, dtype=float))
-    if loss.nu > 0:
-        grad = grad + loss.nu * theta.values
-    return grad
+    return batch_gradient(model, theta, [sample], loss)
 
 
 def batch_loss(model: Pipeline, theta: ThetaVector, samples,
                loss: LossSpec) -> float:
     """Mean per-sample half squared error plus one weight-decay term."""
-    total = 0.0
-    for x, target in samples:
-        diff = model.forward(theta, x) - np.asarray(target, dtype=float)
-        total += 0.5 * float(diff @ diff)
-    total /= len(samples)
-    if loss.nu > 0:
-        total += 0.5 * loss.nu * float(theta.values @ theta.values)
-    return total
+    X, T = _stack(samples)
+    return _evaluate(model, theta, X, T, loss)[0]
 
 
 def batch_gradient(model: Pipeline, theta: ThetaVector, samples,
                    loss: LossSpec) -> np.ndarray:
-    grad = np.zeros(model.n_params)
-    for x, target in samples:
-        out, caches = model.forward_with_caches(theta, x)
-        grad += model.backward(theta, caches, out - np.asarray(target, dtype=float))
-    grad /= len(samples)
-    if loss.nu > 0:
-        grad += loss.nu * theta.values
-    return grad
+    """Gradient of batch_loss from one batched forward and backward pass."""
+    X, T = _stack(samples)
+    _, residual, caches = _evaluate(model, theta, X, T, loss)
+    return _gradient(model, theta, residual, caches, loss)
 
 
 def residuals_and_jacobian(model: Pipeline, theta: ThetaVector, samples):
     """Stacked residuals out - target and their exact Jacobian w.r.t. theta.
 
-    Jacobian rows come from one reverse pass per residual component.
+    One batched forward; each Jacobian row is one reverse pass whose
+    cotangent is zero except at that residual entry.
     """
-    residuals = []
-    rows = []
-    for x, target in samples:
-        out, caches = model.forward_with_caches(theta, x)
-        res = out - np.asarray(target, dtype=float)
-        residuals.append(res)
-        for i in range(res.size):
-            one_hot = np.zeros(res.size)
-            one_hot[i] = 1.0
-            rows.append(model.backward(theta, caches, one_hot))
-    return np.concatenate(residuals), np.asarray(rows)
+    X, T = _stack(samples)
+    out, caches = model.forward_with_caches(theta, X)
+    residual = out - T
+    return residual.ravel(), _jacobian(model, theta, caches, residual.shape)
 
 
 @dataclass(frozen=True)
@@ -388,7 +428,7 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
         raise ValueError("max_epochs must be >= 0")
     rng = np.random.default_rng(seed)
     theta = theta0 if theta0 is not None else model.init_theta(rng)
-    samples = data.train_samples
+    X, T = _stack(data.train_samples)
     _warn_if_unstable(model, theta)
 
     adam = AdamState.fresh(model.n_params, opt.beta1, opt.beta2, opt.eps, opt.eta) \
@@ -396,7 +436,8 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
     lbfgs = LBFGSState(m=opt.memory) if opt.kind == "lbfgs" else None
     prev_theta_g = None
 
-    current = batch_loss(model, theta, samples, loss)
+    # the accepted theta's forward pass; the next step's gradient reuses it
+    current, residual, caches = _evaluate(model, theta, X, T, loss)
     best = current
     curve: list[float] = []
     if current <= target_loss:
@@ -407,10 +448,10 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
     converged = False
     for _ in range(max_epochs):
         if opt.kind == "gauss_newton":
-            r, J = residuals_and_jacobian(model, theta, samples)
-            new_theta = gauss_newton_step(theta, r, J, opt.eta)
+            J = _jacobian(model, theta, caches, residual.shape)
+            new_theta = gauss_newton_step(theta, residual.ravel(), J, opt.eta)
         else:
-            g = batch_gradient(model, theta, samples, loss)
+            g = _gradient(model, theta, residual, caches, loss)
             if opt.kind == "sgd":
                 new_theta = sgd_step(theta, g, opt.eta)
             elif opt.kind == "adam":
@@ -423,11 +464,11 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
                 direction = lbfgs_direction(lbfgs, g)
                 new_theta = theta.with_values(theta.values + opt.eta * direction)
                 prev_theta_g = (theta.values.copy(), g.copy())
-        new_loss = batch_loss(model, new_theta, samples, loss)
+        new_loss, new_residual, new_caches = _evaluate(model, new_theta, X, T, loss)
         if not np.isfinite(new_loss) or new_loss > DIVERGENCE_LOSS:
             stop_reason = "divergence"
             break
-        theta = new_theta
+        theta, residual, caches = new_theta, new_residual, new_caches
         current = new_loss
         curve.append(current)
         best = min(best, current)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from npde.cli import main
 from npde.fieldio import load_block
@@ -199,6 +200,20 @@ def test_train_missing_target_loss_rejected(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli(["train", "--config", cfg_path]) == 1
     assert "target_loss" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["beta", "lambda"])
+def test_train_rejects_inert_penalty_weight(tmp_path, capsys, key):
+    cfg_path = _linreg_files(tmp_path)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["loss"][key] = 0.5
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["train", "--config", cfg_path]) == 1
+    assert f"loss.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+    cfg["loss"][key] = 0.0
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["train", "--config", cfg_path]) == 0
 
 
 def test_gen_block_conv1d_kernel_rows(tmp_path):

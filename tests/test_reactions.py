@@ -16,6 +16,26 @@ def test_sigmoid_stable_at_extremes():
     assert np.all(np.isfinite(vals))
 
 
+def _sigmoid_per_sign(x):
+    """Reference: one branch per sign, each on its own gathered entries."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bits_match_per_sign_reference():
+    x = np.concatenate([[800.0, -800.0, 0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf],
+                        50.0 * np.random.default_rng(7).standard_normal(2000)])
+    with np.errstate(invalid="ignore"):
+        got, ref = sigmoid(x), _sigmoid_per_sign(x)
+    np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+    assert got[0] == 1.0 and got[1] == 0.0 and got[2] == 0.5 and np.isnan(got[4])
+
+
 def test_reaction_none_call_vs_activate():
     rxn = no_reaction()
     z = np.array([1.0, -2.0])

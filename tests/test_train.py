@@ -220,6 +220,11 @@ def test_pipeline_from_blocks_round_trip():
     np.testing.assert_allclose(pipe.forward(theta, x), expected, atol=1e-12)
 
 
+def test_theta_from_blocks_needs_a_block_built_pipeline():
+    with pytest.raises(ValueError):
+        Pipeline.dense([2, 1], [no_reaction()]).theta_from_blocks()
+
+
 def test_init_theta_respects_fan_in_bound():
     model = Pipeline.dense([100, 10], [no_reaction()])
     theta = model.init_theta(np.random.default_rng(61))
