@@ -8,7 +8,8 @@ Usage:
 
 Configs are JSON, one file per experiment, with sections grid / model / run /
 optimizer / loss / train / block / io (see README). Every key is validated
-before any file is written. The output directory resolves in the order
+before any file is written; a key no section defines, such as a misspelling,
+is rejected by its dotted name. The output directory resolves in the order
 --out flag, NPDE_OUT environment variable, io.out_dir, current directory.
 All numeric output is printed with 17 significant digits.
 
@@ -39,6 +40,52 @@ class ConfigError(ValueError):
     pass
 
 
+# The keys each config section may hold; any other key would do nothing.
+_SECTION_KEYS = {
+    "grid": {"n_points", "h", "k", "bc", "bc_value", "ndim"},
+    "model": {"kind", "A", "B", "r", "reaction", "two_component"},
+    "run": {"n_steps", "scheme", "frame_stride", "stencil2d", "seed", "initial"},
+    "optimizer": {"kind", "eta", "beta1", "beta2", "eps", "memory"},
+    "loss": {"nu", "target_loss", "beta", "lambda"},
+    "train": {"pipeline", "dataset", "max_epochs"},
+    "block": {"kind", "D", "stencil", "channels", "W", "bias", "activation", "rate",
+              "Dxy", "Dz", "v"},
+    "io": {"out_dir", "formats"},
+}
+_NESTED_KEYS = {
+    ("model", "reaction"): {"kind", "rate", "values"},
+    ("model", "two_component"): {"F", "kr", "Du", "Dv"},
+    ("run", "initial"): {"kind", "values", "value", "index", "low", "high",
+                         "amplitude", "center", "sigma2"},
+}
+_LAYER_KEYS = {"kind", "in", "out", "activation", "rate", "n_steps"}
+
+
+def _reject_unknown(section, allowed: set, context: str) -> None:
+    if section is None:
+        return
+    if not isinstance(section, dict):
+        raise ConfigError(f"config key {context} must be an object")
+    for key in section:
+        if key not in allowed:
+            raise ConfigError(f"unknown config key {context}.{key}")
+
+
+def _check_keys(cfg: dict) -> None:
+    """Reject any key outside its section's allowed set, naming the dotted key."""
+    for name, section in cfg.items():
+        if name not in _SECTION_KEYS:
+            raise ConfigError(f"unknown config key {name}")
+        _reject_unknown(section, _SECTION_KEYS[name], name)
+    for (name, key), allowed in _NESTED_KEYS.items():
+        _reject_unknown((cfg.get(name) or {}).get(key), allowed, f"{name}.{key}")
+    layers = (cfg.get("train") or {}).get("pipeline") or []
+    if not isinstance(layers, list):
+        raise ConfigError("config key train.pipeline must be a list of layers")
+    for i, layer in enumerate(layers):
+        _reject_unknown(layer, _LAYER_KEYS, f"train.pipeline[{i}]")
+
+
 def _need(section: dict, key: str, context: str):
     if key not in section:
         raise ConfigError(f"missing config key {context}.{key}")
@@ -55,6 +102,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {err}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    _check_keys(cfg)
     return cfg
 
 
@@ -202,6 +250,11 @@ def cmd_solve(cfg: dict, args) -> int:
             _need(tc, key, "model.two_component")
         if grid.ndim != 2:
             raise ConfigError("gray_scott runs need a 2D grid")
+        # the two-component step is always explicit with the 9-point Laplacian
+        if scheme != "explicit":
+            raise ConfigError(f"run.scheme must be explicit for gray_scott, got {scheme!r}")
+        if cfg["run"].get("stencil2d", "9pt") != "9pt":
+            raise ConfigError(f"run.stencil2d must be 9pt for gray_scott, got {stencil2d!r}")
         rxn = gray_scott(float(tc["F"]), float(tc["kr"]))
         U = np.ones(grid.shape)
         V = np.zeros(grid.shape)

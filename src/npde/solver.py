@@ -19,9 +19,16 @@ transverse Laplacian:
 
     U' = U + k (Du lap U + f(U, V)),  V' = V + k (Dv lap V + g(U, V)).
 
+U and V are stacked into one (2, n, n) state that a solve advances in place,
+reusing one padded buffer and one scratch buffer for every step. The 9-point
+stencil is separable, outer([1/2, 1, 1/2], [1/2, 1, 1/2]) minus 4 times the
+centre, so the Laplacian is one 3-tap pass along x, one along y and a
+subtraction; its rounding differs from the 9-tap sum by a few ulps.
+
 Explicit stability requires r * max(A) <= 1/2 in 1D and <= 1/4 in 2D; the
-implicit scheme is unconditionally stable. Divergence is reported with the
-failing step index, never clamped.
+implicit scheme is unconditionally stable. Divergence (non-finite values, or
+magnitudes beyond DIVERGENCE_FACTOR times the initial scale) is reported
+with the failing step index, never clamped.
 """
 
 from __future__ import annotations
@@ -30,9 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, pad, pad_coefficient
+# pad stays part of this module's namespace (npde.solver.pad); no step here calls it
+from .grid import BoundaryCondition, GridSpec, pad, pad_coefficient  # noqa: F401
 from .reactions import TwoComponentReaction
-from .stencil import EllipticCoefficients, elliptic_apply, laplacian_2d_9pt, _correlate_2d
+from .stencil import EllipticCoefficients, elliptic_apply
 
 # A step is declared divergent when max|u| exceeds this factor times the
 # initial scale, long before float64 overflow turns values non-finite.
@@ -196,24 +204,107 @@ def step_implicit(field: np.ndarray, coeffs: EllipticCoefficients,
     return out
 
 
+# Source row/column of the low and high ghost cells of a padded axis, per bc.
+_GHOST_SOURCE = {"periodic": (-2, 1), "mirror": (2, -3), "extend": (1, -2)}
+
+
+def _fill_ghosts(P: np.ndarray, bc: BoundaryCondition) -> None:
+    """Set the width-1 ghost cells of P's last two axes from its interior.
+
+    Each P[c] then equals grid.pad(P[c, 1:-1, 1:-1], bc, 1) bit for bit:
+    rows first, then full columns, so corners pad the padded rows as
+    np.pad does.
+    """
+    if bc.kind == "dirichlet":
+        P[..., 0, :] = P[..., -1, :] = bc.value
+        P[..., 0] = P[..., -1] = bc.value
+        return
+    lo, hi = _GHOST_SOURCE[bc.kind]
+    P[..., 0, 1:-1] = P[..., lo, 1:-1]
+    P[..., -1, 1:-1] = P[..., hi, 1:-1]
+    P[..., 0] = P[..., lo]
+    P[..., -1] = P[..., hi]
+
+
+class _TwoComponentStepper:
+    """The stacked state W = [U, V] of one solve, stepped in place.
+
+    The padded buffer P and the scratch S are allocated once and reused by
+    every step. Each 3-tap pass of the separable Laplacian is a contiguous
+    shifted add over the flattened P; its results in ghost cells are
+    discarded.
+    """
+
+    def __init__(self, U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
+                 grid: GridSpec):
+        if grid.ndim != 2:
+            raise ValueError("two-component stepping expects a 2D grid")
+        U0 = np.asarray(U0, dtype=float)
+        V0 = np.asarray(V0, dtype=float)
+        if U0.shape != grid.shape or V0.shape != grid.shape:
+            raise ValueError("U and V must both be shaped to the grid")
+        self.W = np.stack([U0, V0])
+        scale0 = float(np.max(np.abs(self.W)))
+        if not np.isfinite(scale0):
+            raise ValueError("U and V must be finite")
+        self.bound = DIVERGENCE_FACTOR * (1.0 + scale0)
+        self.grid = grid
+        # k * D / h**2 per channel
+        self.scale = (grid.k / grid.h**2) * np.array([Du, Dv], dtype=float).reshape(2, 1, 1)
+        m = grid.n_points + 2
+        self.P = np.empty((2, m, m))
+        # zeroed: S[0] and S[-1] are read (into discarded cells) before any write
+        self.S = np.zeros(2 * m * m)
+
+    def step(self, rxn: TwoComponentReaction, step: int) -> None:
+        """Advance W by one explicit Euler step; ``step`` labels a divergence."""
+        W, P, S = self.W, self.P, self.S
+        m = P.shape[-1]
+        P[:, 1:-1, 1:-1] = W
+        _fill_ghosts(P, self.grid.bc)
+        # the returned arrays may be W's own rows: read them, never write them
+        f = rxn.f(W[0], W[1])
+        g = rxn.g(W[0], W[1])
+        p = P.reshape(-1)
+        # x pass into S: q[t] = p[t-1]/2 + p[t] + p[t+1]/2
+        q = S[1:-1]
+        np.add(p[:-2], p[2:], out=q)
+        q *= 0.5
+        q += p[1:-1]
+        # y pass back into P, one padded row (m cells) apart: q[t-m]/2 + q[t] + q[t+m]/2
+        r = p[m:-m]
+        np.add(S[:-2 * m], S[2 * m:], out=r)
+        r *= 0.5
+        r += S[m:-m]
+        # T = k D/h**2 * (P interior - 4 W) + k [f, g], in the now free S and P
+        T = S[:W.size].reshape(W.shape)
+        np.multiply(W, -4.0, out=T)
+        T += P[:, 1:-1, 1:-1]
+        T *= self.scale
+        reaction = p[:W.size].reshape(W.shape)
+        k = self.grid.k
+        np.multiply(f, k, out=reaction[0])
+        np.multiply(g, k, out=reaction[1])
+        T += reaction
+        W += T
+        # one reduction catches NaN, inf and runaway growth: NaN fails every <=
+        biggest = float(np.abs(W, out=T).max())
+        if not biggest <= self.bound:
+            what = (f"magnitude {biggest:.3e} exceeded {self.bound:.3e}"
+                    if np.isfinite(biggest) else "non-finite values")
+            raise DivergenceError(f"two-component step {step} produced {what}", step=step)
+
+
 def step_two_component(U: np.ndarray, V: np.ndarray, Du: float, Dv: float,
                        rxn: TwoComponentReaction, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit Euler step of the two-component system on a 2D grid."""
-    if grid.ndim != 2:
-        raise ValueError("two-component stepping expects a 2D grid")
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if U.shape != grid.shape or V.shape != grid.shape:
-        raise ValueError("U and V must both be shaped to the grid")
-    taps = laplacian_2d_9pt()
-    h2 = grid.h**2
-    lap_u = _correlate_2d(pad(U, grid.bc, 1), taps) / h2
-    lap_v = _correlate_2d(pad(V, grid.bc, 1), taps) / h2
-    U2 = U + grid.k * (Du * lap_u + rxn.f(U, V))
-    V2 = V + grid.k * (Dv * lap_v + rxn.g(U, V))
-    if not (np.all(np.isfinite(U2)) and np.all(np.isfinite(V2))):
-        raise DivergenceError("two-component step produced non-finite values")
-    return U2, V2
+    """Explicit Euler step of the two-component system on a 2D grid.
+
+    One step of the kernel solve_two_component runs, so chaining n calls
+    equals an n-step solve bit for bit.
+    """
+    stepper = _TwoComponentStepper(U, V, Du, Dv, grid)
+    stepper.step(rxn, 1)
+    return stepper.W[0], stepper.W[1]
 
 
 def solve_forward(initial: np.ndarray, coeffs: EllipticCoefficients,
@@ -255,21 +346,19 @@ def solve_two_component(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
     """Run the two-component system; optionally record V frames.
 
     Returns (U, V, frames) where frames is a list of V copies sampled every
-    ``record_every`` steps (empty when record_every == 0).
+    ``record_every`` steps (empty when record_every == 0). U0 and V0 are not
+    written. Non-finite values, or magnitudes beyond DIVERGENCE_FACTOR times
+    the initial scale, raise DivergenceError carrying the step index.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    U = np.asarray(U0, dtype=float).copy()
-    V = np.asarray(V0, dtype=float).copy()
+    stepper = _TwoComponentStepper(U0, V0, Du, Dv, grid)
     frames: list[np.ndarray] = []
     for step in range(1, n_steps + 1):
-        try:
-            U, V = step_two_component(U, V, Du, Dv, rxn, grid)
-        except DivergenceError as err:
-            raise DivergenceError(str(err), step=step) from None
+        stepper.step(rxn, step)
         if record_every and step % record_every == 0:
-            frames.append(V.copy())
-    return U, V, frames
+            frames.append(stepper.W[1].copy())
+    return stepper.W[0], stepper.W[1], frames
 
 
 def discrete_residual(traj: Trajectory, coeffs: EllipticCoefficients,

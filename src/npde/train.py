@@ -73,8 +73,8 @@ class DenseLayer:
 class DiffusionLayer:
     """Unrolled explicit diffusion steps with a learnable coefficient field A.
 
-    Each step is u <- u + k * diff(A, u) + k * C(u) on the layer's 1D grid,
-    exactly the solver's explicit update, so the trained A drops straight
+    Each step is u <- u + k * (diff(A, u) + C(u)) on the layer's 1D grid,
+    the solver's explicit update bit for bit, so the trained A drops straight
     into gen_conv1d / step_explicit. n_steps = 0 is the identity map (the
     parameters then only feel weight decay). Fields are rows of a batch
     (n_samples, n_points): the stencil acts on the node axis and the batch
@@ -119,10 +119,13 @@ class DiffusionLayer:
         padded = []
         for _ in range(self.n_steps):
             up = self._pad(u)
-            # the same kernel and operation order as stencil.diffusion_term
-            u_next = u + k * (_correlate_1d(Ap * up, _SECOND_DIFFERENCE) / h2)
-            if self.reaction.kind != "none":
-                u_next = u_next + k * self.reaction(u)
+            # the same kernel and operation order as stencil.diffusion_term,
+            # and D + C before the k-scaled update, as in elliptic_apply
+            D = _correlate_1d(Ap * up, _SECOND_DIFFERENCE) / h2
+            if self.reaction.kind == "none":
+                u_next = u + k * D
+            else:
+                u_next = u + k * (D + self.reaction(u))
             padded.append(up)
             u = u_next
         return u, (Ap, padded)

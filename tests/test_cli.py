@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from npde.cli import main
+from npde.cli import _load_config, main
 from npde.fieldio import load_block
 
 
@@ -296,3 +297,80 @@ def test_no_command_prints_usage(capsys):
 
 def test_unknown_flag_exits_1(capsys):
     assert run_cli(["solve", "--bogus"]) == 1
+
+
+def _gray_scott_config(out_dir):
+    return {
+        "grid": {"n_points": 8, "h": 0.02, "k": 1.0, "bc": "periodic", "ndim": 2},
+        "model": {"kind": "gray_scott",
+                  "two_component": {"F": 0.04, "kr": 0.06, "Du": 2e-5, "Dv": 1e-5}},
+        "run": {"n_steps": 2, "seed": 1},
+        "io": {"out_dir": str(out_dir)},
+    }
+
+
+@pytest.mark.parametrize("path,key", [
+    (("run",), "shceme"),
+    ((), "grids"),
+    (("grid",), "bc_vlaue"),
+    (("run", "initial"), "vlaue"),
+    (("io",), "format"),
+])
+def test_solve_rejects_unknown_key_by_dotted_name(tmp_path, capsys, path, key):
+    out = tmp_path / "out"
+    cfg = frozen_heat_config(out)
+    section = cfg
+    for name in path:
+        section = section[name]
+    section[key] = "implicit"
+    assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 1
+    assert f"unknown config key {'.'.join(path + (key,))}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_nested_keys_rejected_in_every_command(tmp_path, capsys):
+    gs = _gray_scott_config(tmp_path / "gs")
+    gs["model"]["two_component"]["Dw"] = 1e-5
+    assert run_cli(["solve", "--config", write_config(tmp_path, gs)]) == 1
+    assert "model.two_component.Dw" in capsys.readouterr().err
+    cfg_path = _linreg_files(tmp_path)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["train"]["pipeline"][0]["activaton"] = "sigmoid"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["train", "--config", cfg_path]) == 1
+    assert "train.pipeline[0].activaton" in capsys.readouterr().err
+    block = {"grid": {"n_points": 5, "h": 1.0, "k": 0.1, "bc": "periodic"},
+             "block": {"kind": "rnn", "Dxy": 0.0, "Dz": 0.0, "v": 2.0, "vv": 1.0}}
+    assert run_cli(["gen-block", "--config", write_config(tmp_path, block)]) == 1
+    assert "block.vv" in capsys.readouterr().err
+
+
+def test_section_must_be_an_object(tmp_path, capsys):
+    cfg = frozen_heat_config(tmp_path / "out")
+    cfg["io"] = ["out"]
+    assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 1
+    assert "io must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("scheme", "implicit"), ("stencil2d", "5pt")])
+def test_gray_scott_rejects_a_scheme_it_cannot_run(tmp_path, capsys, key, value):
+    out = tmp_path / "gs"
+    cfg = _gray_scott_config(out)
+    cfg["run"][key] = value
+    assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 1
+    assert f"run.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gray_scott_accepts_the_scheme_it_runs(tmp_path):
+    cfg = _gray_scott_config(tmp_path / "gs")
+    cfg["run"].update(scheme="explicit", stencil2d="9pt")
+    assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+
+
+def test_readme_solve_config_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    assert _load_config(str(path)) == json.loads(block)

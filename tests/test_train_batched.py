@@ -87,16 +87,18 @@ def test_diffusion_jacobian_rows_match_fd(seed, n_samples, bc, reaction):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=SEEDS, n_samples=st.integers(1, 5), bc=BCS, n_steps=st.integers(1, 8))
-def test_batched_diffusion_rows_equal_solver_exactly(seed, n_samples, bc, n_steps):
+@given(seed=SEEDS, n_samples=st.integers(1, 5), bc=BCS, n_steps=st.integers(1, 8),
+       reaction=REACTIONS)
+def test_batched_diffusion_rows_equal_solver_exactly(seed, n_samples, bc, n_steps, reaction):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 12))
     grid = make_grid(n, 0.5, 0.1, bc)
     A = rng.uniform(0.1, 1.0, n)
     X = rng.standard_normal((n_samples, n))
-    out, _ = DiffusionLayer(grid, n_steps).forward({"A": A}, X)
+    out, _ = DiffusionLayer(grid, n_steps, reaction).forward({"A": A}, X)
     for x, row in zip(X, out):
-        solved = solve_forward(x, EllipticCoefficients(A), grid, n_steps).final()
+        solved = solve_forward(x, EllipticCoefficients(A, None, reaction), grid,
+                               n_steps).final()
         assert float(np.max(np.abs(row - solved))) == 0.0
 
 
