@@ -1,21 +1,19 @@
 """Finite-difference engine for semi-linear parabolic PDEs whose
 discretization generates neural building blocks with learnable coefficients."""
 
-from .grid import (BoundaryCondition, FieldState, GridSpec, dirichlet, extend,
-                   make_grid, mirror, pad, pad_coefficient, periodic, unpad)
+from .grid import (BoundaryCondition, GridSpec, dirichlet, extend, make_grid,
+                   mirror, pad, pad_coefficient, periodic)
 from .reactions import (ReactionSpec, TwoComponentReaction, fisher, gray_scott,
                         linear, no_reaction, sigmoid, sigmoid_reaction, source)
 from .stencil import (EllipticCoefficients, apply_stencil, elliptic_apply,
-                      laplacian_1d, laplacian_2d_5pt, laplacian_2d_9pt,
-                      variable_stencil_1d)
+                      laplacian_1d, laplacian_2d_5pt, laplacian_2d_9pt)
 from .solver import (CflReport, DivergenceError, Trajectory, cfl_check,
                      discrete_residual, solve_forward, solve_two_component,
                      step_explicit, step_implicit, step_two_component,
                      thomas_solve)
 from .blocks import (Conv1DBlock, Conv2DBlock, DenseBlock, RBMEnergy, RNNCell,
-                     elman_forward, gen_conv1d, gen_conv2d, gen_dense, gen_rbm,
-                     gen_rnn_cell, rbm_energy, rbm_free_energy, residual_step,
-                     rnn_forward)
+                     gen_conv1d, gen_conv2d, gen_dense, gen_rbm, gen_rnn_cell,
+                     rbm_energy, rbm_free_energy, residual_step, rnn_forward)
 from .optim import (AdamState, LBFGSState, LossSpec, ThetaVector, adam_step,
                     gauss_newton_step, grad_fd, l2_loss, lbfgs_direction,
                     lbfgs_update, newton_pinv_step, pde_constrained_loss,
@@ -25,6 +23,6 @@ from .train import (Dataset, DenseLayer, DiffusionLayer, OptimizerConfig,
                     pipeline_gradient, residuals_and_jacobian, train_supervised)
 from .reference import (GaussianProfile, fisher_min_front_speed, front_position,
                         front_speed, heat_kernel_evolve,
-                        sigmoid_derivative_identity, wick_coefficient, wick_mass)
+                        sigmoid_derivative_identity)
 
 __version__ = "0.1.0"

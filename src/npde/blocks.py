@@ -10,7 +10,11 @@ assembled from the variable-coefficient stencil supplies the coupling weights
 of an RBM energy.
 
 The central contract is generator/solver equivalence: a generated block's
-forward pass reproduces the corresponding solver step to rounding. Reaction
+forward pass reproduces the corresponding solver step to rounding. In 1D it
+holds by construction: gen_conv1d's kernels are the per-node step taps of
+stencil._step_taps, and Conv1DBlock.forward runs the same 3-tap apply as the
+solver, so the two agree bit for bit. The RBM and RNN matrices lay taps out
+densely in O(n). Reaction
 terms enter conv blocks additively with weight k, evaluated on the input
 slice (diffuse first, react on the pre-update slice); dense layers compose
 their activation in the usual y = act(W x + b) sense.
@@ -22,9 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, pad, pad_coefficient
+# pad stays part of this module's namespace (npde.blocks.pad); no block here calls it
+from .grid import GridSpec, pad  # noqa: F401
 from .reactions import ReactionSpec, no_reaction
-from .stencil import EllipticCoefficients, diffusion_term, laplacian_1d, apply_stencil
+from .stencil import (EllipticCoefficients, _band_matrix, _step_taps, _tap_step,
+                      apply_stencil, laplacian_1d)
 
 
 def _finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -52,7 +58,8 @@ class Conv1DBlock:
         k = _finite("kernels", self.kernels)
         if k.ndim != 2 or k.shape[1] != 3 or k.shape[0] != self.grid.n_points:
             raise ValueError("kernels must be (n_points, 3)")
-        object.__setattr__(self, "kernels", k)
+        # column-major, so kernels.T is the three contiguous tap rows
+        object.__setattr__(self, "kernels", np.asfortranarray(k))
         if self.bias is not None:
             b = _finite("bias", self.bias)
             if b.shape != (k.shape[0],):
@@ -63,13 +70,11 @@ class Conv1DBlock:
         u = np.asarray(u, dtype=float)
         if u.shape != self.grid.shape:
             raise ValueError(f"field shape {u.shape} does not match grid {self.grid.shape}")
-        up = pad(u, self.grid.bc, 1)
-        K = self.kernels
-        out = K[:, 0] * up[:-2] + K[:, 1] * up[1:-1] + K[:, 2] * up[2:]
+        out = _tap_step(self.kernels.T, u, self.grid)
         if self.bias is not None:
-            out = out + self.bias
+            out += self.bias
         if self.activation.kind != "none":
-            out = out + self.grid.k * self.activation(u)
+            out += self.grid.k * self.activation(u)
         return out
 
     def forward_without_identity(self, u: np.ndarray) -> np.ndarray:
@@ -166,19 +171,7 @@ def gen_conv1d(coeffs: EllipticCoefficients, grid: GridSpec) -> Conv1DBlock:
     if grid.ndim != 1:
         raise ValueError("gen_conv1d expects a 1D grid")
     coeffs.validate_against(grid)
-    A = coeffs.A
-    Ap = pad_coefficient(A, grid.bc, 1)
-    scale = grid.k / grid.h**2
-    n = grid.n_points
-    kernels = np.zeros((n, 3))
-    kernels[:, 0] = scale * Ap[:-2]
-    kernels[:, 1] = scale * (-2.0 * A) + 1.0
-    kernels[:, 2] = scale * Ap[2:]
-    if coeffs.B is not None:
-        w = grid.k / (2.0 * grid.h)
-        kernels[:, 0] -= w * coeffs.B
-        kernels[:, 2] += w * coeffs.B
-    return Conv1DBlock(kernels, grid, activation=coeffs.C)
+    return Conv1DBlock(_step_taps(coeffs.A, coeffs.B, grid).T, grid, activation=coeffs.C)
 
 
 def gen_conv2d(kernel_init: np.ndarray, grid: GridSpec, channels: int = 1,
@@ -209,18 +202,11 @@ def residual_step(x: np.ndarray, block) -> np.ndarray:
 def _laplacian_matrix(grid: GridSpec) -> np.ndarray:
     """Dense matrix of the 3-point Laplacian (1/h**2 included) under the grid bc.
 
-    Built from the linear part of apply_stencil (a nonzero dirichlet value is
-    an affine offset and does not belong in the matrix).
+    The linear part of apply_stencil (a nonzero dirichlet value is an affine
+    offset and does not belong in the matrix), laid out in O(n).
     """
-    n = grid.n_points
-    taps = laplacian_1d(grid.h)
-    offset = apply_stencil(np.zeros(n), taps, grid.bc)
-    M = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        M[:, j] = apply_stencil(e, taps, grid.bc) - offset
-    return M
+    taps = np.broadcast_to(laplacian_1d(grid.h)[:, None], (3, grid.n_points))
+    return _band_matrix(taps, grid.bc)
 
 
 @dataclass(frozen=True)
@@ -301,19 +287,6 @@ def rnn_forward(cell: RNNCell, h_prev: np.ndarray, f_input: np.ndarray) -> np.nd
     return np.concatenate([top, u_t])
 
 
-def elman_forward(x: np.ndarray, h_prev: np.ndarray, U: np.ndarray, W: np.ndarray,
-                  V: np.ndarray, b_h: np.ndarray, b_o: np.ndarray,
-                  act_h: ReactionSpec, act_o: ReactionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Basic Elman network step: h = act_h(Ux + Wh' + b_h), o = act_o(Vh + b_o)."""
-    x = np.asarray(x, dtype=float)
-    h_prev = np.asarray(h_prev, dtype=float)
-    h = act_h.activate(np.asarray(U, dtype=float) @ x
-                       + np.asarray(W, dtype=float) @ h_prev
-                       + np.asarray(b_h, dtype=float))
-    o = act_o.activate(np.asarray(V, dtype=float) @ h + np.asarray(b_o, dtype=float))
-    return h, o
-
-
 @dataclass(frozen=True)
 class RBMEnergy:
     """Bilinear energy E(v,h) = -v^T W h - b^T v - c^T h.
@@ -349,13 +322,7 @@ def gen_rbm(coeffs: EllipticCoefficients, grid: GridSpec,
         raise ValueError("gen_rbm expects a 1D grid")
     coeffs.validate_against(grid)
     n = grid.n_points
-    offset = diffusion_term(np.zeros(n), coeffs.A, grid)
-    M = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        M[:, j] = diffusion_term(e, coeffs.A, grid) - offset
-    W = np.eye(n) + grid.k * M
+    W = _band_matrix(_step_taps(coeffs.A, None, grid), grid.bc)
     b = np.zeros(n) if visible_bias is None else np.asarray(visible_bias, dtype=float)
     c = np.zeros(n) if hidden_bias is None else np.asarray(hidden_bias, dtype=float)
     return RBMEnergy(W, b, c)

@@ -255,6 +255,8 @@ def cmd_solve(cfg: dict, args) -> int:
             raise ConfigError(f"run.scheme must be explicit for gray_scott, got {scheme!r}")
         if cfg["run"].get("stencil2d", "9pt") != "9pt":
             raise ConfigError(f"run.stencil2d must be 9pt for gray_scott, got {stencil2d!r}")
+        if "initial" in cfg["run"]:
+            raise ConfigError("run.initial is not used by gray_scott runs")
         rxn = gray_scott(float(tc["F"]), float(tc["kr"]))
         U = np.ones(grid.shape)
         V = np.zeros(grid.shape)

@@ -95,41 +95,6 @@ def make_grid(n_points: int, h: float, k: float, bc: BoundaryCondition,
     return GridSpec(int(n_points), float(h), float(k), bc, ndim)
 
 
-@dataclass(frozen=True)
-class FieldState:
-    """One time slice of the field u; ``components`` is 2 for Turing systems.
-
-    Two-component states store the U and V channels stacked along axis 0.
-    Values must be finite and shaped to the owning grid.
-    """
-
-    values: np.ndarray
-    components: int = 1
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite entries")
-        if self.components not in (1, 2):
-            raise ValueError("components must be 1 or 2")
-        if self.components == 2 and (v.ndim < 2 or v.shape[0] != 2):
-            raise ValueError("two-component fields stack U and V on axis 0")
-        object.__setattr__(self, "values", v)
-
-    def validate_against(self, grid: GridSpec) -> None:
-        expected = grid.shape if self.components == 1 else (2, *grid.shape)
-        if self.values.shape != expected:
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid shape {expected}")
-
-
-def as_field(values, grid: GridSpec) -> np.ndarray:
-    """Coerce ``values`` to a float array validated against ``grid``."""
-    state = FieldState(np.asarray(values, dtype=float))
-    state.validate_against(grid)
-    return state.values
-
-
 def pad(field: np.ndarray, bc: BoundaryCondition, width: int = 1) -> np.ndarray:
     """Extend ``field`` by ``width`` ghost cells per side along every axis.
 
@@ -165,7 +130,31 @@ def pad_coefficient(coeff: np.ndarray, bc: BoundaryCondition, width: int = 1) ->
     return pad(coeff, bc, width)
 
 
-def unpad(field: np.ndarray, width: int = 1) -> np.ndarray:
-    """Drop ``width`` ghost cells per side (inverse of pad on the interior)."""
-    sl = (slice(width, -width),) * np.ndim(field)
-    return np.asarray(field)[sl]
+# Index, along a padded axis, of the cell each width-1 ghost copies: (low
+# ghost, high ghost) per bc. Dirichlet ghosts hold bc.value instead.
+_GHOST_SOURCE = {"periodic": (-2, 1), "mirror": (2, -3), "extend": (1, -2)}
+
+
+def _ghost_fill(P: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
+    """Set the ghost cells of P's last axis from its interior P[..., 1:-1].
+
+    Each row of P then equals pad(row interior, bc, 1) bit for bit. Returns P.
+    """
+    if bc.kind == "dirichlet":
+        P[..., 0] = P[..., -1] = bc.value
+    else:
+        lo, hi = _GHOST_SOURCE[bc.kind]
+        P[..., 0] = P[..., lo]
+        P[..., -1] = P[..., hi]
+    return P
+
+
+def _ghost_scatter(G: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
+    """Adjoint of _ghost_fill's linear part: add each ghost of G's last axis
+    onto the cell it copies (in place) and return the interior view.
+    """
+    if bc.kind != "dirichlet":
+        lo, hi = _GHOST_SOURCE[bc.kind]
+        G[..., lo] += G[..., 0]
+        G[..., hi] += G[..., -1]
+    return G[..., 1:-1]

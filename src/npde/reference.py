@@ -2,10 +2,9 @@
 
 A point-source (Gaussian) profile under pure diffusion keeps its Gaussian
 shape with variance growing as sigma2 + 2 D T and mass conserved; the
-logistic reaction-diffusion front travels at no less than 2 sqrt(r D); the
-imaginary-time rotation maps the free-particle wave equation onto diffusion
-with coefficient hbar/(2 m); and the logistic function satisfies
-sigma' = r * sigma * (1 - sigma), the same form as the logistic reaction.
+logistic reaction-diffusion front travels at no less than 2 sqrt(r D); and
+the logistic function satisfies sigma' = r * sigma * (1 - sigma), the same
+form as the logistic reaction.
 """
 
 from __future__ import annotations
@@ -50,20 +49,6 @@ def fisher_min_front_speed(r: float, D: float) -> float:
     if r < 0 or D < 0:
         raise ValueError("r and D must be non-negative")
     return 2.0 * np.sqrt(r * D)
-
-
-def wick_coefficient(hbar: float, m: float) -> float:
-    """Diffusion coefficient hbar/(2 m) of the imaginary-time free particle."""
-    if m <= 0:
-        raise ValueError("mass must be positive")
-    return hbar / (2.0 * m)
-
-
-def wick_mass(alpha2: float) -> float:
-    """Inverse map: the particle mass 1/(2 alpha^2) for diffusion alpha^2."""
-    if alpha2 <= 0:
-        raise ValueError("diffusion coefficient must be positive")
-    return 1.0 / (2.0 * alpha2)
 
 
 def sigmoid_derivative_identity(r: float, x: float) -> tuple[float, float]:

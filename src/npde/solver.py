@@ -5,11 +5,16 @@ Explicit (forward Euler) step, with r = k/h**2:
     u_j' = (1 - 2 r A_j) u_j + r A_{j-1} u_{j-1} + r A_{j+1} u_{j+1}
            + k * (B-term + C-term)
 
+In 1D these per-node taps are stencil._step_taps, gen_conv1d's kernels, so
+solver, block and DiffusionLayer steps agree bit for bit; they round a few
+ulps per step apart from u + k * elliptic_apply(u), the divergence form.
+
 Implicit (backward Euler) step solves the tridiagonal system
 
     u_j = (1 + 2 r A_j) u'_j - r A_{j-1} u'_{j-1} - r A_{j+1} u'_{j+1}
 
-by the Thomas algorithm (Sherman-Morrison correction for periodic grids).
+by the Thomas algorithm (Sherman-Morrison correction for periodic grids); its
+bands are read off the same taps, diag = 1 - centre and off-diagonals -side.
 The reaction C is always evaluated on the pre-update slice (IMEX splitting
 for the implicit scheme): diffusion and convection first, nonlinearity on the
 old slice within the same step.
@@ -25,10 +30,11 @@ stencil is separable, outer([1/2, 1, 1/2], [1/2, 1, 1/2]) minus 4 times the
 centre, so the Laplacian is one 3-tap pass along x, one along y and a
 subtraction; its rounding differs from the 9-tap sum by a few ulps.
 
-Explicit stability requires r * max(A) <= 1/2 in 1D and <= 1/4 in 2D; the
-implicit scheme is unconditionally stable. Divergence (non-finite values, or
-magnitudes beyond DIVERGENCE_FACTOR times the initial scale) is reported
-with the failing step index, never clamped.
+Explicit stability (cfl_check) requires a monotone 1D step, every tap >= 0
+(r A <= 1/2 and |B| h <= 2 A), and r * max(A) <= 1/4 with A >= 0 in 2D;
+the implicit scheme is unconditionally stable. Divergence (non-finite
+values, or magnitudes beyond DIVERGENCE_FACTOR times the initial scale) is
+reported with the failing step index, never clamped.
 """
 
 from __future__ import annotations
@@ -38,9 +44,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # pad stays part of this module's namespace (npde.solver.pad); no step here calls it
-from .grid import BoundaryCondition, GridSpec, pad, pad_coefficient  # noqa: F401
+from .grid import _GHOST_SOURCE, BoundaryCondition, GridSpec, _ghost_fill, pad  # noqa: F401
 from .reactions import TwoComponentReaction
-from .stencil import EllipticCoefficients, elliptic_apply
+from .stencil import EllipticCoefficients, _step_taps, _tap_step, elliptic_apply
 
 # A step is declared divergent when max|u| exceeds this factor times the
 # initial scale, long before float64 overflow turns values non-finite.
@@ -78,16 +84,32 @@ class CflReport:
 
 
 def cfl_check(coeffs: EllipticCoefficients, grid: GridSpec) -> CflReport:
-    """Explicit stability: r * max(A) <= 1/2 (1D) or <= 1/4 (2D stencils)."""
+    """Explicit stability: in 1D a monotone step (every step tap >= 0, i.e.
+    r A <= 1/2 and |B| h <= 2 A per node), in 2D r * max(A) <= 1/4 and A >= 0.
+    """
+    coeffs.validate_against(grid)
     limit = 0.5 if grid.ndim == 1 else 0.25
-    max_r_a = grid.r * float(np.max(coeffs.A)) if coeffs.A.size else 0.0
-    return CflReport(max_r_a <= limit, max_r_a, limit)
+    max_r_a = grid.r * float(np.max(coeffs.A))
+    if grid.ndim == 1:
+        stable = bool(np.all(_step_taps(coeffs.A, coeffs.B, grid) >= 0.0))
+    else:
+        stable = max_r_a <= limit and float(np.min(coeffs.A)) >= 0.0
+    return CflReport(stable, max_r_a, limit)
 
 
 def step_explicit(field: np.ndarray, coeffs: EllipticCoefficients,
                   grid: GridSpec, stencil2d: str = "5pt") -> np.ndarray:
-    """One forward-Euler step u + k * O_L(u); raises on non-finite output."""
-    out = np.asarray(field, dtype=float) + grid.k * elliptic_apply(field, coeffs, grid, stencil2d)
+    """One forward-Euler step u + k * O_L(u); raises on non-finite output.
+
+    1D applies the step taps (gen_conv1d's kernels), 2D the divergence form.
+    """
+    u = np.asarray(field, dtype=float)
+    # a misshaped 1D field falls through to elliptic_apply's shape check
+    if grid.ndim == 1 and u.shape == grid.shape:
+        coeffs.validate_against(grid)
+        out = _tap_step(_step_taps(coeffs.A, coeffs.B, grid), u, grid, coeffs.C)
+    else:
+        out = u + grid.k * elliptic_apply(u, coeffs, grid, stencil2d)
     if not np.all(np.isfinite(out)):
         raise DivergenceError("explicit step produced non-finite values")
     return out
@@ -120,35 +142,25 @@ def thomas_solve(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
     return x
 
 
-def _implicit_system(A: np.ndarray, grid: GridSpec):
-    """Tridiagonal rows of (I - k * diffusion) with bc folded into the band.
+def _implicit_system(taps: np.ndarray, grid: GridSpec):
+    """Tridiagonal rows of (I - taps) with bc folded into the band; taps of k O_L.
 
+    sub[0] and sup[-1] multiply the ghosts and fold onto the nodes they copy.
     Returns (sub, diag, sup, corner) where corner = (beta, alpha) holds the
     periodic wrap coefficients (row 0 times x_{n-1}, row n-1 times x_0), or
     None for non-periodic grids.
     """
-    n = A.size
-    r = grid.r
-    Ap = pad_coefficient(A, grid.bc, 1)
-    diag = 1.0 + 2.0 * r * A
-    sub = np.zeros(n)
-    sup = np.zeros(n)
-    sub[1:] = -r * A[:-1]
-    sup[:-1] = -r * A[1:]
-    corner = None
+    sub, diag, sup = -taps[0], 1.0 - taps[1], -taps[2]
     kind = grid.bc.kind
     if kind == "periodic":
-        corner = (-r * Ap[0], -r * Ap[-1])
-    elif kind == "extend":
-        # ghost u_{-1} = u_0 with ghost A = A_0 (and mirrored at the far end)
-        diag[0] -= r * Ap[0]
-        diag[-1] -= r * Ap[-1]
-    elif kind == "mirror":
-        # ghost u_{-1} = u_1 with ghost A = A_1
-        sup[0] -= r * Ap[0]
-        sub[-1] -= r * Ap[-1]
-    # dirichlet: the ghost term is a known constant handled in the rhs
-    return sub, diag, sup, corner
+        return sub, diag, sup, (sub[0], sup[-1])
+    if kind != "dirichlet":
+        # the ghosts copy nodes lo and hi: extend 0 and n-1, mirror 1 and n-2
+        n = diag.size
+        lo, hi = (s % (n + 2) - 1 for s in _GHOST_SOURCE[kind])
+        (diag, sup)[lo][0] += sub[0]
+        (sub, diag)[hi - (n - 2)][-1] += sup[-1]
+    return sub, diag, sup, None
 
 
 def _solve_cyclic(sub, diag, sup, corner, rhs):
@@ -187,14 +199,11 @@ def step_implicit(field: np.ndarray, coeffs: EllipticCoefficients,
     rhs = u.copy()
     if coeffs.C.kind != "none":
         rhs += grid.k * coeffs.C(u)
-    sub, diag, sup, corner = _implicit_system(coeffs.A, grid)
-    if grid.bc.kind == "dirichlet":
-        g = grid.bc.value
-        if g != 0.0:
-            r = grid.r
-            Ap = pad_coefficient(coeffs.A, grid.bc, 1)
-            rhs[0] += r * Ap[0] * g
-            rhs[-1] += r * Ap[-1] * g
+    taps = _step_taps(coeffs.A, None, grid, identity=0.0)
+    sub, diag, sup, corner = _implicit_system(taps, grid)
+    if grid.bc.kind == "dirichlet" and grid.bc.value != 0.0:
+        rhs[0] += taps[0, 0] * grid.bc.value
+        rhs[-1] += taps[2, -1] * grid.bc.value
     if corner is not None:
         out = _solve_cyclic(sub, diag, sup, corner, rhs)
     else:
@@ -204,26 +213,20 @@ def step_implicit(field: np.ndarray, coeffs: EllipticCoefficients,
     return out
 
 
-# Source row/column of the low and high ghost cells of a padded axis, per bc.
-_GHOST_SOURCE = {"periodic": (-2, 1), "mirror": (2, -3), "extend": (1, -2)}
-
-
 def _fill_ghosts(P: np.ndarray, bc: BoundaryCondition) -> None:
     """Set the width-1 ghost cells of P's last two axes from its interior.
 
     Each P[c] then equals grid.pad(P[c, 1:-1, 1:-1], bc, 1) bit for bit:
-    rows first, then full columns, so corners pad the padded rows as
-    np.pad does.
+    rows first, then full columns (grid._ghost_fill), so corners pad the
+    padded rows as np.pad does.
     """
     if bc.kind == "dirichlet":
         P[..., 0, :] = P[..., -1, :] = bc.value
-        P[..., 0] = P[..., -1] = bc.value
-        return
-    lo, hi = _GHOST_SOURCE[bc.kind]
-    P[..., 0, 1:-1] = P[..., lo, 1:-1]
-    P[..., -1, 1:-1] = P[..., hi, 1:-1]
-    P[..., 0] = P[..., lo]
-    P[..., -1] = P[..., hi]
+    else:
+        lo, hi = _GHOST_SOURCE[bc.kind]
+        P[..., 0, 1:-1] = P[..., lo, 1:-1]
+        P[..., -1, 1:-1] = P[..., hi, 1:-1]
+    _ghost_fill(P, bc)
 
 
 class _TwoComponentStepper:
@@ -315,28 +318,38 @@ def solve_forward(initial: np.ndarray, coeffs: EllipticCoefficients,
 
     Divergence (non-finite values, or magnitudes beyond divergence_factor
     times the initial scale) raises DivergenceError carrying the step index.
+    An explicit 1D solve builds the step taps and the padded buffer once.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if scheme not in ("explicit", "implicit"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    u = np.asarray(initial, dtype=float).copy()
+    u = np.array(initial, dtype=float)
     if u.shape != grid.shape:
         raise ValueError(f"initial shape {u.shape} does not match grid {grid.shape}")
     bound = divergence_factor * (1.0 + float(np.max(np.abs(u))))
-    slices = [u.copy()]
+    explicit_1d = scheme == "explicit" and grid.ndim == 1
+    if explicit_1d:
+        coeffs.validate_against(grid)
+        taps, P = _step_taps(coeffs.A, coeffs.B, grid), np.empty(grid.n_points + 2)
+    slices = [u]
     for step in range(1, n_steps + 1):
         try:
-            if scheme == "explicit":
+            if explicit_1d:
+                u = _tap_step(taps, u, grid, coeffs.C, P)
+            elif scheme == "explicit":
                 u = step_explicit(u, coeffs, grid, stencil2d)
             else:
                 u = step_implicit(u, coeffs, grid)
         except DivergenceError as err:
-            raise DivergenceError(str(err), step=step) from None
-        if np.max(np.abs(u)) > bound:
-            raise DivergenceError(
-                f"field magnitude exceeded {bound:.3e}", step=step)
-        slices.append(u.copy())
+            raise DivergenceError(f"{err} at step {step}", step=step) from None
+        # one reduction catches NaN, inf and runaway growth: NaN fails every <=
+        biggest = float(np.abs(u).max())
+        if not biggest <= bound:
+            what = (f"magnitude {biggest:.3e} exceeded {bound:.3e}"
+                    if np.isfinite(biggest) else "non-finite values")
+            raise DivergenceError(f"{scheme} step {step} produced {what}", step=step)
+        slices.append(u)
     return Trajectory(grid, slices)
 
 

@@ -23,6 +23,14 @@ A*u. The full quasi-linear elliptic operator applied here is
 
 with C a pointwise reaction. The gradient-of-A cross term is absorbed into B,
 so B is the effective convection coefficient.
+
+The 1D explicit step has one definition: _step_taps builds its per-node
+taps once, and _tap_step pads into a buffer and applies them. The solver,
+gen_conv1d's blocks, the DiffusionLayer, the RBM/RNN matrices (_band_matrix)
+and the implicit bands all read those taps. elliptic_apply keeps the
+divergence form, (1/h**2) stencil(A*u); it steps 2D grids, evaluates
+residuals and is the independent reference for the taps, which differ from
+it by a few ulps of rounding.
 """
 
 from __future__ import annotations
@@ -31,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BoundaryCondition, GridSpec, pad, pad_coefficient
+from .grid import (BoundaryCondition, GridSpec, _ghost_fill, _ghost_scatter, pad,
+                   pad_coefficient)
 from .reactions import ReactionSpec, no_reaction
 
 STENCILS_2D = ("5pt", "9pt")
@@ -64,17 +73,73 @@ def stencil_2d(name: str) -> np.ndarray:
     return laplacian_2d_5pt() if name == "5pt" else laplacian_2d_9pt()
 
 
-def variable_stencil_1d(a_left: float, a_center: float, a_right: float,
-                        h: float) -> np.ndarray:
-    """Per-node diffusion taps (1/h**2)[A_{j-1}, -2 A_j, A_{j+1}]."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    return np.array([a_left, -2.0 * a_center, a_right]) / h**2
+def _apply_taps(taps, P: np.ndarray) -> np.ndarray:
+    """The package's one 3-tap correlation, along P's last axis.
+
+    Each taps[d] is a scalar or a contiguous row of per-node weights; leading
+    axes of P ride along.
+    """
+    out = taps[0] * P[..., :-2]
+    out += taps[1] * P[..., 1:-1]
+    out += taps[2] * P[..., 2:]
+    return out
 
 
-def _correlate_1d(padded: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """3-tap correlation along the last axis; leading axes ride along."""
-    return taps[0] * padded[..., :-2] + taps[1] * padded[..., 1:-1] + taps[2] * padded[..., 2:]
+def _apply_taps_transposed(taps: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Adjoint of _apply_taps in P: the cotangent of the padded field."""
+    G = np.zeros(g.shape[:-1] + (g.shape[-1] + 2,))
+    for d in range(3):
+        G[..., d:d + g.shape[-1]] += taps[d] * g
+    return G
+
+
+def _step_taps(A: np.ndarray, B: np.ndarray | None, grid: GridSpec,
+               identity: float = 1.0) -> np.ndarray:
+    """Per-node taps of one explicit 1D step, identity * I + k * O_L's linear
+    part, as three contiguous rows (left, centre, right neighbour).
+
+    Node j's taps are (k/h**2)[A_{j-1}, -2 A_j, A_{j+1}] (ghost A from
+    pad_coefficient), with a convection B folded into the sides as -+ k B_j/(2h).
+    identity = 0 leaves k * O_L, whose implicit bands are 1 - centre and -side.
+    """
+    Ap = pad_coefficient(A, grid.bc, 1)
+    scale = grid.k / grid.h**2
+    taps = np.empty((3, A.size))
+    taps[0] = scale * Ap[:-2]
+    taps[1] = scale * (-2.0 * A) + identity
+    taps[2] = scale * Ap[2:]
+    if B is not None:
+        w = grid.k / (2.0 * grid.h)
+        taps[0] -= w * B
+        taps[2] += w * B
+    return taps
+
+
+def _tap_step(taps: np.ndarray, u: np.ndarray, grid: GridSpec,
+              reaction: ReactionSpec = no_reaction(),
+              P: np.ndarray | None = None) -> np.ndarray:
+    """One explicit 1D step: pad u's last axis (into the buffer P when given),
+    apply the taps, add k * reaction(u). Returns a fresh array.
+    """
+    if P is None:
+        P = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
+    P[..., 1:-1] = u
+    out = _apply_taps(taps, _ghost_fill(P, grid.bc))
+    if reaction.kind != "none":
+        out += grid.k * reaction(u)
+    return out
+
+
+def _band_matrix(taps: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
+    """Dense (n, n) matrix of _tap_step's linear part, built in O(n): the
+    taps on the diagonals of an (n, n+2) matrix, ghost columns folded back.
+    """
+    n = taps.shape[1]
+    M = np.zeros((n, n + 2))
+    rows = np.arange(n)
+    for d in range(3):
+        M[rows, rows + d] = taps[d]
+    return _ghost_scatter(M, bc)
 
 
 def _correlate_2d(padded: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -100,7 +165,7 @@ def apply_stencil(field: np.ndarray, s: np.ndarray,
     s = np.asarray(s, dtype=float)
     padded = pad(field, bc, 1)
     if field.ndim == 1 and s.shape == (3,):
-        return _correlate_1d(padded, s)
+        return _apply_taps(s, padded)
     if field.ndim == 2 and s.shape == (3, 3):
         return _correlate_2d(padded, s)
     raise ValueError(f"stencil shape {s.shape} does not match field ndim {field.ndim}")
@@ -145,12 +210,12 @@ def diffusion_term(u: np.ndarray, A: np.ndarray, grid: GridSpec,
                    stencil2d: str = "5pt") -> np.ndarray:
     """Second difference of the product A*u: (1/h**2) * stencil(A*u).
 
-    This is the divergence-form discretization used by the explicit scheme,
-    so generated conv blocks and solver steps agree bit for bit.
+    The divergence form: 2D explicit steps use it; in 1D it is the reference
+    the per-node step taps are checked against.
     """
     P = pad_coefficient(A, grid.bc, 1) * pad(u, grid.bc, 1)
     if grid.ndim == 1:
-        return _correlate_1d(P, np.array([1.0, -2.0, 1.0])) / grid.h**2
+        return _apply_taps(np.array([1.0, -2.0, 1.0]), P) / grid.h**2
     return _correlate_2d(P, stencil_2d(stencil2d)) / grid.h**2
 
 

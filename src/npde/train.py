@@ -17,9 +17,13 @@ are full batch (mean over samples); runs are deterministic given the seed.
 
 Samples ride a leading axis: every layer maps a batch (n_samples, n) in one
 call, dense layers as X W^T + b and diffusion layers with the stencil on the
-node axis. An epoch is one forward and one backward pass over the whole
-batch: the forward pass that scores an accepted step also supplies the
-caches from which the next step's gradient is taken.
+node axis. A diffusion layer steps with the per-node taps of
+stencil._step_taps, the solver's and gen_conv1d's kernels, so its rows equal
+solve_forward bit for bit; its backward pass is the transposed tap apply
+followed by the ghost-cell scatter, and the A-gradient is read off the
+gradients of the three tap rows. An epoch is one forward and one backward
+pass over the whole batch: the forward pass that scores an accepted step
+also supplies the caches from which the next step's gradient is taken.
 """
 
 from __future__ import annotations
@@ -29,14 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, pad, pad_coefficient
+# pad stays part of this module's namespace (npde.train.pad); no layer here calls it
+from .grid import GridSpec, _ghost_scatter, extend, pad  # noqa: F401
 from .reactions import ReactionSpec, no_reaction
-from .stencil import _correlate_1d
+from .solver import cfl_check
+from .stencil import EllipticCoefficients, _apply_taps_transposed, _step_taps, _tap_step
 from .optim import (AdamState, LBFGSState, LossSpec, ThetaVector, adam_step,
                     gauss_newton_step, lbfgs_direction, lbfgs_update, sgd_step)
 
 DIVERGENCE_LOSS = 1e12
-_SECOND_DIFFERENCE = np.array([1.0, -2.0, 1.0])
 
 
 class DenseLayer:
@@ -73,12 +78,12 @@ class DenseLayer:
 class DiffusionLayer:
     """Unrolled explicit diffusion steps with a learnable coefficient field A.
 
-    Each step is u <- u + k * (diff(A, u) + C(u)) on the layer's 1D grid,
-    the solver's explicit update bit for bit, so the trained A drops straight
-    into gen_conv1d / step_explicit. n_steps = 0 is the identity map (the
-    parameters then only feel weight decay). Fields are rows of a batch
-    (n_samples, n_points): the stencil acts on the node axis and the batch
-    axis rides along.
+    Each step is u <- taps(A) * padded(u) + k * C(u) on the layer's 1D grid,
+    with the per-node taps of stencil._step_taps: the solver's explicit update
+    bit for bit, so the trained A drops straight into gen_conv1d /
+    step_explicit. n_steps = 0 is the identity map (the parameters then only
+    feel weight decay). Fields are rows of a batch (n_samples, n_points): the
+    stencil acts on the node axis and the batch axis rides along.
     """
 
     def __init__(self, grid: GridSpec, n_steps: int,
@@ -92,10 +97,6 @@ class DiffusionLayer:
         self.grid = grid
         self.n_steps = n_steps
         self.reaction = reaction
-        # grid.pad applied to the node indices names the node each ghost cell
-        # copies; dirichlet ghosts hold a constant instead
-        self._ghost_index = None if grid.bc.kind == "dirichlet" else \
-            pad(np.arange(grid.n_points), grid.bc, 1).astype(np.intp)
 
     def param_shapes(self):
         return [("A", (self.grid.n_points,))]
@@ -104,72 +105,36 @@ class DiffusionLayer:
     def fan_in(self) -> int:
         return 3  # stencil support
 
-    def _pad(self, u: np.ndarray) -> np.ndarray:
-        """grid.pad(u, bc, 1) along the last axis only; leading axes are the batch."""
-        if self._ghost_index is not None:
-            return u[..., self._ghost_index]
-        ghost = np.full(u.shape[:-1] + (1,), self.grid.bc.value)
-        return np.concatenate([ghost, u, ghost], axis=-1)
-
     def forward(self, params, x):
         grid = self.grid
-        k, h2 = grid.k, grid.h**2
-        Ap = pad_coefficient(params["A"], grid.bc, 1)
+        taps = _step_taps(params["A"], None, grid)
         u = np.asarray(x, dtype=float)
-        padded = []
-        for _ in range(self.n_steps):
-            up = self._pad(u)
-            # the same kernel and operation order as stencil.diffusion_term,
-            # and D + C before the k-scaled update, as in elliptic_apply
-            D = _correlate_1d(Ap * up, _SECOND_DIFFERENCE) / h2
-            if self.reaction.kind == "none":
-                u_next = u + k * D
-            else:
-                u_next = u + k * (D + self.reaction(u))
-            padded.append(up)
-            u = u_next
-        return u, (Ap, padded)
+        # one padded buffer per step, kept for the backward pass
+        padded = np.empty((self.n_steps,) + u.shape[:-1] + (u.shape[-1] + 2,))
+        for P in padded:
+            u = _tap_step(taps, u, grid, self.reaction, P)
+        return u, (taps, padded)
 
     def backward(self, params, cache, gy):
-        Ap, padded = cache
+        taps, padded = cache
         grid = self.grid
-        c = grid.k / grid.h**2
-        bc_kind = grid.bc.kind
-        coeff_kind = "extend" if bc_kind == "dirichlet" else bc_kind
-        gAp = np.zeros(Ap.size)
-        g = np.asarray(gy, dtype=float)
-        for up in reversed(padded):
-            # adjoint of the second difference of the padded product Ap * up
-            cg = c * g
-            gP = np.zeros(up.shape)
-            gP[..., :-2] = cg
-            gP[..., 1:-1] -= 2.0 * cg
-            gP[..., 2:] += cg
-            gu = g + _pad_adjoint_1d(gP * Ap, bc_kind)
-            gAp += (gP * up).reshape(-1, Ap.size).sum(axis=0)
+        n = taps.shape[1]
+        # gs[t + 1] is the cotangent of step t's output, gs[0] of the input
+        gs = np.empty((len(padded) + 1,) + np.shape(gy))
+        gs[-1] = gy
+        for t in reversed(range(len(padded))):
+            gs[t] = _ghost_scatter(_apply_taps_transposed(taps, gs[t + 1]), grid.bc)
             if self.reaction.kind != "none":
-                gu = gu + grid.k * self.reaction.deriv(up[..., 1:-1]) * g
-            g = gu
-        return g, {"A": _pad_adjoint_1d(gAp, coeff_kind)}
-
-
-def _pad_adjoint_1d(gpad: np.ndarray, kind: str) -> np.ndarray:
-    """Scatter width-1 ghost-cell cotangents back onto their source nodes.
-
-    Works on the last axis; leading axes are the batch.
-    """
-    core = gpad[..., 1:-1].copy()
-    if kind == "periodic":
-        core[..., -1] += gpad[..., 0]
-        core[..., 0] += gpad[..., -1]
-    elif kind == "extend":
-        core[..., 0] += gpad[..., 0]
-        core[..., -1] += gpad[..., -1]
-    elif kind == "mirror":
-        core[..., 1] += gpad[..., 0]
-        core[..., -2] += gpad[..., -1]
-    # dirichlet ghosts are constants: no contribution
-    return core
+                gs[t] += grid.k * self.reaction.deriv(padded[t, ..., 1:-1]) * gs[t + 1]
+        # step t's output is sum_d taps[d] * padded[t, ..., d:d+n] + k * C(u), and
+        # taps = k/h**2 * [Ap[:-2], -2 A, Ap[2:]] with Ap = pad_coefficient(A)
+        g_out, P = gs[1:].reshape(-1, n), padded.reshape(-1, n + 2)
+        g_ap = np.zeros(n + 2)
+        for d, w in enumerate((1.0, -2.0, 1.0)):
+            g_tap = np.einsum("ij,ij->j", g_out, P[:, d:d + n])
+            g_ap[d:d + n] += w * g_tap
+        coeff_bc = extend() if grid.bc.kind == "dirichlet" else grid.bc
+        return gs[0], {"A": (grid.k / grid.h**2) * _ghost_scatter(g_ap, coeff_bc)}
 
 
 class Pipeline:
@@ -373,12 +338,12 @@ def _warn_if_unstable(model: Pipeline, theta: ThetaVector) -> None:
     """
     for i, layer in enumerate(model.layers):
         if isinstance(layer, DiffusionLayer) and layer.n_steps > 0:
-            A = theta.get(f"layer{i}.A")
-            max_r_a = layer.grid.r * float(np.max(np.abs(A)))
-            if max_r_a > 0.5:
+            report = cfl_check(EllipticCoefficients(theta.get(f"layer{i}.A")), layer.grid)
+            if not report.stable:
                 warnings.warn(
                     f"layer{i}: initial coefficients are explicit-unstable "
-                    f"(r*max|A| = {max_r_a:.3g} > 0.5)", RuntimeWarning)
+                    f"(a step tap is negative; r*max A = {report.max_r_a:.3g}, "
+                    f"limit {report.limit})", RuntimeWarning)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from npde.blocks import (Conv1DBlock, RBMEnergy, elman_forward,
-                         gen_conv1d, gen_conv2d, gen_dense, gen_rbm,
-                         gen_rnn_cell, rbm_energy, rbm_free_energy,
-                         residual_step, rnn_forward)
+from npde.blocks import (Conv1DBlock, RBMEnergy, gen_conv1d, gen_conv2d,
+                         gen_dense, gen_rbm, gen_rnn_cell, rbm_energy,
+                         rbm_free_energy, residual_step, rnn_forward)
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
-from npde.reactions import fisher, no_reaction, sigmoid_reaction
+from npde.reactions import fisher, sigmoid_reaction
 from npde.solver import step_explicit, solve_forward
 from npde.stencil import EllipticCoefficients, laplacian_2d_9pt
 
@@ -228,55 +227,6 @@ def test_rnn_forward_shape_check():
     cell = gen_rnn_cell(0.0, 0.0, 1.0, grid)
     with pytest.raises(ValueError):
         rnn_forward(cell, np.zeros(7), np.zeros(4))
-
-
-def test_elman_zero_weights_sigmoid_gives_half():
-    n, m = 3, 2
-    h, o = elman_forward(np.zeros(m), np.zeros(n), np.zeros((n, m)),
-                         np.zeros((n, n)), np.zeros((1, n)), np.zeros(n),
-                         np.zeros(1), sigmoid_reaction(1.0), sigmoid_reaction(1.0))
-    np.testing.assert_allclose(h, 0.5)
-    np.testing.assert_allclose(o, 0.5)
-
-
-def test_elman_no_recurrence_is_stacked_dense():
-    rng = np.random.default_rng(29)
-    U = rng.standard_normal((4, 3))
-    V = rng.standard_normal((2, 4))
-    b_h, b_o = rng.standard_normal(4), rng.standard_normal(2)
-    x = rng.standard_normal(3)
-    h, o = elman_forward(x, np.zeros(4), U, np.zeros((4, 4)), V, b_h, b_o,
-                         no_reaction(), no_reaction())
-    np.testing.assert_allclose(h, U @ x + b_h, atol=1e-15)
-    np.testing.assert_allclose(o, V @ (U @ x + b_h) + b_o, atol=1e-15)
-
-
-def test_elman_matches_double_loop_oracle():
-    rng = np.random.default_rng(30)
-    n, m, p = 5, 4, 3
-    U = rng.standard_normal((n, m))
-    W = rng.standard_normal((n, n))
-    V = rng.standard_normal((p, n))
-    b_h, b_o = rng.standard_normal(n), rng.standard_normal(p)
-    x, h_prev = rng.standard_normal(m), rng.standard_normal(n)
-    act = sigmoid_reaction(1.0)
-    h, o = elman_forward(x, h_prev, U, W, V, b_h, b_o, act, act)
-    h_oracle = np.empty(n)
-    for i in range(n):
-        z = b_h[i]
-        for j in range(m):
-            z += U[i, j] * x[j]
-        for j in range(n):
-            z += W[i, j] * h_prev[j]
-        h_oracle[i] = 1.0 / (1.0 + np.exp(-z))
-    o_oracle = np.empty(p)
-    for i in range(p):
-        z = b_o[i]
-        for j in range(n):
-            z += V[i, j] * h_oracle[j]
-        o_oracle[i] = 1.0 / (1.0 + np.exp(-z))
-    np.testing.assert_allclose(h, h_oracle, atol=1e-12)
-    np.testing.assert_allclose(o, o_oracle, atol=1e-12)
 
 
 def test_rbm_free_energy_zero_case():

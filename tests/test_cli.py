@@ -60,8 +60,7 @@ def test_solve_gray_scott_writes_frames(tmp_path):
         "grid": {"n_points": 16, "h": 0.02, "k": 1.0, "bc": "periodic", "ndim": 2},
         "model": {"kind": "gray_scott",
                   "two_component": {"F": 0.04, "kr": 0.06, "Du": 2e-5, "Dv": 1e-5}},
-        "run": {"n_steps": 20, "frame_stride": 5, "seed": 1,
-                "initial": {"kind": "uniform", "value": 1.0}},
+        "run": {"n_steps": 20, "frame_stride": 5, "seed": 1},
         "io": {"out_dir": str(out)},
     }
     path = write_config(tmp_path, cfg)
@@ -359,6 +358,15 @@ def test_gray_scott_rejects_a_scheme_it_cannot_run(tmp_path, capsys, key, value)
     cfg["run"][key] = value
     assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 1
     assert f"run.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gray_scott_rejects_initial_data(tmp_path, capsys):
+    out = tmp_path / "gs"
+    cfg = _gray_scott_config(out)
+    cfg["run"]["initial"] = {"kind": "uniform", "value": 1.0}
+    assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 1
+    assert "run.initial" in capsys.readouterr().err
     assert not out.exists()
 
 

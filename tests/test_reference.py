@@ -3,8 +3,7 @@ import pytest
 
 from npde.reference import (GaussianProfile, fisher_min_front_speed,
                             front_position, front_speed, heat_kernel_evolve,
-                            sigmoid_derivative_identity, wick_coefficient,
-                            wick_mass)
+                            sigmoid_derivative_identity)
 
 
 def test_heat_kernel_no_time_no_change():
@@ -35,16 +34,6 @@ def test_fisher_speed_values():
     assert fisher_min_front_speed(1.0, 1.0) == pytest.approx(2.0)
     assert fisher_min_front_speed(4.0, 1.0) == pytest.approx(4.0)
     assert fisher_min_front_speed(0.0, 1.0) == 0.0
-
-
-def test_wick_coefficient_values():
-    assert wick_coefficient(1.0, 0.5) == pytest.approx(1.0)
-    assert wick_coefficient(2.0, 1.0) == pytest.approx(1.0)
-
-
-def test_wick_round_trip():
-    m = 0.37
-    assert wick_mass(wick_coefficient(1.0, m)) == pytest.approx(m, rel=1e-14)
 
 
 def test_sigmoid_derivative_identity_at_zero():

@@ -156,6 +156,30 @@ def test_cfl_check_examples():
     assert not rep.stable and rep.max_r_a == pytest.approx(0.6)
 
 
+def test_cfl_flags_anti_diffusion():
+    grid = make_grid(5, 1.0, 0.4, periodic())
+    rep = cfl_check(EllipticCoefficients.constant(grid, -0.5), grid)
+    assert not rep.stable and rep.max_r_a == pytest.approx(-0.2)
+    grid = make_grid(5, 1.0, 0.1, periodic(), ndim=2)
+    assert not cfl_check(EllipticCoefficients.constant(grid, -0.5), grid).stable
+
+
+def test_cfl_flags_cell_peclet_violation_that_diverges():
+    # r * A = 0.004 is far inside 1/2, but |B| h = 5 > 2 A turns a side tap negative
+    grid = make_grid(64, 1.0, 0.4, periodic())
+    coeffs = EllipticCoefficients.constant(grid, 0.01, 5.0)
+    rep = cfl_check(coeffs, grid)
+    assert not rep.stable and rep.max_r_a == pytest.approx(0.004)
+    u0 = np.zeros(64)
+    u0[32] = 1.0
+    with pytest.raises(DivergenceError) as err:
+        solve_forward(u0, coeffs, grid, 200)
+    assert err.value.step == 38
+    # enough diffusion (|B| h <= 2 A) and a small enough r make it monotone again
+    grid = make_grid(64, 1.0, 0.1, periodic())
+    assert cfl_check(EllipticCoefficients.constant(grid, 3.0, 5.0), grid).stable
+
+
 def test_cfl_limit_tighter_in_2d():
     grid = make_grid(5, 1.0, 0.3, periodic(), ndim=2)
     rep = cfl_check(EllipticCoefficients.constant(grid, 1.0), grid)

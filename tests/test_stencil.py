@@ -3,9 +3,9 @@ import pytest
 
 from npde.grid import dirichlet, make_grid, periodic
 from npde.reactions import fisher, linear
-from npde.stencil import (EllipticCoefficients, apply_stencil, elliptic_apply,
-                          laplacian_1d, laplacian_2d_5pt, laplacian_2d_9pt,
-                          variable_stencil_1d)
+from npde.stencil import (EllipticCoefficients, _step_taps, apply_stencil,
+                          elliptic_apply, laplacian_1d, laplacian_2d_5pt,
+                          laplacian_2d_9pt)
 
 
 def test_laplacian_1d_taps():
@@ -28,19 +28,24 @@ def test_laplacian_2d_9pt_taps():
     assert laplacian_2d_9pt().sum() == 0.0
 
 
+def _variable_stencil(A, h):
+    """The per-node taps (1/h**2)[A_{j-1}, -2 A_j, A_{j+1}] of the middle node."""
+    grid = make_grid(3, h, 1.0, periodic())
+    return _step_taps(np.asarray(A, dtype=float), None, grid, identity=0.0)[:, 1]
+
+
 def test_variable_stencil_reduces_to_laplacian():
-    np.testing.assert_array_equal(variable_stencil_1d(1, 1, 1, 1.0), [1, -2, 1])
+    np.testing.assert_array_equal(_variable_stencil([1, 1, 1], 1.0), [1, -2, 1])
 
 
 def test_variable_stencil_substitution():
-    np.testing.assert_array_equal(variable_stencil_1d(2, 3, 4, 1.0), [2, -6, 4])
-    np.testing.assert_array_equal(variable_stencil_1d(0, 0, 0, 1.0), [0, 0, 0])
+    np.testing.assert_array_equal(_variable_stencil([2, 3, 4], 1.0), [2, -6, 4])
+    np.testing.assert_array_equal(_variable_stencil([0, 0, 0], 1.0), [0, 0, 0])
 
 
 def test_variable_stencil_equals_scaled_laplacian_for_constant_a():
     a, h = 1.7, 0.25
-    np.testing.assert_array_equal(variable_stencil_1d(a, a, a, h),
-                                  a * laplacian_1d(h))
+    np.testing.assert_array_equal(_variable_stencil([a, a, a], h), a * laplacian_1d(h))
 
 
 def test_apply_stencil_hand_convolution():

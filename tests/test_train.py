@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,24 @@ def test_zero_step_pipeline_gradient_is_weight_decay():
     x = rng.standard_normal(6)
     grad = pipeline_gradient(model, (x, x), LossSpec(nu=0.3), theta)
     np.testing.assert_allclose(grad, 0.3 * theta.values, atol=1e-14)
+
+
+def test_unstable_initial_coefficients_warn_by_cfl_check():
+    grid = make_grid(6, 1.0, 0.1, periodic())
+    model = Pipeline([DiffusionLayer(grid, 2)])
+    data = Dataset([(np.ones(6), np.ones(6))])
+    theta = model.init_theta(np.random.default_rng(0))
+
+    def run(a):
+        train_supervised(model, data, LossSpec(), OptimizerConfig("sgd"), seed=0,
+                         max_epochs=0, target_loss=0.0, theta0=theta.with_values(np.full(6, a)))
+
+    # r * |A| = 0.01 is small, but negative A is anti-diffusion
+    with pytest.warns(RuntimeWarning, match="explicit-unstable"):
+        run(-0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run(0.1)
 
 
 @pytest.mark.parametrize("bc", [periodic(), dirichlet(0.0), dirichlet(0.7),
