@@ -43,17 +43,16 @@ def load_field_csv(path) -> np.ndarray:
     return arr[0] if arr.shape[0] == 1 else arr
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """One row per slice: slice index followed by the flattened field."""
-    lines = []
-    for i, s in enumerate(traj.slices):
-        flat = np.ravel(s)
-        lines.append(",".join([str(i)] + [fmt(x) for x in flat]) + "\n")
-    return "".join(lines)
-
-
 def save_trajectory_csv(path, traj: Trajectory) -> None:
-    Path(path).write_text(trajectory_to_csv(traj))
+    """One row per slice: slice index followed by the flattened field.
+
+    Rows are formatted and written one at a time, with the same 17 digits
+    as fmt, so the file never exists as one string in memory.
+    """
+    with open(path, "w") as fh:
+        for i, s in enumerate(traj.slices):
+            flat = np.ravel(s).tolist()
+            fh.write(("%d" + ",%.17g" * len(flat) + "\n") % (i, *flat))
 
 
 def field_to_pgm(values: np.ndarray) -> bytes:

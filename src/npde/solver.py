@@ -13,8 +13,16 @@ Implicit (backward Euler) step solves the tridiagonal system
 
     u_j = (1 + 2 r A_j) u'_j - r A_{j-1} u'_{j-1} - r A_{j+1} u'_{j+1}
 
-by the Thomas algorithm (Sherman-Morrison correction for periodic grids); its
-bands are read off the same taps, diag = 1 - centre and off-diagonals -side.
+whose bands are read off the same taps, diag = 1 - centre and off-diagonals
+-side. The matrix is fixed for a whole solve, so it is factored once by
+odd-even cyclic reduction (Hockney 1965): each level keeps the odd rows,
+storing the inverted pivots of the even rows it eliminates and the
+multipliers that fold them into their odd neighbours. Every step then
+applies the factor in log2(n) vectorised passes down and log2(n) back up.
+A periodic grid adds a Sherman-Morrison rank-1 correction whose vector and
+denominator are part of the factor. There is no pivoting, as in the Thomas
+algorithm; I - k O_L is column diagonally dominant for A >= 0. A pivot
+below 1e-300 in magnitude raises ValueError while factoring.
 The reaction C is always evaluated on the pre-update slice (IMEX splitting
 for the implicit scheme): diffusion and convection first, nonlinearity on the
 old slice within the same step.
@@ -115,31 +123,101 @@ def step_explicit(field: np.ndarray, coeffs: EllipticCoefficients,
     return out
 
 
+class _TridiagonalFactor:
+    """Odd-even cyclic reduction of one tridiagonal matrix, factored once.
+
+    Each level keeps the odd rows: it inverts the even rows' pivots and stores
+    the multipliers that eliminate them from their odd neighbours, so the
+    reduced system is again tridiagonal and half the size. solve(rhs) then
+    runs log2(n) vectorised passes down and log2(n) back up. ``corner`` =
+    (beta, alpha) adds the periodic wrap entries (row 0 times x_{n-1}, row
+    n-1 times x_0) as a Sherman-Morrison rank-1 correction whose vector z
+    and denominator are computed here, once.
+    """
+
+    def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                 corner: tuple | None = None):
+        a = np.array(sub, dtype=float)
+        b = np.array(diag, dtype=float)
+        c = np.array(sup, dtype=float)
+        a[:1] = 0.0
+        c[-1:] = 0.0
+        n = b.size
+        if corner is not None:
+            beta, alpha = corner
+            gamma = -b[0]
+            b[0] -= gamma
+            b[-1] -= alpha * beta / gamma
+        self.levels = []
+        while b.size:
+            # the even rows' pivots are inverted: these are the pivots checked
+            piv = b[0::2]
+            if np.any(np.abs(piv) < 1e-300):
+                raise ValueError("singular tridiagonal system (zero pivot)")
+            inv = 1.0 / piv
+            ae, ce = a[0::2], c[0::2]
+            o = b.size // 2
+            # odd row 2j+1 sits between even rows j and j+1 (q of them have both)
+            q = inv.size - 1
+            left = -a[1::2] * inv[:o]
+            right = -c[1::2][:q] * inv[1:]
+            b_next = b[1::2] + left * ce[:o]
+            b_next[:q] += right * ae[1:]
+            c_next = np.zeros(o)
+            c_next[:q] = right * ce[1:]
+            self.levels.append((inv, ae * inv, ce * inv, left, right))
+            a, b, c = left * ae[:o], b_next, c_next
+        self.wrap = None
+        if corner is not None:
+            rank1 = np.zeros(n)
+            rank1[0], rank1[-1] = gamma, alpha
+            z = self._reduce(rank1)
+            ratio = beta / gamma
+            self.wrap = (z, ratio, 1.0 + z[0] + ratio * z[-1])
+
+    def _reduce(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve the factored (non-periodic) system for one right-hand side."""
+        evens = []
+        d = rhs
+        for _, _, _, left, right in self.levels:
+            de = d[0::2]
+            evens.append(de)
+            d = d[1::2] + left * de[:left.size]
+            d[:right.size] += right * de[1:]
+        x = d
+        for (inv, ae, ce, _, _), de in zip(reversed(self.levels), reversed(evens)):
+            xe = de * inv
+            xe[1:] -= ae[1:] * x[:inv.size - 1]
+            xe[:x.size] -= ce[:x.size] * x
+            full = np.empty(xe.size + x.size)
+            full[0::2] = xe
+            full[1::2] = x
+            x = full
+        return x
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with M x = rhs; a fresh array, rhs is not written."""
+        y = self._reduce(np.asarray(rhs, dtype=float))
+        if self.wrap is not None:
+            z, ratio, denom = self.wrap
+            y -= z * ((y[0] + ratio * y[-1]) / denom)
+        return y
+
+
 def thomas_solve(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
                  rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system (sub, diag, sup) x = rhs in O(n).
+    """Solve the tridiagonal system (sub, diag, sup) x = rhs.
 
     sub[j] multiplies x_{j-1} in row j (sub[0] unused); sup[j] multiplies
-    x_{j+1} (sup[-1] unused). Raises on a vanishing pivot.
+    x_{j+1} (sup[-1] unused). The solve is the factor-once odd-even cyclic
+    reduction the implicit scheme uses (_TridiagonalFactor): O(n) work in
+    log2(n) vectorised levels, no pivoting, so it suits diagonally dominant
+    systems as the Thomas algorithm does. Raises ValueError on a vanishing
+    pivot (magnitude below 1e-300). The pivots checked are the diagonal
+    entries, as reduced so far, of the rows each level eliminates; every row
+    is eliminated at exactly one level, so every row's pivot is checked.
     """
-    n = diag.size
-    c = np.empty(n)
-    d = np.empty(n)
-    if abs(diag[0]) < 1e-300:
-        raise ValueError("singular tridiagonal system (zero pivot)")
-    c[0] = sup[0] / diag[0]
-    d[0] = rhs[0] / diag[0]
-    for j in range(1, n):
-        piv = diag[j] - sub[j] * c[j - 1]
-        if abs(piv) < 1e-300:
-            raise ValueError("singular tridiagonal system (zero pivot)")
-        c[j] = sup[j] / piv
-        d[j] = (rhs[j] - sub[j] * d[j - 1]) / piv
-    x = np.empty(n)
-    x[-1] = d[-1]
-    for j in range(n - 2, -1, -1):
-        x[j] = d[j] - c[j] * x[j + 1]
-    return x
+    return _TridiagonalFactor(sub, diag, sup).solve(rhs)
 
 
 def _implicit_system(taps: np.ndarray, grid: GridSpec):
@@ -163,22 +241,32 @@ def _implicit_system(taps: np.ndarray, grid: GridSpec):
     return sub, diag, sup, None
 
 
-def _solve_cyclic(sub, diag, sup, corner, rhs):
-    """Sherman-Morrison rank-1 correction around the Thomas solve."""
-    beta, alpha = corner
-    n = diag.size
-    gamma = -diag[0]
-    diag2 = diag.copy()
-    diag2[0] -= gamma
-    diag2[-1] -= alpha * beta / gamma
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = alpha
-    y = thomas_solve(sub, diag2, sup, rhs)
-    z = thomas_solve(sub, diag2, sup, u)
-    vy = y[0] + beta / gamma * y[-1]
-    vz = z[0] + beta / gamma * z[-1]
-    return y - z * (vy / (1.0 + vz))
+def _implicit_stepper(coeffs: EllipticCoefficients, grid: GridSpec):
+    """Validate an implicit 1D solve and factor I - k O_L once.
+
+    Returns the backward-Euler step u -> u' that every step of the solve
+    applies: a right-hand side u + k C(u) plus the dirichlet offsets, then
+    one solve with the stored factor.
+    """
+    if grid.ndim != 1:
+        raise ValueError("implicit stepping is 1D only")
+    coeffs.validate_against(grid)
+    if coeffs.B is not None and np.any(coeffs.B != 0.0):
+        raise ValueError("implicit scheme is diffusion-only; B must vanish")
+    taps = _step_taps(coeffs.A, None, grid, identity=0.0)
+    factor = _TridiagonalFactor(*_implicit_system(taps, grid))
+    bc, k, reaction = grid.bc, grid.k, coeffs.C
+
+    def step(u: np.ndarray) -> np.ndarray:
+        rhs = u.copy()
+        if reaction.kind != "none":
+            rhs += k * reaction(u)
+        if bc.kind == "dirichlet" and bc.value != 0.0:
+            rhs[0] += taps[0, 0] * bc.value
+            rhs[-1] += taps[2, -1] * bc.value
+        return factor.solve(rhs)
+
+    return step
 
 
 def step_implicit(field: np.ndarray, coeffs: EllipticCoefficients,
@@ -186,28 +274,15 @@ def step_implicit(field: np.ndarray, coeffs: EllipticCoefficients,
     """One backward-Euler diffusion step (1D); reaction is evaluated explicitly.
 
     Solving is exact to rounding: substituting the output back into the
-    implicit recurrence recovers the right-hand side within 1e-10.
+    implicit recurrence recovers the right-hand side within 1e-10. It runs
+    the same factor and apply as an implicit solve_forward, so chaining n
+    calls equals an n-step implicit solve bit for bit.
     """
-    if grid.ndim != 1:
-        raise ValueError("implicit stepping is 1D only")
+    step = _implicit_stepper(coeffs, grid)
     u = np.asarray(field, dtype=float)
     if u.shape != grid.shape:
         raise ValueError(f"field shape {u.shape} does not match grid {grid.shape}")
-    coeffs.validate_against(grid)
-    if coeffs.B is not None and np.any(coeffs.B != 0.0):
-        raise ValueError("implicit scheme is diffusion-only; B must vanish")
-    rhs = u.copy()
-    if coeffs.C.kind != "none":
-        rhs += grid.k * coeffs.C(u)
-    taps = _step_taps(coeffs.A, None, grid, identity=0.0)
-    sub, diag, sup, corner = _implicit_system(taps, grid)
-    if grid.bc.kind == "dirichlet" and grid.bc.value != 0.0:
-        rhs[0] += taps[0, 0] * grid.bc.value
-        rhs[-1] += taps[2, -1] * grid.bc.value
-    if corner is not None:
-        out = _solve_cyclic(sub, diag, sup, corner, rhs)
-    else:
-        out = thomas_solve(sub, diag, sup, rhs)
+    out = step(u)
     if not np.all(np.isfinite(out)):
         raise DivergenceError("implicit step produced non-finite values")
     return out
@@ -318,7 +393,8 @@ def solve_forward(initial: np.ndarray, coeffs: EllipticCoefficients,
 
     Divergence (non-finite values, or magnitudes beyond divergence_factor
     times the initial scale) raises DivergenceError carrying the step index.
-    An explicit 1D solve builds the step taps and the padded buffer once.
+    An explicit 1D solve builds the step taps and the padded buffer once; an
+    implicit solve validates its input and factors its matrix once.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -332,6 +408,8 @@ def solve_forward(initial: np.ndarray, coeffs: EllipticCoefficients,
     if explicit_1d:
         coeffs.validate_against(grid)
         taps, P = _step_taps(coeffs.A, coeffs.B, grid), np.empty(grid.n_points + 2)
+    elif scheme == "implicit":
+        implicit = _implicit_stepper(coeffs, grid)
     slices = [u]
     for step in range(1, n_steps + 1):
         try:
@@ -340,7 +418,7 @@ def solve_forward(initial: np.ndarray, coeffs: EllipticCoefficients,
             elif scheme == "explicit":
                 u = step_explicit(u, coeffs, grid, stencil2d)
             else:
-                u = step_implicit(u, coeffs, grid)
+                u = implicit(u)
         except DivergenceError as err:
             raise DivergenceError(f"{err} at step {step}", step=step) from None
         # one reduction catches NaN, inf and runaway growth: NaN fails every <=

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from npde.blocks import gen_conv1d, gen_conv2d, gen_dense, gen_rbm, gen_rnn_cell
 from npde.fieldio import (block_from_dict, block_to_dict,
                           field_to_csv, field_to_pgm, fmt, load_block,
                           load_field_csv, save_block, save_field_csv,
                           save_trajectory_csv)
-from npde.grid import dirichlet, make_grid, periodic
-from npde.reactions import fisher, sigmoid_reaction
-from npde.solver import solve_forward
+from npde.grid import dirichlet, extend, make_grid, mirror, periodic
+from npde.reactions import ReactionSpec, fisher, linear, no_reaction, sigmoid_reaction
+from npde.solver import Trajectory, solve_forward
 from npde.stencil import EllipticCoefficients, laplacian_2d_9pt
 
 
@@ -42,6 +43,28 @@ def test_trajectory_csv_has_slice_index(tmp_path):
     assert len(lines) == 4
     assert lines[0].split(",")[0] == "0"
     assert lines[-1].split(",")[0] == "3"
+
+
+def _join_trajectory_csv(traj):
+    """The writer save_trajectory_csv streams: the whole file as one string."""
+    lines = []
+    for i, s in enumerate(traj.slices):
+        lines.append(",".join([str(i)] + [fmt(x) for x in np.ravel(s)]) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_trajectory_csv_bytes_match_join_writer(ndim, tmp_path):
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.5e-310,
+               1e300, -1e-300, 1.7976931348623157e308, 1.0, -2.5]
+    rng = np.random.default_rng(74)
+    n = 6
+    grid = make_grid(n, 0.5, 0.1, periodic(), ndim=ndim)
+    pool = np.concatenate([special, rng.standard_normal(40) * 10.0**rng.integers(-300, 301, 40)])
+    slices = [rng.permutation(pool)[:grid.n_points**ndim].reshape(grid.shape) for _ in range(12)]
+    traj = Trajectory(grid, slices)
+    save_trajectory_csv(tmp_path / "t.csv", traj)
+    assert (tmp_path / "t.csv").read_bytes() == _join_trajectory_csv(traj).encode()
 
 
 def test_pgm_header_and_normalization():
@@ -101,3 +124,46 @@ def test_conv1d_round_trip_preserves_forward(tmp_path):
     rng = np.random.default_rng(73)
     u = rng.standard_normal(6)
     np.testing.assert_array_equal(block.forward(u), clone.forward(u))
+
+
+_ACTIVATIONS = [no_reaction(), fisher(0.9), sigmoid_reaction(1.5), linear(-0.3)]
+_BCS = [periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(-1.3)]
+
+
+def _random_block(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    bc = _BCS[int(rng.integers(len(_BCS)))]
+    act = _ACTIVATIONS[int(rng.integers(len(_ACTIVATIONS)))]
+    scale = 10.0 ** rng.integers(-8, 9)
+    grid = make_grid(n, float(rng.uniform(0.1, 1.0)), float(rng.uniform(1e-4, 0.1)), bc)
+    coeffs = EllipticCoefficients(scale * rng.uniform(0.0, 1.0, n),
+                                  rng.standard_normal(n) if rng.random() < 0.5 else None, act)
+    if kind == "conv1d":
+        return gen_conv1d(coeffs, grid)
+    if kind == "conv2d":
+        grid2 = make_grid(n, grid.h, grid.k, bc, ndim=2)
+        return gen_conv2d(scale * rng.standard_normal((3, 3)), grid2,
+                          int(rng.integers(1, 4)), act)
+    if kind == "dense":
+        m = int(rng.integers(1, 6))
+        if rng.random() < 0.25:
+            act = ReactionSpec("source", source=rng.standard_normal(m))
+        return gen_dense(scale * rng.standard_normal((m, n)), rng.standard_normal(m), act)
+    if kind == "rbm":
+        return gen_rbm(EllipticCoefficients(coeffs.A), grid,
+                       visible_bias=scale * rng.standard_normal(n),
+                       hidden_bias=rng.standard_normal(n) if rng.random() < 0.5 else None)
+    return gen_rnn_cell(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0)),
+                        float(rng.uniform(0.1, 3.0)), grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["dense", "conv1d", "conv2d", "rbm", "rnn"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_random_block_bytes_stable_across_save_load_save(kind, seed, tmp_path_factory):
+    path = tmp_path_factory.mktemp("block") / "block.json"
+    save_block(path, _random_block(kind, seed))
+    first = path.read_bytes()
+    save_block(path, load_block(path))
+    assert path.read_bytes() == first

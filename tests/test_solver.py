@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
-from npde.reactions import fisher, gray_scott, TwoComponentReaction
-from npde.solver import (CflReport, DivergenceError, cfl_check, discrete_residual,
-                         solve_forward, solve_two_component, step_explicit,
-                         step_implicit, step_two_component, thomas_solve)
+from npde.reactions import fisher, gray_scott, no_reaction, TwoComponentReaction
+from npde.solver import (CflReport, DivergenceError, _TridiagonalFactor, cfl_check,
+                         discrete_residual, solve_forward, solve_two_component,
+                         step_explicit, step_implicit, step_two_component,
+                         thomas_solve)
 from npde.stencil import EllipticCoefficients
 
 
@@ -104,6 +106,64 @@ def test_periodic_implicit_matches_dense_solve():
         M[j, (j + 1) % n] -= r * A[(j + 1) % n]
     np.testing.assert_allclose(step_implicit(u, coeffs, grid),
                                np.linalg.solve(M, u), rtol=1e-11, atol=1e-12)
+
+
+# n = 1, 2, 3, every size up to 70, and 2**k - 1, 2**k, 2**k + 1 among them
+SIZES = st.one_of(st.sampled_from([1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]),
+                  st.integers(1, 70))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=SIZES, seed=SEEDS)
+def test_cyclic_reduction_matches_dense_solve(n, seed):
+    # column-dominant: |diag_j| exceeds the off-diagonal entries of column j
+    rng = np.random.default_rng(seed)
+    sub = rng.uniform(-1.0, 1.0, n)
+    sup = rng.uniform(-1.0, 1.0, n)
+    column = np.abs(np.append(sub[1:], 0.0)) + np.abs(np.insert(sup[:-1], 0, 0.0))
+    diag = rng.choice([-1.0, 1.0], n) * (column + rng.uniform(0.05, 2.0, n))
+    M = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+    b1, b2 = rng.standard_normal(n), 1e6 * rng.standard_normal(n)
+    # one factor serves every right-hand side; thomas_solve factors its own
+    factor = _TridiagonalFactor(sub, diag, sup)
+    for rhs, x in ((b1, factor.solve(b1)), (b2, factor.solve(b2)),
+                   (b1, thomas_solve(sub, diag, sup, b1))):
+        exact = np.linalg.solve(M, rhs)
+        assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 70), seed=SEEDS)
+def test_periodic_implicit_matches_dense_cyclic_solve(n, seed):
+    rng = np.random.default_rng(seed)
+    grid = make_grid(n, float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.001, 1.0)), periodic())
+    A = rng.uniform(0.0, 2.0, n)
+    u = rng.standard_normal(n)
+    r = grid.r
+    M = np.eye(n)
+    for j in range(n):
+        M[j, j] += 2.0 * r * A[j]
+        M[j, (j - 1) % n] -= r * A[(j - 1) % n]
+        M[j, (j + 1) % n] -= r * A[(j + 1) % n]
+    exact = np.linalg.solve(M, u)
+    out = step_implicit(u, EllipticCoefficients(A), grid)
+    assert np.max(np.abs(out - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bc=st.sampled_from([periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(-1.3)]),
+       n=st.integers(3, 40), m=st.integers(1, 6), seed=SEEDS,
+       reaction=st.sampled_from([no_reaction(), fisher(0.8)]))
+def test_implicit_solve_equals_chained_steps(bc, n, m, seed, reaction):
+    rng = np.random.default_rng(seed)
+    grid = make_grid(n, 0.5, float(rng.uniform(0.01, 1.0)), bc)
+    coeffs = EllipticCoefficients(rng.uniform(0.0, 2.0, n), None, reaction)
+    u = rng.uniform(0.0, 1.0, n)
+    traj = solve_forward(u, coeffs, grid, m, scheme="implicit")
+    for s in traj.slices[1:]:
+        u = step_implicit(u, coeffs, grid)
+        np.testing.assert_array_equal(s, u)
 
 
 def test_two_component_null_dynamics():
