@@ -7,10 +7,12 @@ Usage:
     npde verify    [stencils|equivalence|gradients|oracles|all]
 
 Configs are JSON, one file per experiment, with sections grid / model / run /
-optimizer / loss / train / block / io (see README). Every key is validated
-before any file is written; a key no section defines, such as a misspelling,
-is rejected by its dotted name. The output directory resolves in the order
---out flag, NPDE_OUT environment variable, io.out_dir, current directory.
+optimizer / loss / train / block / io (see README). The parsers are the
+schema: ``_Section.value`` types a key, applies its default and records the
+read. A command reads its whole config, rejects by dotted name any key it did
+not read (a misspelling, or a key the run has no use for, such as ``model.r``
+on a heat solve), computes, and only then creates its output directory: --out,
+else NPDE_OUT, else io.out_dir, else the current directory.
 All numeric output is printed with 17 significant digits.
 
 Exit codes: 0 success; 1 invalid config or usage; 2 solver divergence;
@@ -23,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,59 +43,106 @@ class ConfigError(ValueError):
     pass
 
 
-# The keys each config section may hold; any other key would do nothing.
-_SECTION_KEYS = {
-    "grid": {"n_points", "h", "k", "bc", "bc_value", "ndim"},
-    "model": {"kind", "A", "B", "r", "reaction", "two_component"},
-    "run": {"n_steps", "scheme", "frame_stride", "stencil2d", "seed", "initial"},
-    "optimizer": {"kind", "eta", "beta1", "beta2", "eps", "memory"},
-    "loss": {"nu", "target_loss", "beta", "lambda"},
-    "train": {"pipeline", "dataset", "max_epochs"},
-    "block": {"kind", "D", "stencil", "channels", "W", "bias", "activation", "rate",
-              "Dxy", "Dz", "v"},
-    "io": {"out_dir", "formats"},
-}
-_NESTED_KEYS = {
-    ("model", "reaction"): {"kind", "rate", "values"},
-    ("model", "two_component"): {"F", "kr", "Du", "Dv"},
-    ("run", "initial"): {"kind", "values", "value", "index", "low", "high",
-                         "amplitude", "center", "sigma2"},
-}
-_LAYER_KEYS = {"kind", "in", "out", "activation", "rate", "n_steps"}
+def _wrap(node, path: str):
+    """Turn every JSON object under ``node`` into a _Section that knows its dotted path."""
+    if isinstance(node, dict):
+        return _Section(node, path)
+    if isinstance(node, list):
+        return [_wrap(item, f"{path}[{i}]") for i, item in enumerate(node)]
+    return node
 
 
-def _reject_unknown(section, allowed: set, context: str) -> None:
-    if section is None:
-        return
-    if not isinstance(section, dict):
-        raise ConfigError(f"config key {context} must be an object")
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {context}.{key}")
+class _Section(dict):
+    """One JSON object of a config, recording which of its keys a parser read."""
+
+    def __init__(self, items: dict, path: str = ""):
+        self.path = path
+        self.read: set = set()
+        super().__init__((key, _wrap(item, self.dotted(key))) for key, item in items.items())
+
+    def dotted(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def value(self, key: str, cast, default=...):
+        """Mark ``key`` read; return ``cast`` of its value, else ``default``
+        (an object default reads as an empty section). A missing required key
+        or a value ``cast`` refuses raises ConfigError naming the dotted key."""
+        self.read.add(key)
+        name = self.dotted(key)
+        if key not in self:
+            if default is ...:
+                raise ConfigError(f"missing config key {name}")
+            return _Section(default, name) if isinstance(default, dict) else default
+        try:
+            return cast(self[key])
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ConfigError(f"config key {name} {err}") from None
 
 
-def _check_keys(cfg: dict) -> None:
-    """Reject any key outside its section's allowed set, naming the dotted key."""
-    for name, section in cfg.items():
-        if name not in _SECTION_KEYS:
-            raise ConfigError(f"unknown config key {name}")
-        _reject_unknown(section, _SECTION_KEYS[name], name)
-    for (name, key), allowed in _NESTED_KEYS.items():
-        _reject_unknown((cfg.get(name) or {}).get(key), allowed, f"{name}.{key}")
-    layers = (cfg.get("train") or {}).get("pipeline") or []
-    if not isinstance(layers, list):
-        raise ConfigError("config key train.pipeline must be a list of layers")
-    for i, layer in enumerate(layers):
-        _reject_unknown(layer, _LAYER_KEYS, f"train.pipeline[{i}]")
+def _reject_unread(node) -> None:
+    """Refuse the first config key that no parser read, by its dotted name."""
+    if isinstance(node, list):
+        for item in node:
+            _reject_unread(item)
+    elif isinstance(node, _Section):
+        for key, item in node.items():
+            if key not in node.read:
+                raise ConfigError(f"unknown config key {node.dotted(key)}")
+            _reject_unread(item)
 
 
-def _need(section: dict, key: str, context: str):
-    if key not in section:
-        raise ConfigError(f"missing config key {context}.{key}")
-    return section[key]
+# Casts for _Section.value besides float: each returns the parsed value or
+# raises TypeError/ValueError with a message completing "config key <name> ...".
+
+def _object(raw) -> _Section:
+    if not isinstance(raw, _Section):
+        raise TypeError("must be an object")
+    return raw
 
 
-def _load_config(path: str) -> dict:
+def _integer(raw) -> int:
+    """An integral JSON number (3 or 3.0); 2.7, "3" and booleans are refused."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) \
+            or isinstance(raw, float) and not raw.is_integer():
+        raise TypeError(f"must be an integer, got {raw!r}")
+    return int(raw)
+
+
+def _text(*options: str):
+    """A cast to a string, one of ``options`` when any are given."""
+    def cast(raw) -> str:
+        if not isinstance(raw, str) or options and raw not in options:
+            raise ValueError(f"must be {' or '.join(options) or 'a string'}, got {raw!r}")
+        return raw
+    return cast
+
+
+def _list_of(cast):
+    def read(raw) -> list:
+        if not isinstance(raw, list):
+            raise TypeError(f"must be a list, got {raw!r}")
+        return [cast(item) for item in raw]
+    return read
+
+
+_floats = partial(np.asarray, dtype=float)
+
+
+def _field(grid: GridSpec):
+    """A cast to a finite grid-shaped array; a scalar fills the grid."""
+    def cast(raw) -> np.ndarray:
+        arr = _floats(raw)
+        if arr.ndim == 0:
+            arr = np.full(grid.shape, arr)
+        if arr.shape != grid.shape:
+            raise ValueError("must be a scalar or a grid-shaped array")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("contains non-finite entries")
+        return arr
+    return cast
+
+
+def _load_config(path: str) -> _Section:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -102,133 +152,90 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {err}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(cfg)
-    return cfg
+    return _Section(cfg)
 
 
-def _parse_grid(cfg: dict) -> GridSpec:
-    g = _need(cfg, "grid", "")
-    kind = _need(g, "bc", "grid")
-    if kind not in ("dirichlet", "periodic", "mirror", "extend"):
-        raise ConfigError(f"grid.bc must name a padding kind, got {kind!r}")
-    bc = BoundaryCondition(kind, float(g.get("bc_value", 0.0)))
-    try:
-        return make_grid(_need(g, "n_points", "grid"), _need(g, "h", "grid"),
-                         _need(g, "k", "grid"), bc, int(g.get("ndim", 1)))
-    except ValueError as err:
-        raise ConfigError(f"grid: {err}") from None
+def _parse_grid(cfg: _Section) -> GridSpec:
+    g = cfg.value("grid", _object)
+    kind = g.value("bc", _text("dirichlet", "periodic", "mirror", "extend"))
+    # only a dirichlet boundary has a value
+    bc = BoundaryCondition(kind, g.value("bc_value", float, 0.0)
+                           if kind == "dirichlet" else 0.0)
+    return make_grid(g.value("n_points", _integer), g.value("h", float),
+                     g.value("k", float), bc, g.value("ndim", _integer, 1))
 
 
-def _parse_reaction(d, grid: GridSpec) -> ReactionSpec:
-    if d is None:
-        return ReactionSpec("none")
-    kind = _need(d, "kind", "model.reaction")
-    try:
-        if kind == "source":
-            return ReactionSpec("source",
-                                source=np.asarray(_need(d, "values", "model.reaction"),
-                                                  dtype=float).reshape(grid.shape))
-        return ReactionSpec(kind, float(d.get("rate", 0.0)))
-    except ValueError as err:
-        raise ConfigError(f"model.reaction: {err}") from None
+def _reaction(section: _Section, kind: str, default_rate: float) -> ReactionSpec:
+    """ReactionSpec(kind); ``rate`` is read only for a kind that uses one."""
+    if kind == "none":
+        return ReactionSpec("none", default_rate)
+    return ReactionSpec(kind, section.value("rate", float, default_rate))
 
 
-def _parse_field(value, grid: GridSpec, context: str) -> np.ndarray:
-    arr = np.full(grid.shape, float(value)) if np.isscalar(value) \
-        else np.asarray(value, dtype=float)
-    if arr.shape != grid.shape:
-        raise ConfigError(f"{context} must be a scalar or a grid-shaped array")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{context} contains non-finite entries")
-    return arr
-
-
-def _parse_coeffs(cfg: dict, grid: GridSpec) -> EllipticCoefficients:
-    m = _need(cfg, "model", "")
-    kind = _need(m, "kind", "model")
+def _parse_coeffs(m: _Section, grid: GridSpec) -> EllipticCoefficients:
+    kind = m.value("kind", _text())
     if kind not in ("heat", "fisher", "scalar"):
         raise ConfigError(f"model.kind {kind!r} is not a one-component pde kind")
-    A = _parse_field(_need(m, "A", "model"), grid, "model.A")
-    B = None
-    if m.get("B") is not None:
-        B = _parse_field(m["B"], grid, "model.B")
+    A = m.value("A", _field(grid))
+    B = m.value("B", _field(grid), None)
     if kind == "heat":
         reaction = ReactionSpec("none")
     elif kind == "fisher":
-        reaction = ReactionSpec("fisher", float(_need(m, "r", "model")))
+        reaction = ReactionSpec("fisher", m.value("r", float))
     else:
-        reaction = _parse_reaction(m.get("reaction"), grid)
+        d = m.value("reaction", _object, None)
+        kind = "none" if d is None else d.value("kind", _text())
+        reaction = _reaction(d, kind, 0.0) if kind != "source" else ReactionSpec(
+            "source", source=d.value("values", _floats).reshape(grid.shape))
     coeffs = EllipticCoefficients(A, B, reaction)
-    try:
-        coeffs.validate_against(grid)
-    except ValueError as err:
-        raise ConfigError(f"model: {err}") from None
+    coeffs.validate_against(grid)
     return coeffs
 
 
-def _parse_initial(cfg: dict, grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
-    run = _need(cfg, "run", "")
-    init = _need(run, "initial", "run")
-    kind = _need(init, "kind", "run.initial")
+def _parse_initial(run: _Section, grid: GridSpec,
+                   rng: np.random.Generator) -> np.ndarray:
+    init = run.value("initial", _object)
+    kind = init.value("kind", _text())
     if kind == "values":
-        return _parse_field(_need(init, "values", "run.initial"), grid,
-                            "run.initial.values")
+        return init.value("values", _field(grid))
     if kind == "uniform":
-        return np.full(grid.shape, float(_need(init, "value", "run.initial")))
+        return np.full(grid.shape, init.value("value", float))
     if kind == "delta":
         u = np.zeros(grid.shape)
-        idx = _need(init, "index", "run.initial")
+        idx = init.value("index", lambda raw: tuple(map(_integer, raw))
+                         if isinstance(raw, list) else _integer(raw))
         try:
-            u[tuple(idx) if isinstance(idx, list) else int(idx)] = \
-                float(init.get("value", 1.0))
+            u[idx] = init.value("value", float, 1.0)
         except IndexError:
             raise ConfigError("run.initial.index is outside the grid") from None
         return u
     if kind == "random":
-        lo, hi = float(init.get("low", 0.0)), float(init.get("high", 1.0))
+        lo, hi = init.value("low", float, 0.0), init.value("high", float, 1.0)
         return rng.uniform(lo, hi, grid.shape)
     if kind == "gaussian":
         if grid.ndim != 1:
             raise ConfigError("gaussian initial data is 1D only")
-        profile = GaussianProfile(float(_need(init, "amplitude", "run.initial")),
-                                  float(_need(init, "center", "run.initial")),
-                                  float(_need(init, "sigma2", "run.initial")))
+        profile = GaussianProfile(init.value("amplitude", float),
+                                  init.value("center", float),
+                                  init.value("sigma2", float))
         return profile.sample(grid.h * np.arange(grid.n_points))
     raise ConfigError(f"unknown run.initial.kind {kind!r}")
 
 
-def _out_dir(cfg: dict, args) -> Path:
-    if args.out:
-        return Path(args.out)
-    env = os.environ.get("NPDE_OUT")
-    if env:
-        return Path(env)
-    return Path(cfg.get("io", {}).get("out_dir", "."))
+def _read_io(cfg: _Section, args, formats: bool = False) -> tuple[Path, set]:
+    """The output directory (io.out_dir is checked even when overridden) and,
+    when ``formats``, the io.formats to write."""
+    io = cfg.value("io", _object, {})
+    configured = io.value("out_dir", _text(), ".")
+    written = io.value("formats", _list_of(_text("csv", "pgm")), ["csv", "pgm"]) \
+        if formats else []
+    return Path(args.out or os.environ.get("NPDE_OUT") or configured), set(written)
 
 
-def _formats(cfg: dict) -> set:
-    formats = cfg.get("io", {}).get("formats", ["csv", "pgm"])
-    bad = set(formats) - {"csv", "pgm"}
-    if bad:
-        raise ConfigError(f"io.formats entries must be csv or pgm, got {sorted(bad)}")
-    return set(formats)
-
-
-def _run_section(cfg: dict):
-    run = _need(cfg, "run", "")
-    n_steps = int(_need(run, "n_steps", "run"))
-    scheme = run.get("scheme", "explicit")
-    if scheme not in ("explicit", "implicit"):
-        raise ConfigError(f"run.scheme must be explicit or implicit, got {scheme!r}")
-    stride = int(run.get("frame_stride", 0))
-    if n_steps < 1:
-        raise ConfigError("run.n_steps must be >= 1")
-    if stride < 0:
-        raise ConfigError("run.frame_stride must be >= 0")
-    stencil2d = run.get("stencil2d", "5pt")
-    if stencil2d not in ("5pt", "9pt"):
-        raise ConfigError(f"run.stencil2d must be 5pt or 9pt, got {stencil2d!r}")
-    return n_steps, scheme, stride, stencil2d
+def _read_seed(run: _Section, args) -> int:
+    """--seed when given, else run.seed, else 0; run.seed is checked either way."""
+    seed = run.value("seed", _integer, 0)
+    return seed if args.seed is None else args.seed
 
 
 def _summary_line(label: str, field: np.ndarray) -> str:
@@ -236,28 +243,31 @@ def _summary_line(label: str, field: np.ndarray) -> str:
             f"max={fieldio.fmt(np.max(field))} sum={fieldio.fmt(np.sum(field))}")
 
 
-def cmd_solve(cfg: dict, args) -> int:
+def cmd_solve(cfg: _Section, args) -> int:
     grid = _parse_grid(cfg)
-    model_kind = _need(_need(cfg, "model", ""), "kind", "model")
-    n_steps, scheme, stride, stencil2d = _run_section(cfg)
-    formats = _formats(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("run", {}).get("seed", 0))
-    rng = np.random.default_rng(seed)
+    run = cfg.value("run", _object)
+    n_steps = run.value("n_steps", _integer)
+    if n_steps < 1:
+        raise ConfigError("run.n_steps must be >= 1")
+    # frames and the 2D stencil exist only on a 2D grid
+    stride = run.value("frame_stride", _integer, 0) if grid.ndim == 2 else 0
+    if stride < 0:
+        raise ConfigError("run.frame_stride must be >= 0")
+    rng = np.random.default_rng(_read_seed(run, args))
+    out, formats = _read_io(cfg, args, formats=True)
+    model = cfg.value("model", _object)
+    two_component = model.value("kind", _text()) == "gray_scott"
 
-    if model_kind == "gray_scott":
-        tc = _need(cfg["model"], "two_component", "model")
-        for key in ("F", "kr", "Du", "Dv"):
-            _need(tc, key, "model.two_component")
+    if two_component:
+        tc = model.value("two_component", _object)
+        rxn = gray_scott(tc.value("F", float), tc.value("kr", float))
+        Du, Dv = tc.value("Du", float), tc.value("Dv", float)
         if grid.ndim != 2:
             raise ConfigError("gray_scott runs need a 2D grid")
-        # the two-component step is always explicit with the 9-point Laplacian
-        if scheme != "explicit":
-            raise ConfigError(f"run.scheme must be explicit for gray_scott, got {scheme!r}")
-        if cfg["run"].get("stencil2d", "9pt") != "9pt":
-            raise ConfigError(f"run.stencil2d must be 9pt for gray_scott, got {stencil2d!r}")
-        if "initial" in cfg["run"]:
-            raise ConfigError("run.initial is not used by gray_scott runs")
-        rxn = gray_scott(float(tc["F"]), float(tc["kr"]))
+        # the two-component step is always explicit with the 9-point Laplacian,
+        # and it seeds its own U and V, so it reads no run.initial
+        run.value("scheme", _text("explicit"), "explicit")
+        run.value("stencil2d", _text("9pt"), "9pt")
         U = np.ones(grid.shape)
         V = np.zeros(grid.shape)
         n = grid.n_points
@@ -269,15 +279,25 @@ def cmd_solve(cfg: dict, args) -> int:
         V += 0.02 * (rng.random(grid.shape) - 0.5)
         U = np.clip(U, 0.0, 1.0)
         V = np.clip(V, 0.0, 1.0)
-        out = _out_dir(cfg, args)
-        out.mkdir(parents=True, exist_ok=True)
-        try:
-            U, V, frames = solve_two_component(U, V, float(tc["Du"]), float(tc["Dv"]),
-                                               rxn, grid, n_steps,
-                                               record_every=stride)
-        except DivergenceError as err:
-            print(f"diverged at step {err.step}", file=sys.stderr)
-            return 2
+        compute = partial(solve_two_component, U, V, Du, Dv, rxn, grid, n_steps,
+                          record_every=stride)
+    else:
+        coeffs = _parse_coeffs(model, grid)
+        scheme = run.value("scheme", _text("explicit", "implicit"), "explicit")
+        stencil2d = run.value("stencil2d", _text("5pt", "9pt"), "5pt") \
+            if grid.ndim == 2 else "5pt"
+        compute = partial(solve_forward, _parse_initial(run, grid, rng), coeffs, grid,
+                          n_steps, scheme, stencil2d)
+    _reject_unread(cfg)
+    try:
+        result = compute()
+    except DivergenceError as err:
+        print(f"diverged at step {err.step}", file=sys.stderr)
+        return 2
+    out.mkdir(parents=True, exist_ok=True)
+
+    if two_component:
+        U, V, frames = result
         if "pgm" in formats:
             for i, frame in enumerate(frames, start=1):
                 fieldio.save_field_pgm(out / f"v_{i:05d}.pgm", frame)
@@ -286,64 +306,47 @@ def cmd_solve(cfg: dict, args) -> int:
             fieldio.save_field_csv(out / "v_final.csv", V)
         print(_summary_line("final V", V))
         return 0
-
-    coeffs = _parse_coeffs(cfg, grid)
-    initial = _parse_initial(cfg, grid, rng)
-    out = _out_dir(cfg, args)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        traj = solve_forward(initial, coeffs, grid, n_steps, scheme, stencil2d)
-    except DivergenceError as err:
-        print(f"diverged at step {err.step}", file=sys.stderr)
-        return 2
     if "csv" in formats:
-        fieldio.save_trajectory_csv(out / "trajectory.csv", traj)
+        fieldio.save_trajectory_csv(out / "trajectory.csv", result)
     if "pgm" in formats and grid.ndim == 2 and stride:
-        for i, s in enumerate(traj.slices):
+        for i, s in enumerate(result.slices):
             if i and i % stride == 0:
                 fieldio.save_field_pgm(out / f"u_{i:05d}.pgm", s)
-    print(_summary_line("final", traj.final()))
+    print(_summary_line("final", result.final()))
     return 0
 
 
-def _parse_pipeline(cfg: dict) -> train.Pipeline:
-    t = _need(cfg, "train", "")
-    layer_specs = _need(t, "pipeline", "train")
+def _parse_pipeline(cfg: _Section, t: _Section) -> train.Pipeline:
+    layer_specs = t.value("pipeline", _list_of(_object))
     if not layer_specs:
         raise ConfigError("train.pipeline must name at least one layer")
     layers = []
-    for i, spec in enumerate(layer_specs):
-        kind = _need(spec, "kind", f"train.pipeline[{i}]")
+    for spec in layer_specs:
+        kind = spec.value("kind", _text())
         if kind == "dense":
-            act = ReactionSpec(spec.get("activation", "none"),
-                               float(spec.get("rate", 1.0)))
-            layers.append(train.DenseLayer(int(_need(spec, "in", f"train.pipeline[{i}]")),
-                                           int(_need(spec, "out", f"train.pipeline[{i}]")),
-                                           act))
+            act = _reaction(spec, spec.value("activation", _text(), "none"), 1.0)
+            layers.append(train.DenseLayer(spec.value("in", _integer),
+                                           spec.value("out", _integer), act))
         elif kind == "diffusion":
-            grid = _parse_grid(cfg)
-            layers.append(train.DiffusionLayer(grid,
-                                               int(_need(spec, "n_steps",
-                                                         f"train.pipeline[{i}]"))))
+            layers.append(train.DiffusionLayer(_parse_grid(cfg),
+                                               spec.value("n_steps", _integer)))
         else:
             raise ConfigError(f"unknown pipeline layer kind {kind!r}")
-    try:
-        return train.Pipeline(layers)
-    except ValueError as err:
-        raise ConfigError(f"train.pipeline: {err}") from None
+    return train.Pipeline(layers)
 
 
-def _parse_optimizer(cfg: dict) -> train.OptimizerConfig:
-    o = cfg.get("optimizer", {})
-    try:
-        return train.OptimizerConfig(o.get("kind", "adam"),
-                                     float(o.get("eta", 0.001)),
-                                     float(o.get("beta1", 0.9)),
-                                     float(o.get("beta2", 0.999)),
-                                     float(o.get("eps", 1e-8)),
-                                     int(o.get("memory", 10)))
-    except ValueError as err:
-        raise ConfigError(f"optimizer: {err}") from None
+def _parse_optimizer(cfg: _Section) -> train.OptimizerConfig:
+    """The optimizer section; each kind reads only the settings its step uses."""
+    o = cfg.value("optimizer", _object, {})
+    d = train.OptimizerConfig()
+    kind = o.value("kind", _text(), d.kind)
+    adam = kind == "adam"
+    return train.OptimizerConfig(
+        kind, o.value("eta", float, d.eta),
+        o.value("beta1", float, d.beta1) if adam else d.beta1,
+        o.value("beta2", float, d.beta2) if adam else d.beta2,
+        o.value("eps", float, d.eps) if adam else d.eps,
+        o.value("memory", _integer, d.memory) if kind == "lbfgs" else d.memory)
 
 
 def _load_dataset(path: str, n_in: int, n_out: int) -> train.Dataset:
@@ -351,10 +354,14 @@ def _load_dataset(path: str, n_in: int, n_out: int) -> train.Dataset:
     if not p.exists():
         raise ConfigError(f"dataset file not found: {path}")
     samples = []
-    for line in p.read_text().splitlines():
+    for line_no, line in enumerate(p.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        row = [float(x) for x in line.split(",")]
+        try:
+            row = [float(x) for x in line.split(",")]
+        except ValueError:
+            raise ConfigError(f"dataset {path} line {line_no} has a non-numeric "
+                              f"cell: {line!r}") from None
         if len(row) != n_in + n_out:
             raise ConfigError(f"dataset row has {len(row)} columns, "
                               f"expected {n_in}+{n_out}")
@@ -364,34 +371,30 @@ def _load_dataset(path: str, n_in: int, n_out: int) -> train.Dataset:
     return train.Dataset(samples)
 
 
-def cmd_train(cfg: dict, args) -> int:
-    model = _parse_pipeline(cfg)
-    t = cfg["train"]
-    loss_cfg = cfg.get("loss", {})
-    if "target_loss" not in loss_cfg:
-        raise ConfigError("missing config key loss.target_loss")
-    try:
-        loss = LossSpec(nu=float(loss_cfg.get("nu", 0.0)))
-        inert = [key for key in ("beta", "lambda") if float(loss_cfg.get(key, 0.0)) != 0.0]
-    except ValueError as err:
-        raise ConfigError(f"loss: {err}") from None
-    if inert:
+def cmd_train(cfg: _Section, args) -> int:
+    t = cfg.value("train", _object)
+    model = _parse_pipeline(cfg, t)
+    loss_cfg = cfg.value("loss", _object, {})
+    target_loss = loss_cfg.value("target_loss", float)
+    loss = LossSpec(nu=loss_cfg.value("nu", float, 0.0))
+    for key in "beta", "lambda":
         # training minimizes the L2-with-decay loss only; the penalty weights would do nothing
-        raise ConfigError(f"loss.{inert[0]} is not used by training; remove it or set it to 0")
-    target_loss = float(loss_cfg["target_loss"])
-    max_epochs = int(_need(t, "max_epochs", "train"))
+        if loss_cfg.value(key, float, 0.0) != 0.0:
+            raise ConfigError(f"loss.{key} is not used by training; remove it or set it to 0")
+    max_epochs = t.value("max_epochs", _integer)
     opt = _parse_optimizer(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("run", {}).get("seed", 0))
+    seed = _read_seed(cfg.value("run", _object, {}), args)
 
     first, last = model.layers[0], model.layers[-1]
     n_in = first.n_in if isinstance(first, train.DenseLayer) else first.grid.n_points
     n_out = last.n_out if isinstance(last, train.DenseLayer) else last.grid.n_points
-    data = _load_dataset(_need(t, "dataset", "train"), n_in, n_out)
+    data = _load_dataset(t.value("dataset", _text()), n_in, n_out)
+    out, _ = _read_io(cfg, args)
+    _reject_unread(cfg)
 
-    out = _out_dir(cfg, args)
-    out.mkdir(parents=True, exist_ok=True)
     report = train.train_supervised(model, data, loss, opt, seed, max_epochs,
                                     target_loss)
+    out.mkdir(parents=True, exist_ok=True)
     curve = "".join(f"{i + 1},{fieldio.fmt(v)}\n"
                     for i, v in enumerate(report.loss_curve))
     (out / "loss_curve.csv").write_text(curve)
@@ -418,41 +421,34 @@ def _save_trained_model(path: Path, model: train.Pipeline,
     path.write_bytes(payload.encode("ascii"))
 
 
-def cmd_gen_block(cfg: dict, args) -> int:
-    b = _need(cfg, "block", "")
-    kind = _need(b, "kind", "block")
+def cmd_gen_block(cfg: _Section, args) -> int:
+    b = cfg.value("block", _object)
+    kind = b.value("kind", _text())
     if kind == "conv1d":
         grid = _parse_grid(cfg)
-        coeffs = _parse_coeffs(cfg, grid)
-        block = blocks.gen_conv1d(coeffs, grid)
+        block = blocks.gen_conv1d(_parse_coeffs(cfg.value("model", _object), grid), grid)
     elif kind == "conv2d":
         grid = _parse_grid(cfg)
         if grid.ndim != 2:
             raise ConfigError("conv2d generation needs a 2D grid")
-        D = float(_need(b, "D", "block"))
-        taps = stencil_2d(b.get("stencil", "9pt"))
+        D = b.value("D", float)
+        taps = stencil_2d(b.value("stencil", _text(), "9pt"))
         block = blocks.gen_conv2d(grid.k * D / grid.h**2 * taps, grid,
-                                  int(b.get("channels", 1)))
+                                  b.value("channels", _integer, 1))
     elif kind == "dense":
-        act = ReactionSpec(b.get("activation", "none"), float(b.get("rate", 1.0)))
-        block = blocks.gen_dense(np.asarray(_need(b, "W", "block"), dtype=float),
-                                 np.asarray(_need(b, "bias", "block"), dtype=float),
-                                 act)
+        act = _reaction(b, b.value("activation", _text(), "none"), 1.0)
+        block = blocks.gen_dense(b.value("W", _floats), b.value("bias", _floats), act)
     elif kind == "rnn":
         grid = _parse_grid(cfg)
-        try:
-            block = blocks.gen_rnn_cell(float(_need(b, "Dxy", "block")),
-                                        float(_need(b, "Dz", "block")),
-                                        float(_need(b, "v", "block")), grid)
-        except ValueError as err:
-            raise ConfigError(f"block: {err}") from None
+        block = blocks.gen_rnn_cell(b.value("Dxy", float), b.value("Dz", float),
+                                    b.value("v", float), grid)
     elif kind == "rbm":
         grid = _parse_grid(cfg)
-        coeffs = _parse_coeffs(cfg, grid)
-        block = blocks.gen_rbm(coeffs, grid)
+        block = blocks.gen_rbm(_parse_coeffs(cfg.value("model", _object), grid), grid)
     else:
         raise ConfigError(f"unknown block kind {kind!r}")
-    out = _out_dir(cfg, args)
+    out, _ = _read_io(cfg, args)
+    _reject_unread(cfg)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"block_{kind}.json"
     fieldio.save_block(path, block)
@@ -487,7 +483,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
     v = sub.add_parser("verify")
     v.add_argument("suite", nargs="?", default="all")
-    v.add_argument("--config", default=None, help="ignored; kept for uniformity")
     return parser
 
 
@@ -510,7 +505,9 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(cfg, args)
         return cmd_gen_block(cfg, args)
-    except ConfigError as err:
+    except ValueError as err:
+        # a ConfigError, or the library refusing a config-derived value; the
+        # commands compute before they write, so no output exists yet
         print(f"config error: {err}", file=sys.stderr)
         return 1
 

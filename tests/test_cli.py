@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from npde.cli import _load_config, main
 from npde.fieldio import load_block
@@ -382,3 +385,255 @@ def test_readme_solve_config_parses(tmp_path):
     path = tmp_path / "readme.json"
     path.write_text(block)
     assert _load_config(str(path)) == json.loads(block)
+
+
+def test_readme_solve_config_runs_end_to_end(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "readme.json"
+    path.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    out = tmp_path / "out"
+    assert run_cli(["solve", "--config", path, "--out", out]) == 0
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 801
+
+
+def test_verify_takes_no_config_flag(tmp_path):
+    assert run_cli(["verify", "stencils", "--config", tmp_path / "x.json"]) == 1
+
+
+# --- every key is read or refused ---------------------------------------------
+
+def _set(path, value):
+    """A config mutation that sets the key at ``path`` (keys and list indices)."""
+    def mutate(cfg, tmp_path):
+        section = cfg
+        for part in path[:-1]:
+            section = section[part]
+        section[path[-1]] = value
+    return mutate
+
+
+def _dotted(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+def _fisher_config(out_dir):
+    return {
+        "grid": {"n_points": 12, "h": 0.5, "k": 0.05, "bc": "dirichlet", "bc_value": 0.0},
+        "model": {"kind": "fisher", "A": 1.0, "r": 0.8},
+        "run": {"n_steps": 4, "seed": 5,
+                "initial": {"kind": "random", "low": 0.0, "high": 1.0}},
+        "io": {"out_dir": str(out_dir)},
+    }
+
+
+def _diffusion_train_config(tmp_path):
+    data = tmp_path / "diffusion.csv"
+    data.write_text("1,0,0,0,0,0.5,0.25,0,0,0.25\n0,1,0,0,0,0.25,0.5,0.25,0,0\n")
+    return {
+        "grid": {"n_points": 5, "h": 1.0, "k": 0.25, "bc": "periodic"},
+        "train": {"dataset": str(data), "max_epochs": 2,
+                  "pipeline": [{"kind": "diffusion", "n_steps": 1}]},
+        "loss": {"target_loss": 1e300},
+        "io": {"out_dir": str(tmp_path / "fit")},
+    }
+
+
+def _valid_configs(tmp_path):
+    """One valid config per command and run kind, with the out dir each writes."""
+    linreg = json.loads(_linreg_files(tmp_path).read_text())
+    blocks_out = tmp_path / "blocks"
+    grid1d = {"n_points": 6, "h": 1.0, "k": 0.25, "bc": "dirichlet", "bc_value": 0.0}
+    return {
+        "heat": ("solve", frozen_heat_config(tmp_path / "out")),
+        "fisher": ("solve", _fisher_config(tmp_path / "out")),
+        "gray_scott": ("solve", _gray_scott_config(tmp_path / "out")),
+        "train-dense": ("train", linreg),
+        "train-diffusion": ("train", _diffusion_train_config(tmp_path)),
+        "gen-conv1d": ("gen-block", {
+            "grid": grid1d, "model": {"kind": "heat", "A": 1.0},
+            "block": {"kind": "conv1d"}, "io": {"out_dir": str(blocks_out)}}),
+        "gen-dense": ("gen-block", {
+            "block": {"kind": "dense", "W": [[1.0, 2.0]], "bias": [0.5],
+                      "activation": "sigmoid", "rate": 2.0},
+            "io": {"out_dir": str(blocks_out)}}),
+    }
+
+
+VALID_CONFIG_NAMES = ["heat", "fisher", "gray_scott", "train-dense", "train-diffusion",
+                      "gen-conv1d", "gen-dense"]
+
+
+@pytest.mark.parametrize("name", VALID_CONFIG_NAMES)
+def test_valid_configs_run(tmp_path, name):
+    command, cfg = _valid_configs(tmp_path)[name]
+    assert run_cli([command, "--config", write_config(tmp_path, cfg)]) == 0
+    assert Path(cfg["io"]["out_dir"]).exists()
+
+
+@pytest.mark.parametrize("name,path,key,value", [
+    ("heat", ("model",), "r", 0.5),
+    ("fisher", ("model",), "reaction", {"kind": "fisher", "rate": 1.0}),
+    ("gray_scott", ("model",), "A", 1.0),
+    ("heat", (), "block", {"kind": "conv1d"}),
+    ("train-dense", ("io",), "formats", ["csv"]),
+    ("train-diffusion", ("train", "pipeline", 0), "activation", "sigmoid"),
+    # a periodic boundary has no value, and a 1D run has no frames or 2D stencil
+    ("heat", ("grid",), "bc_value", 0.0),
+    ("heat", ("run",), "frame_stride", 2),
+    ("heat", ("run",), "stencil2d", "9pt"),
+    # each optimizer kind reads only the settings its step uses
+    ("train-dense", ("optimizer",), "memory", 5),
+    ("train-dense", ("optimizer",), "beta1", 0.9),
+    # an activation of kind none has no rate
+    ("train-dense", ("train", "pipeline", 0), "rate", 2.0),
+    ("train-dense", (), "model", {"kind": "heat", "A": 1.0}),
+    ("gen-dense", (), "grid", {"n_points": 5, "h": 1.0, "k": 0.1, "bc": "periodic"}),
+])
+def test_key_the_run_does_not_read_is_rejected(tmp_path, capsys, name, path, key, value):
+    command, cfg = _valid_configs(tmp_path)[name]
+    _set(path + (key,), value)(cfg, tmp_path)
+    assert run_cli([command, "--config", write_config(tmp_path, cfg)]) == 1
+    assert f"unknown config key {_dotted(path + (key,))}" in capsys.readouterr().err
+    assert not Path(cfg["io"]["out_dir"]).exists()
+
+
+def _object_paths(node, path=()):
+    """The key path of every JSON object in a config, the top level included."""
+    if isinstance(node, dict):
+        yield path
+        for key, item in node.items():
+            yield from _object_paths(item, path + (key,))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _object_paths(item, path + (i,))
+
+
+@pytest.mark.parametrize("name", VALID_CONFIG_NAMES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_unknown_key_at_any_depth_is_rejected(tmp_path_factory, name, data):
+    tmp_path = tmp_path_factory.mktemp(name)
+    command, cfg = _valid_configs(tmp_path)[name]
+    path = data.draw(st.sampled_from(list(_object_paths(cfg))))
+    # no key the parsers read starts with "x_"
+    key = "x_" + data.draw(st.text("abcdefghijklmnopqrstuvwxyz_", max_size=6))
+    value = data.draw(st.sampled_from([0, 1.5, "on", None, [1], {"a": 1}]))
+    _set(path + (key,), value)(cfg, tmp_path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli([command, "--config", write_config(tmp_path, cfg)]) == 1
+    assert f"unknown config key {_dotted(path + (key,))}" in err.getvalue()
+    assert not Path(cfg["io"]["out_dir"]).exists()
+
+
+def test_overrides_still_read_the_config_value(tmp_path, monkeypatch, capsys):
+    cfg = frozen_heat_config(tmp_path / "from_config")
+    path = write_config(tmp_path, cfg)
+    assert run_cli(["solve", "--config", path, "--out", tmp_path / "flag"]) == 0
+    assert run_cli(["solve", "--config", path, "--seed", 3]) == 0
+    monkeypatch.setenv("NPDE_OUT", str(tmp_path / "env"))
+    assert run_cli(["solve", "--config", path]) == 0
+    assert all((tmp_path / d / "trajectory.csv").exists()
+               for d in ("flag", "env", "from_config"))
+    capsys.readouterr()
+    # the overridden keys are still type-checked
+    cfg["io"]["out_dir"] = 5
+    path = write_config(tmp_path, cfg)
+    assert run_cli(["solve", "--config", path, "--out", tmp_path / "flag2"]) == 1
+    assert "config key io.out_dir" in capsys.readouterr().err
+    cfg["io"]["out_dir"] = str(tmp_path / "ok")
+    cfg["run"]["seed"] = 2.5
+    path = write_config(tmp_path, cfg)
+    assert run_cli(["solve", "--config", path, "--seed", 3]) == 1
+    assert "config key run.seed" in capsys.readouterr().err
+    assert not (tmp_path / "flag2").exists() and not (tmp_path / "ok").exists()
+
+
+# --- malformed values are config errors, and nothing is written -----------------
+
+def _underdetermined(cfg, tmp_path):
+    # 3 parameters (W is 1x3, plus a bias) against 2 residuals
+    (tmp_path / "two_rows.csv").write_text("1,0,0,1\n0,1,0,-2\n")
+    cfg["train"]["dataset"] = str(tmp_path / "two_rows.csv")
+
+
+_GRID_2D = {"n_points": 6, "h": 1.0, "k": 0.1, "bc": "periodic", "ndim": 2}
+
+
+def _conv2d(**block):
+    def mutate(cfg, tmp_path):
+        del cfg["model"]
+        cfg["grid"] = dict(_GRID_2D)
+        cfg["block"] = {"kind": "conv2d", "D": 1.0, **block}
+    return mutate
+
+
+@pytest.mark.parametrize("name,mutate", [
+    ("heat", lambda cfg, tmp: (cfg["run"].update(scheme="implicit"),
+                               cfg["model"].update(B=0.5))),
+    ("heat", lambda cfg, tmp: (cfg["grid"].update(ndim=2, n_points=4),
+                               cfg["run"].update(scheme="implicit",
+                                                 initial={"kind": "uniform", "value": 1.0}))),
+    ("train-dense", _set(("optimizer",), {"kind": "lbfgs", "memory": 0})),
+    ("train-dense", _set(("optimizer",), {"kind": "sgd", "eta": -1})),
+    ("train-dense", _set(("optimizer",), {"kind": "adam", "beta1": 1.5})),
+    ("train-dense", _set(("train", "max_epochs"), -1)),
+    ("train-dense", _underdetermined),
+    ("gen-conv1d", _conv2d(channels=0)),
+    ("gen-conv1d", _set(("grid",), _GRID_2D)),
+    ("gen-dense", _set(("block", "bias"), [0.0, 1.0])),
+    ("gen-conv1d", _conv2d(stencil="7pt")),
+    ("gen-dense", _set(("block", "activation"), "relu")),
+], ids=["implicit-with-B", "implicit-2d", "lbfgs-memory-0", "sgd-negative-eta",
+        "adam-beta1-1.5", "negative-max-epochs", "gauss-newton-underdetermined",
+        "conv2d-no-channels", "conv1d-on-2d-grid", "dense-bias-mismatch",
+        "stencil-7pt", "relu-activation"])
+def test_value_the_library_refuses_is_a_config_error(tmp_path, capsys, name, mutate):
+    command, cfg = _valid_configs(tmp_path)[name]
+    mutate(cfg, tmp_path)
+    assert run_cli([command, "--config", write_config(tmp_path, cfg)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not Path(cfg["io"]["out_dir"]).exists()
+
+
+@pytest.mark.parametrize("name,path", [
+    ("heat", ("grid", "n_points")),
+    ("heat", ("grid", "ndim")),
+    ("heat", ("run", "n_steps")),
+    ("gray_scott", ("run", "frame_stride")),
+    ("heat", ("run", "seed")),
+    ("train-dense", ("train", "max_epochs")),
+    ("train-dense", ("optimizer", "memory")),
+    ("train-dense", ("train", "pipeline", 0, "in")),
+    ("train-dense", ("train", "pipeline", 0, "out")),
+    ("train-diffusion", ("train", "pipeline", 0, "n_steps")),
+])
+@pytest.mark.parametrize("bad", [2.7, "ten"])
+def test_integer_keys_refuse_other_values(tmp_path, capsys, name, path, bad):
+    command, cfg = _valid_configs(tmp_path)[name]
+    if path[0] == "optimizer":
+        cfg["optimizer"] = {"kind": "lbfgs"}
+    _set(path, bad)(cfg, tmp_path)
+    assert run_cli([command, "--config", write_config(tmp_path, cfg)]) == 1
+    assert f"config key {_dotted(path)} must be an integer" in capsys.readouterr().err
+    assert not Path(cfg["io"]["out_dir"]).exists()
+
+
+def test_formats_must_be_a_list(tmp_path, capsys):
+    cfg = frozen_heat_config(tmp_path / "out")
+    cfg["io"]["formats"] = "csv"
+    assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 1
+    assert "io.formats must be a list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_numeric_dataset_cell_names_file_and_line(tmp_path, capsys):
+    cfg_path = _linreg_files(tmp_path)
+    data = tmp_path / "linreg.csv"
+    rows = data.read_text().splitlines()
+    rows[2] = rows[2].replace(",", ",x", 1)
+    data.write_text("\n".join(rows) + "\n")
+    assert run_cli(["train", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "linreg.csv line 3" in err
+    assert not (tmp_path / "fit").exists()
