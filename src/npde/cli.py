@@ -479,8 +479,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment JSON file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        if name != "gen-block":
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
     v = sub.add_parser("verify")
     v.add_argument("suite", nargs="?", default="all")
     return parser

@@ -8,6 +8,11 @@ bias-corrected moments
     theta <- theta - eta * mhat / (sqrt(vhat) + eps)
 
 (defaults b1=0.9, b2=0.999, eps=1e-8; elementwise squaring and rooting).
+An AdamState and a ThetaVector layout are validated once, when built from
+outside; adam_step and ThetaVector.with_values check only the shapes they
+are handed and build their results unchecked, since the hyper-parameters and
+the layout are copied from validated objects and v >= 0 holds by
+construction.
 
 Second order: Newton steps with the pseudoinverse form (H*H)^{-1} H* grad,
 realized as a regularized solve because exact invertibility fails
@@ -27,6 +32,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 Layout = tuple[tuple[str, int, int], ...]
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls built without __post_init__.
+
+    Only for fields whose invariants the caller has already established.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -67,7 +82,8 @@ class ThetaVector:
         v = np.asarray(values, dtype=float)
         if v.shape != self.values.shape:
             raise ValueError("replacement values must keep the vector size")
-        return ThetaVector(v, self.layout)
+        # the layout was validated against a vector of this very shape
+        return _unchecked(ThetaVector, values=v, layout=self.layout)
 
 
 def _as_theta(theta) -> ThetaVector:
@@ -179,7 +195,11 @@ def adam_step(state: AdamState, theta, g: np.ndarray) -> tuple[AdamState, ThetaV
     mhat = m / (1.0 - state.beta1**t1)
     vhat = v / (1.0 - state.beta2**t1)
     new_values = th.values - state.eta * mhat / (np.sqrt(vhat) + state.eps)
-    return replace(state, m=m, v=v, t=t1), th.with_values(new_values)
+    # m and v keep the checked shape, v >= 0 holds by construction and the
+    # hyper-parameters come from a validated state, so nothing is re-checked
+    advanced = _unchecked(AdamState, m=m, v=v, beta1=state.beta1, beta2=state.beta2,
+                          eps=state.eps, eta=state.eta, t=t1)
+    return advanced, th.with_values(new_values)
 
 
 def _regularized_normal_solve(M: np.ndarray, rhs: np.ndarray,

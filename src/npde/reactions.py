@@ -24,7 +24,8 @@ def sigmoid(x):
     pos = x >= 0
     # exp(-|x|) cannot overflow; a NaN keeps its sign bit, as with one branch per sign
     e = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(pos, 1.0 / d, e / d)
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,7 @@ class ReactionSpec:
         if self.kind == "fisher":
             return self.rate * (1.0 - 2.0 * u)
         if self.kind == "sigmoid":
-            s = sigmoid(self.rate * u)
-            return self.rate * s * (1.0 - s)
+            return self._activate_deriv_from(u, sigmoid(self.rate * u))
         if self.kind == "linear":
             return np.full_like(u, self.rate)
         return np.zeros_like(u)
@@ -100,6 +100,16 @@ class ReactionSpec:
         if self.kind == "source":
             raise ValueError("source term cannot be used as a composed activation")
         return self.deriv(z)
+
+    def _activate_deriv_from(self, z, a):
+        """activate_deriv(z) given a = activate(z), the forward pass's output.
+
+        sigmoid' is rate * s * (1 - s) with s = sigmoid(rate * z), read off a
+        instead of recomputing it; the other kinds differentiate z itself.
+        """
+        if self.kind == "sigmoid":
+            return self.rate * a * (1.0 - a)
+        return self.activate_deriv(z)
 
     @property
     def differentiable(self) -> bool:

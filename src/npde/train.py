@@ -17,7 +17,9 @@ are full batch (mean over samples); runs are deterministic given the seed.
 
 Samples ride a leading axis: every layer maps a batch (n_samples, n) in one
 call, dense layers as X W^T + b and diffusion layers with the stencil on the
-node axis. A diffusion layer steps with the per-node taps of
+node axis. A dense layer caches its activation output, and its backward pass
+reads a sigmoid's derivative rate * a * (1 - a) off that output instead of
+recomputing the sigmoid. A diffusion layer steps with the per-node taps of
 stencil._step_taps, the solver's and gen_conv1d's kernels, so its rows equal
 solve_forward bit for bit; its backward pass is the transposed tap apply
 followed by the ghost-cell scatter, and the A-gradient is read off the
@@ -67,11 +69,12 @@ class DenseLayer:
     def forward(self, params, x):
         """x is (n_samples, n_in); returns act(x W^T + b), (n_samples, n_out)."""
         z = x @ params["W"].T + params["b"]
-        return self.activation.activate(z), (x, z)
+        a = self.activation.activate(z)
+        return a, (x, z, a)
 
     def backward(self, params, cache, gy):
-        x, z = cache
-        gz = gy * self.activation.activate_deriv(z)
+        x, z, a = cache
+        gz = gy * self.activation._activate_deriv_from(z, a)
         return gz @ params["W"], {"W": gz.T @ x, "b": gz.sum(axis=0)}
 
 

@@ -470,6 +470,19 @@ def test_valid_configs_run(tmp_path, name):
     assert Path(cfg["io"]["out_dir"]).exists()
 
 
+@pytest.mark.parametrize("name,status", [("heat", 0), ("train-dense", 0), ("gen-conv1d", 1)])
+def test_only_solve_and_train_take_seed(tmp_path, capsys, name, status):
+    command, cfg = _valid_configs(tmp_path)[name]
+    path = write_config(tmp_path, cfg)
+    assert run_cli([command, "--config", path, "--seed", 3]) == status
+    assert Path(cfg["io"]["out_dir"]).exists() == (status == 0)
+    if status:
+        # refused exactly as any other flag the command does not define
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert run_cli([command, "--config", path, "--bogus", 3]) == 1
+        assert not Path(cfg["io"]["out_dir"]).exists()
+
+
 @pytest.mark.parametrize("name,path,key,value", [
     ("heat", ("model",), "r", 0.5),
     ("fisher", ("model",), "reaction", {"kind": "fisher", "rate": 1.0}),

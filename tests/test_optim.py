@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from npde.optim import (AdamState, LBFGSState, LossSpec, ThetaVector, adam_step,
                         gauss_newton_step, grad_fd, l2_loss, lbfgs_direction,
@@ -140,6 +141,57 @@ def test_adam_state_validation():
         AdamState(np.zeros(2), np.zeros(2), beta1=1.0)
     with pytest.raises(ValueError):
         AdamState(np.zeros(2), -np.ones(2))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), t=st.integers(0, 10_000),
+       beta1=st.floats(0.0, 0.999), beta2=st.floats(0.0, 0.9999),
+       eps=st.floats(1e-12, 1e-2), eta=st.floats(1e-6, 1.0))
+def test_adam_step_is_the_documented_update(data, n, t, beta1, beta2, eps, eta):
+    def vector(lo, hi):
+        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    m, v, g, values = vector(-1e3, 1e3), vector(0.0, 1e6), vector(-1e3, 1e3), vector(-10, 10)
+    cut = data.draw(st.integers(0, n))
+    theta = ThetaVector(values, (("a", 0, cut), ("b", cut, n)))
+    state = AdamState(m, v, beta1, beta2, eps, eta, t)
+    before = [a.copy() for a in (m, v, g, values)]
+
+    new_state, new_theta = adam_step(state, theta, g)
+
+    # the module docstring's update, in the same operation order
+    m1 = beta1 * m + (1.0 - beta1) * g
+    v1 = beta2 * v + (1.0 - beta2) * g * g
+    mhat = m1 / (1.0 - beta1 ** (t + 1))
+    vhat = v1 / (1.0 - beta2 ** (t + 1))
+    theta1 = values - eta * mhat / (np.sqrt(vhat) + eps)
+    for got, want in ((new_theta.values, theta1), (new_state.m, m1), (new_state.v, v1)):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    # the unvalidated result is a state the constructor accepts as it stands
+    rebuilt = AdamState(new_state.m, new_state.v, new_state.beta1, new_state.beta2,
+                        new_state.eps, new_state.eta, new_state.t)
+    assert rebuilt == new_state and new_state.t == t + 1
+    assert (new_state.beta1, new_state.beta2, new_state.eps, new_state.eta) == \
+        (beta1, beta2, eps, eta)
+    assert new_theta.layout == theta.layout
+    assert ThetaVector(new_theta.values, new_theta.layout).layout == theta.layout
+    # functional: neither the state, theta nor g changed
+    for after, old in zip((state.m, state.v, g, theta.values), before):
+        np.testing.assert_array_equal(_bits(after), _bits(old))
+    assert state.t == t
+
+
+def test_with_values_keeps_layout_and_checks_size():
+    theta = ThetaVector(np.arange(5.0), (("a", 0, 2), ("b", 2, 5)))
+    moved = theta.with_values([5, 6, 7, 8, 9])
+    assert moved.layout == theta.layout and moved.values.dtype == float
+    np.testing.assert_array_equal(moved.get("b"), [7.0, 8.0, 9.0])
+    with pytest.raises(ValueError, match="keep the vector size"):
+        theta.with_values(np.zeros(4))
 
 
 # --- newton / gauss-newton -----------------------------------------------------

@@ -36,6 +36,17 @@ def test_sigmoid_bits_match_per_sign_reference():
     assert got[0] == 1.0 and got[1] == 0.0 and got[2] == 0.5 and np.isnan(got[4])
 
 
+def test_sigmoid_derivative_bits_are_the_closed_form():
+    u = np.concatenate([[800.0, -800.0, 0.0, -0.0, 1e300, -1e300],
+                        30.0 * np.random.default_rng(3).standard_normal(500)])
+    for rate in (1.0, -2.5, 0.37):
+        s = sigmoid(rate * u)
+        want = (rate * s * (1.0 - s)).view(np.int64)
+        rxn = sigmoid_reaction(rate)
+        np.testing.assert_array_equal(rxn.deriv(u).view(np.int64), want)
+        np.testing.assert_array_equal(rxn.activate_deriv(u).view(np.int64), want)
+
+
 def test_reaction_none_call_vs_activate():
     rxn = no_reaction()
     z = np.array([1.0, -2.0])

@@ -9,7 +9,7 @@ from npde.optim import LossSpec, grad_fd
 from npde.reactions import ReactionSpec, no_reaction
 from npde.solver import solve_forward
 from npde.stencil import EllipticCoefficients
-from npde.train import (Dataset, DiffusionLayer, OptimizerConfig, Pipeline,
+from npde.train import (Dataset, DenseLayer, DiffusionLayer, OptimizerConfig, Pipeline,
                         batch_gradient, pipeline_gradient,
                         residuals_and_jacobian, train_supervised)
 
@@ -100,6 +100,39 @@ def test_batched_diffusion_rows_equal_solver_exactly(seed, n_samples, bc, n_step
         solved = solve_forward(x, EllipticCoefficients(A, None, reaction), grid,
                                n_steps).final()
         assert float(np.max(np.abs(row - solved))) == 0.0
+
+
+# entries that make z land on sigmoid's saturated tails, on either zero, or far out
+EXTREME = st.sampled_from([800.0, -800.0, 0.0, -0.0, 1.0, -1.0, 1e6, -1e6, 1e150, -1e150])
+
+
+def _matrix(data, shape):
+    entries = st.one_of(st.floats(-1e3, 1e3), EXTREME)
+    return np.array(data.draw(st.lists(entries, min_size=int(np.prod(shape)),
+                                       max_size=int(np.prod(shape))))).reshape(shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["none", "fisher", "sigmoid", "linear"]),
+       rate=st.floats(-50.0, 50.0), n_samples=st.integers(1, 5),
+       n_in=st.integers(1, 3), n_out=st.integers(1, 4))
+def test_dense_backward_matches_recomputed_derivative(data, kind, rate, n_samples,
+                                                      n_in, n_out):
+    activation = ReactionSpec(kind, rate)
+    layer = DenseLayer(n_in, n_out, activation)
+    params = {"W": _matrix(data, (n_out, n_in)), "b": _matrix(data, (n_out,))}
+    x = _matrix(data, (n_samples, n_in))
+    gy = _matrix(data, (n_samples, n_out))
+    with np.errstate(all="ignore"):
+        _, cache = layer.forward(params, x)
+        gx, grads = layer.backward(params, cache, gy)
+        # the backward pass before the forward's activation was cached
+        z = x @ params["W"].T + params["b"]
+        gz = gy * activation.activate_deriv(z)
+        ref_gx, ref_grads = gz @ params["W"], {"W": gz.T @ x, "b": gz.sum(axis=0)}
+    for got, want in ((gx, ref_gx), (grads["W"], ref_grads["W"]),
+                      (grads["b"], ref_grads["b"])):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # Gauss-Newton needs at least as many residuals as the 3 parameters
