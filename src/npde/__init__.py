@@ -20,9 +20,8 @@ from .optim import (AdamState, LBFGSState, LossSpec, ThetaVector, adam_step,
                     sgd_step)
 from .train import (Dataset, DenseLayer, DiffusionLayer, OptimizerConfig,
                     Pipeline, TrainReport, batch_gradient, batch_loss,
-                    pipeline_gradient, residuals_and_jacobian, train_supervised)
+                    residuals_and_jacobian, train_supervised)
 from .reference import (GaussianProfile, fisher_min_front_speed, front_position,
-                        front_speed, heat_kernel_evolve,
-                        sigmoid_derivative_identity)
+                        front_speed, heat_kernel_evolve)
 
 __version__ = "0.1.0"

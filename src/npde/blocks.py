@@ -150,10 +150,6 @@ class DenseBlock:
         # a dense block has no folded identity; its forward IS the residual branch
         return self.forward(u)
 
-    def channel_kernels(self) -> np.ndarray:
-        """One full-size kernel per output channel (the rows of W)."""
-        return self.W.copy()
-
     def forward_channels(self, u: np.ndarray) -> np.ndarray:
         """Evaluate via explicit per-channel kernel sums (the multi-channel view)."""
         u = np.asarray(u, dtype=float)

@@ -3,7 +3,9 @@
 The reaction term doubles as the activation nonlinearity of generated blocks:
 fisher is the logistic growth r*u*(1-u), sigmoid is the logistic function
 1/(1+exp(-r*u)), linear is c*u, and source adds a fixed forcing field (the
-absorbed-intensity term of the heat-conduction form).
+absorbed-intensity term of the heat-conduction form). A two-component pair
+fills a solver's (2, n, n) buffer through its fused evaluator (gray_scott
+computes U V^2 once), or else by copying f(U, V) and g(U, V), bit for bit alike.
 """
 
 from __future__ import annotations
@@ -138,15 +140,32 @@ def source(values) -> ReactionSpec:
 
 @dataclass(frozen=True)
 class TwoComponentReaction:
-    """Pointwise pair f(U,V), g(U,V) driving a two-component system."""
+    """Pointwise pair f(U,V), g(U,V) driving a two-component system.
+
+    ``fused(U, V, out, scratch)``, if given, writes f's and g's bits into out[0]
+    and out[1] in one pass, using the plane ``scratch``, and never writes U or V.
+    """
 
     name: str
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    fused: Callable[..., None] | None = field(default=None, compare=False)
+
+    def _fill(self, U, V, out, scratch) -> None:
+        """Write f(U, V) into out[0] and g(U, V) into out[1]: fused, else copied."""
+        if self.fused is not None:
+            self.fused(U, V, out, scratch)
+        else:
+            out[0] = self.f(U, V)
+            out[1] = self.g(U, V)
 
 
 def gray_scott(feed: float, kill: float) -> TwoComponentReaction:
-    """Gray-Scott kinetics: f = -U V^2 + F(1-U), g = U V^2 - (F+kr) V."""
+    """Gray-Scott kinetics: f = -U V^2 + F(1-U), g = U V^2 - (F+kr) V.
+
+    fused computes uvv = (U V) V once, then F(1-U) - uvv and uvv - (F+kr) V:
+    negation is exact, so these are f's and g's bits.
+    """
     F, kr = float(feed), float(kill)
 
     def f(U, V):
@@ -155,4 +174,13 @@ def gray_scott(feed: float, kill: float) -> TwoComponentReaction:
     def g(U, V):
         return U * V * V - (F + kr) * V
 
-    return TwoComponentReaction(f"gray_scott(F={F},kr={kr})", f, g)
+    def fused(U, V, out, uvv):
+        np.multiply(U, V, out=uvv)
+        uvv *= V
+        np.subtract(1.0, U, out=out[0])
+        out[0] *= F
+        out[0] -= uvv
+        np.multiply(V, F + kr, out=out[1])
+        np.subtract(uvv, out[1], out=out[1])
+
+    return TwoComponentReaction(f"gray_scott(F={F},kr={kr})", f, g, fused)

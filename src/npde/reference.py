@@ -2,9 +2,7 @@
 
 A point-source (Gaussian) profile under pure diffusion keeps its Gaussian
 shape with variance growing as sigma2 + 2 D T and mass conserved; the
-logistic reaction-diffusion front travels at no less than 2 sqrt(r D); and
-the logistic function satisfies sigma' = r * sigma * (1 - sigma), the same
-form as the logistic reaction.
+logistic reaction-diffusion front travels at no less than 2 sqrt(r D).
 """
 
 from __future__ import annotations
@@ -12,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .reactions import sigmoid
 
 
 @dataclass(frozen=True)
@@ -49,21 +45,6 @@ def fisher_min_front_speed(r: float, D: float) -> float:
     if r < 0 or D < 0:
         raise ValueError("r and D must be non-negative")
     return 2.0 * np.sqrt(r * D)
-
-
-def sigmoid_derivative_identity(r: float, x: float) -> tuple[float, float]:
-    """Both sides of d/dx sigmoid(r x) = r * u * (1 - u), u = sigmoid(r x).
-
-    lhs evaluates the derivative in quotient form r e^{-|z|}/(1+e^{-|z|})^2
-    (even in z = r x), rhs the logistic-reaction form; they agree within
-    1e-12.
-    """
-    z = abs(r * x)
-    e = np.exp(-z)
-    lhs = r * e / (1.0 + e) ** 2
-    u = float(sigmoid(np.asarray(r * x)))
-    rhs = r * u * (1.0 - u)
-    return float(lhs), rhs
 
 
 def front_position(u: np.ndarray, h: float, level: float = 0.5) -> float:

@@ -36,7 +36,10 @@ U and V are stacked into one (2, n, n) state that a solve advances in place,
 reusing one padded buffer and one scratch buffer for every step. The 9-point
 stencil is separable, outer([1/2, 1, 1/2], [1/2, 1, 1/2]) minus 4 times the
 centre, so the Laplacian is one 3-tap pass along x, one along y and a
-subtraction; its rounding differs from the 9-tap sum by a few ulps.
+subtraction; its rounding differs from the 9-tap sum by a few ulps. The
+kinetics fill one stacked (2, n, n) buffer through the reaction's fused
+evaluator (gray_scott's computes U V^2 once), or by copying f and g when it
+has none, with the same bits; one multiply then scales both channels by k.
 
 Explicit stability (cfl_check) requires a monotone 1D step, every tap >= 0
 (r A <= 1/2 and |B| h <= 2 A), and r * max(A) <= 1/4 with A >= 0 in 2D;
@@ -273,10 +276,12 @@ def step_implicit(field: np.ndarray, coeffs: EllipticCoefficients,
                   grid: GridSpec) -> np.ndarray:
     """One backward-Euler diffusion step (1D); reaction is evaluated explicitly.
 
-    Solving is exact to rounding: substituting the output back into the
-    implicit recurrence recovers the right-hand side within 1e-10. It runs
-    the same factor and apply as an implicit solve_forward, so chaining n
-    calls equals an n-step implicit solve bit for bit.
+    The convenience path: each call validates and factors the matrix again,
+    several times the cost of one step of solve_forward(..., scheme="implicit"),
+    which factors once and is the path for chained steps. Both run the same
+    factor and apply, so n chained calls equal an n-step implicit solve bit
+    for bit; substituting the output back into the implicit recurrence
+    recovers the right-hand side within 1e-10.
     """
     step = _implicit_stepper(coeffs, grid)
     u = np.asarray(field, dtype=float)
@@ -307,10 +312,10 @@ def _fill_ghosts(P: np.ndarray, bc: BoundaryCondition) -> None:
 class _TwoComponentStepper:
     """The stacked state W = [U, V] of one solve, stepped in place.
 
-    The padded buffer P and the scratch S are allocated once and reused by
-    every step. Each 3-tap pass of the separable Laplacian is a contiguous
-    shifted add over the flattened P; its results in ghost cells are
-    discarded.
+    The padded buffer P, the scratch S and the kinetics' plane are allocated
+    once per solve. Each 3-tap pass of the separable Laplacian is a contiguous shifted
+    add over the flattened P; its results in ghost cells are discarded. The
+    reaction then fills the head of P as a (2, n, n) region.
     """
 
     def __init__(self, U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
@@ -333,40 +338,36 @@ class _TwoComponentStepper:
         self.P = np.empty((2, m, m))
         # zeroed: S[0] and S[-1] are read (into discarded cells) before any write
         self.S = np.zeros(2 * m * m)
+        self.plane = np.empty(grid.shape)
+        # the views every step reuses; a pass is (left, right, centre, out)
+        p, S, W = self.P.reshape(-1), self.S, self.W
+        self.interior, self.channels = self.P[:, 1:-1, 1:-1], (W[0], W[1])
+        self.passes = ((p[:-2], p[2:], p[1:-1], S[1:-1]),
+                       (S[:-2 * m], S[2 * m:], S[m:-m], p[m:-m]))
+        self.T, self.reaction = S[:W.size].reshape(W.shape), p[:W.size].reshape(W.shape)
 
     def step(self, rxn: TwoComponentReaction, step: int) -> None:
         """Advance W by one explicit Euler step; ``step`` labels a divergence."""
-        W, P, S = self.W, self.P, self.S
-        m = P.shape[-1]
-        P[:, 1:-1, 1:-1] = W
-        _fill_ghosts(P, self.grid.bc)
-        # the returned arrays may be W's own rows: read them, never write them
-        f = rxn.f(W[0], W[1])
-        g = rxn.g(W[0], W[1])
-        p = P.reshape(-1)
-        # x pass into S: q[t] = p[t-1]/2 + p[t] + p[t+1]/2
-        q = S[1:-1]
-        np.add(p[:-2], p[2:], out=q)
-        q *= 0.5
-        q += p[1:-1]
-        # y pass back into P, one padded row (m cells) apart: q[t-m]/2 + q[t] + q[t+m]/2
-        r = p[m:-m]
-        np.add(S[:-2 * m], S[2 * m:], out=r)
-        r *= 0.5
-        r += S[m:-m]
+        W, T, reaction = self.W, self.T, self.reaction
+        self.interior[...] = W
+        _fill_ghosts(self.P, self.grid.bc)
+        # out[t] = left[t]/2 + centre[t] + right[t]/2: the x pass runs along the
+        # flattened P into S, the y pass one padded row (m cells) apart back into P
+        for left, right, centre, out in self.passes:
+            np.add(left, right, out=out)
+            out *= 0.5
+            out += centre
         # T = k D/h**2 * (P interior - 4 W) + k [f, g], in the now free S and P
-        T = S[:W.size].reshape(W.shape)
         np.multiply(W, -4.0, out=T)
-        T += P[:, 1:-1, 1:-1]
+        T += self.interior
         T *= self.scale
-        reaction = p[:W.size].reshape(W.shape)
-        k = self.grid.k
-        np.multiply(f, k, out=reaction[0])
-        np.multiply(g, k, out=reaction[1])
+        rxn._fill(*self.channels, reaction, self.plane)
+        reaction *= self.grid.k
         T += reaction
         W += T
-        # one reduction catches NaN, inf and runaway growth: NaN fails every <=
-        biggest = float(np.abs(W, out=T).max())
+        # max|W| catches NaN, inf and runaway growth: a NaN makes both reductions
+        # NaN, and NaN fails every <=
+        biggest = float(max(W.max(), -W.min()))
         if not biggest <= self.bound:
             what = (f"magnitude {biggest:.3e} exceeded {self.bound:.3e}"
                     if np.isfinite(biggest) else "non-finite values")

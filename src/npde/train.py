@@ -10,10 +10,11 @@ in one flat ThetaVector:
 Gradients are exact gradients of the discrete unrolled computation, obtained
 by reverse accumulation through the steps; grad_fd is the acceptance oracle
 they are checked against. Training follows the plain supervised loop: fix the
-initial/boundary data, randomize theta (uniform in +-1/sqrt(fan_in) per
-tensor), solve forward, take an optimizer step on the L2-with-weight-decay
-loss, and repeat until the target loss or the epoch cap is reached. Gradients
-are full batch (mean over samples); runs are deterministic given the seed.
+initial/boundary data, randomize theta (dense tensors uniform in +-1/sqrt(n_in),
+a diffusion layer's A uniform in the monotone range [0, 1/(2r)]), solve
+forward, take an optimizer step on the L2-with-weight-decay loss, and repeat
+until the target loss or the epoch cap is reached. Gradients are full batch
+(mean over samples); runs are deterministic given the seed.
 
 Samples ride a leading axis: every layer maps a batch (n_samples, n) in one
 call, dense layers as X W^T + b and diffusion layers with the stencil on the
@@ -25,7 +26,7 @@ solve_forward bit for bit; its backward pass is the transposed tap apply
 followed by the ghost-cell scatter, and the A-gradient is read off the
 gradients of the three tap rows. An epoch is one forward and one backward
 pass over the whole batch: the forward pass that scores an accepted step
-also supplies the caches from which the next step's gradient is taken.
+also supplies the caches, parameter views included, for the next gradient.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ class DenseLayer:
     def param_shapes(self):
         return [("W", (self.n_out, self.n_in)), ("b", (self.n_out,))]
 
-    @property
-    def fan_in(self) -> int:
-        return self.n_in
+    def init_tensor(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Uniform +-1/sqrt(n_in), for W and b alike."""
+        bound = 1.0 / np.sqrt(self.n_in)
+        return rng.uniform(-bound, bound, size)
 
     def forward(self, params, x):
         """x is (n_samples, n_in); returns act(x W^T + b), (n_samples, n_out)."""
@@ -104,9 +106,9 @@ class DiffusionLayer:
     def param_shapes(self):
         return [("A", (self.grid.n_points,))]
 
-    @property
-    def fan_in(self) -> int:
-        return 3  # stencil support
+    def init_tensor(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """A uniform in [0, 1/(2r)], r = k/h**2: every step tap starts >= 0."""
+        return rng.uniform(0.0, self.grid.h**2 / (2.0 * self.grid.k), size)
 
     def forward(self, params, x):
         grid = self.grid
@@ -187,12 +189,11 @@ class Pipeline:
         return ThetaVector(self._block_theta.copy(), self.layout)
 
     def init_theta(self, rng: np.random.Generator) -> ThetaVector:
-        """Uniform +-1/sqrt(fan_in) per tensor, in layer order."""
+        """Each tensor from its layer's init_tensor (size uniform draws), in layer order."""
         values = np.empty(self.n_params)
         for layer, tensors in zip(self.layers, self._tensors):
-            bound = 1.0 / np.sqrt(layer.fan_in)
             for _, sl, _ in tensors:
-                values[sl] = rng.uniform(-bound, bound, sl.stop - sl.start)
+                values[sl] = layer.init_tensor(rng, sl.stop - sl.start)
         return ThetaVector(values, self.layout)
 
     def params(self, theta: ThetaVector) -> list[dict]:
@@ -207,21 +208,22 @@ class Pipeline:
         return out if x.ndim > 1 else out[0]
 
     def forward_with_caches(self, theta: ThetaVector, x: np.ndarray):
-        """Batch output (n_samples, n_out) plus the per-layer backward caches."""
+        """Batch output (n_samples, n_out) plus each layer's (params, cache) pair."""
         caches = []
         out = np.asarray(x, dtype=float)
         for layer, p in zip(self.layers, self.params(theta)):
             out, cache = layer.forward(p, out)
-            caches.append(cache)
+            caches.append((p, cache))
         return out, caches
 
     def backward(self, theta: ThetaVector, caches, grad_out: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. theta of <grad_out, output>, summed over the batch."""
+        """Gradient w.r.t. theta of <grad_out, output>, summed over the batch.
+
+        Reads the parameter views off ``caches``, from forward_with_caches(theta, x)."""
         grad = np.empty(self.n_params)
         g = np.asarray(grad_out, dtype=float)
-        for layer, p, cache, tensors in zip(reversed(self.layers),
-                                            reversed(self.params(theta)),
-                                            reversed(caches), reversed(self._tensors)):
+        for layer, (p, cache), tensors in zip(reversed(self.layers), reversed(caches),
+                                              reversed(self._tensors)):
             g, grads = layer.backward(p, cache, g)
             for name, sl, _ in tensors:
                 grad[sl] = grads[name].ravel()
@@ -263,15 +265,6 @@ def _jacobian(model: Pipeline, theta: ThetaVector, caches, shape) -> np.ndarray:
         one_hot[index] = 1.0
         rows[row] = model.backward(theta, caches, one_hot)
     return rows
-
-
-def pipeline_gradient(model: Pipeline, sample, loss: LossSpec,
-                      theta: ThetaVector) -> np.ndarray:
-    """Exact single-sample gradient of the discrete unrolled computation.
-
-    Matches grad_fd within 1e-5 relative (absolute floor 1e-8) by contract.
-    """
-    return batch_gradient(model, theta, [sample], loss)
 
 
 def batch_loss(model: Pipeline, theta: ThetaVector, samples,

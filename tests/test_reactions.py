@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from npde.reactions import (ReactionSpec, fisher, gray_scott, linear,
                             no_reaction, sigmoid, sigmoid_reaction, source)
@@ -93,3 +95,21 @@ def test_gray_scott_kinetics():
     U, V = np.array([0.5]), np.array([0.25])
     np.testing.assert_allclose(rxn.f(U, V), [-0.5 * 0.0625 + 0.04 * 0.5])
     np.testing.assert_allclose(rxn.g(U, V), [0.5 * 0.0625 - 0.1 * 0.25])
+
+
+PLANES = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(*[arrays(float, (n, n), elements=st.floats(-0.0, 1.0))] * 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(UV=PLANES, F=st.floats(0.0, 0.2), kr=st.floats(0.0, 0.2))
+def test_gray_scott_fused_equals_f_and_g_bit_for_bit(UV, F, kr):
+    U, V = UV
+    U0, V0 = U.copy(), V.copy()
+    rxn = gray_scott(F, kr)
+    out = np.full((2,) + U.shape, np.nan)
+    rxn.fused(U, V, out, np.empty(U.shape))
+    np.testing.assert_array_equal(out[0].view(np.int64), rxn.f(U, V).view(np.int64))
+    np.testing.assert_array_equal(out[1].view(np.int64), rxn.g(U, V).view(np.int64))
+    np.testing.assert_array_equal(U.view(np.int64), U0.view(np.int64))
+    np.testing.assert_array_equal(V.view(np.int64), V0.view(np.int64))

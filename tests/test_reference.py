@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from npde.reactions import sigmoid_reaction
 from npde.reference import (GaussianProfile, fisher_min_front_speed,
-                            front_position, front_speed, heat_kernel_evolve,
-                            sigmoid_derivative_identity)
+                            front_position, front_speed, heat_kernel_evolve)
 
 
 def test_heat_kernel_no_time_no_change():
@@ -34,6 +34,16 @@ def test_fisher_speed_values():
     assert fisher_min_front_speed(1.0, 1.0) == pytest.approx(2.0)
     assert fisher_min_front_speed(4.0, 1.0) == pytest.approx(4.0)
     assert fisher_min_front_speed(0.0, 1.0) == 0.0
+
+
+def sigmoid_derivative_identity(r: float, x: float) -> tuple[float, float]:
+    """Both sides of d/dx sigmoid(r x) = r u (1 - u), u = sigmoid(r x).
+
+    lhs is the derivative in quotient form r e^{-|z|}/(1+e^{-|z|})^2 (even in
+    z = r x), rhs the package's sigmoid derivative, the logistic-reaction form.
+    """
+    e = np.exp(-abs(r * x))
+    return r * e / (1.0 + e) ** 2, float(sigmoid_reaction(r).deriv(np.array(x)))
 
 
 def test_sigmoid_derivative_identity_at_zero():

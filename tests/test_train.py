@@ -6,8 +6,10 @@ import pytest
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
 from npde.optim import LossSpec, grad_fd
 from npde.reactions import fisher, no_reaction, sigmoid_reaction
+from npde.solver import cfl_check
+from npde.stencil import EllipticCoefficients
 from npde.train import (Dataset, DenseLayer, DiffusionLayer, OptimizerConfig,
-                        Pipeline, batch_gradient, batch_loss, pipeline_gradient,
+                        Pipeline, batch_gradient, batch_loss,
                         residuals_and_jacobian, train_supervised)
 
 
@@ -33,7 +35,7 @@ def test_single_dense_gradient_matches_hand_formula():
     theta = model.init_theta(rng)
     x = rng.standard_normal(3)
     t = rng.standard_normal(2)
-    grad = pipeline_gradient(model, (x, t), LossSpec(), theta)
+    grad = batch_gradient(model, theta, [(x, t)], LossSpec())
     W = theta.get("layer0.W").reshape(2, 3)
     b = theta.get("layer0.b")
     r = W @ x + b - t
@@ -47,7 +49,7 @@ def test_zero_step_pipeline_gradient_is_weight_decay():
     rng = np.random.default_rng(51)
     theta = model.init_theta(rng)
     x = rng.standard_normal(6)
-    grad = pipeline_gradient(model, (x, x), LossSpec(nu=0.3), theta)
+    grad = batch_gradient(model, theta, [(x, x)], LossSpec(nu=0.3))
     np.testing.assert_allclose(grad, 0.3 * theta.values, atol=1e-14)
 
 
@@ -249,3 +251,19 @@ def test_init_theta_respects_fan_in_bound():
     model = Pipeline.dense([100, 10], [no_reaction()])
     theta = model.init_theta(np.random.default_rng(61))
     assert np.max(np.abs(theta.values)) <= 1.0 / np.sqrt(100)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(8))
+def test_diffusion_layer_starts_monotone(seed):
+    grid = make_grid(5, 1.0, 0.25, periodic())      # npde train's diffusion test grid
+    model = Pipeline([DiffusionLayer(grid, 1)])
+    rng = np.random.default_rng(seed)
+    theta = model.init_theta(rng)
+    assert cfl_check(EllipticCoefficients(theta.get("layer0.A")), grid).stable
+    # n draws, as the +-1/sqrt(3) rule took, so the stream that follows is unchanged
+    old = np.random.default_rng(seed)
+    old.uniform(-3 ** -0.5, 3 ** -0.5, 5)
+    assert rng.random() == old.random()
+    data = Dataset([(np.eye(5)[0], np.eye(5)[1])])
+    train_supervised(model, data, LossSpec(), OptimizerConfig(), seed, 1, 0.0)

@@ -10,8 +10,7 @@ from npde.reactions import ReactionSpec, no_reaction
 from npde.solver import solve_forward
 from npde.stencil import EllipticCoefficients
 from npde.train import (Dataset, DenseLayer, DiffusionLayer, OptimizerConfig, Pipeline,
-                        batch_gradient, pipeline_gradient,
-                        residuals_and_jacobian, train_supervised)
+                        batch_gradient, residuals_and_jacobian, train_supervised)
 
 BCS = st.sampled_from([periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(0.7)])
 REACTIONS = st.sampled_from([ReactionSpec("none"), ReactionSpec("fisher", 0.8),
@@ -47,7 +46,7 @@ def _assert_close(actual, expected, rtol):
 
 
 def _assert_mean_of_per_sample(model, theta, samples, loss):
-    per_sample = np.mean([pipeline_gradient(model, s, loss, theta) for s in samples], axis=0)
+    per_sample = np.mean([batch_gradient(model, theta, [s], loss) for s in samples], axis=0)
     _assert_close(batch_gradient(model, theta, samples, loss), per_sample, 1e-12)
 
 

@@ -82,6 +82,18 @@ def test_solve_equals_chained_steps_bit_for_bit(seed, n, bc, n_steps):
     np.testing.assert_array_equal(V_s, V_c)
 
 
+@pytest.mark.parametrize("bc", [periodic(), mirror(), extend(), dirichlet(0.7)])
+def test_copy_path_equals_fused_kinetics_bit_for_bit(bc):
+    # a reaction rebuilt from f and g alone, as a tracer wrapping them does
+    grid, U, V, Du, Dv, rxn = _case(11, 10, bc)
+    assert rxn.fused is not None
+    copied = TwoComponentReaction(rxn.name, rxn.f, rxn.g)
+    U_f, V_f, _ = solve_two_component(U, V, Du, Dv, rxn, grid, 30)
+    U_c, V_c, _ = solve_two_component(U, V, Du, Dv, copied, grid, 30)
+    np.testing.assert_array_equal(U_f.view(np.int64), U_c.view(np.int64))
+    np.testing.assert_array_equal(V_f.view(np.int64), V_c.view(np.int64))
+
+
 def test_inputs_and_reaction_outputs_are_not_written():
     grid, U, V, Du, Dv, _ = _case(3, 9, mirror())
     U0, V0 = U.copy(), V.copy()
@@ -124,7 +136,7 @@ def test_runaway_growth_trips_the_bound_at_its_step():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
 def test_non_finite_state_trips_at_its_step(bad):
     # U is 1, 10, 100, 1000 after steps 0..3; step 4 sees U > 100 and adds bad
     U, V, rxn, grid = _uniform_growth(lambda U, V: np.where(U > 100.0, bad, 9.0 * U))
