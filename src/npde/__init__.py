@@ -15,12 +15,11 @@ from .blocks import (Conv1DBlock, Conv2DBlock, DenseBlock, RBMEnergy, RNNCell,
                      gen_conv1d, gen_conv2d, gen_dense, gen_rbm, gen_rnn_cell,
                      rbm_energy, rbm_free_energy, residual_step, rnn_forward)
 from .optim import (AdamState, LBFGSState, LossSpec, ThetaVector, adam_step,
-                    gauss_newton_step, grad_fd, l2_loss, lbfgs_direction,
-                    lbfgs_update, newton_pinv_step, pde_constrained_loss,
-                    sgd_step)
+                    gauss_newton_step, grad_fd, lbfgs_direction, lbfgs_update,
+                    newton_pinv_step, pde_constrained_loss, sgd_step)
 from .train import (Dataset, DenseLayer, DiffusionLayer, OptimizerConfig,
                     Pipeline, TrainReport, batch_gradient, batch_loss,
-                    residuals_and_jacobian, train_supervised)
+                    train_supervised)
 from .reference import (GaussianProfile, fisher_min_front_speed, front_position,
                         front_speed, heat_kernel_evolve)
 

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # pad stays part of this module's namespace (npde.blocks.pad); no block here calls it
-from .grid import GridSpec, pad  # noqa: F401
+from .grid import GridSpec, _fill_ghosts, pad  # noqa: F401
 from .reactions import ReactionSpec, no_reaction
-from .stencil import (EllipticCoefficients, _band_matrix, _step_taps, _tap_step,
-                      apply_stencil, laplacian_1d)
+from .stencil import (EllipticCoefficients, _band_matrix, _correlate_2d, _step_taps,
+                      _tap_step, laplacian_1d)
 
 
 def _finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -87,36 +87,29 @@ class Conv2DBlock:
     """Shared learnable 3x3 kernel plus the Euler identity.
 
     The kernel absorbs k*D/h**2, so forward(u) = u + correlate(kernel, u).
-    Inputs with a leading channel axis are processed channel by channel.
+    A leading channel axis rides along: each channel is stepped alike.
     """
 
     kernel: np.ndarray            # (3, 3)
     grid: GridSpec
-    channels_in: int = 1
-    channels_out: int = 1
     activation: ReactionSpec = no_reaction()
 
     def __post_init__(self):
         kk = _finite("kernel", self.kernel)
-        if kk.shape != (3, 3):
-            raise ValueError("2D kernel must be 3x3")
-        if self.channels_in < 1 or self.channels_out < 1:
-            raise ValueError("channel counts must be >= 1")
+        if kk.shape != (3, 3) or self.grid.ndim != 2:
+            raise ValueError("a 2D conv block needs a 3x3 kernel and a 2D grid")
         object.__setattr__(self, "kernel", kk)
-
-    def _single(self, u: np.ndarray) -> np.ndarray:
-        out = u + apply_stencil(u, self.kernel, self.grid.bc)
-        if self.activation.kind != "none":
-            out = out + self.grid.k * self.activation(u)
-        return out
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        if u.ndim == 3:
-            return np.stack([self._single(ch) for ch in u])
-        if u.shape != self.grid.shape:
+        if u.ndim not in (2, 3) or u.shape[-2:] != self.grid.shape:
             raise ValueError(f"field shape {u.shape} does not match grid {self.grid.shape}")
-        return self._single(u)
+        P = np.empty(u.shape[:-2] + (self.grid.n_points + 2,) * 2)
+        P[..., 1:-1, 1:-1] = u
+        out = u + _correlate_2d(_fill_ghosts(P, self.grid.bc), self.kernel)
+        if self.activation.kind != "none":
+            out += self.grid.k * self.activation(u)
+        return out
 
     def forward_without_identity(self, u: np.ndarray) -> np.ndarray:
         return self.forward(u) - np.asarray(u, dtype=float)
@@ -170,16 +163,14 @@ def gen_conv1d(coeffs: EllipticCoefficients, grid: GridSpec) -> Conv1DBlock:
     return Conv1DBlock(_step_taps(coeffs.A, coeffs.B, grid).T, grid, activation=coeffs.C)
 
 
-def gen_conv2d(kernel_init: np.ndarray, grid: GridSpec, channels: int = 1,
+def gen_conv2d(kernel_init: np.ndarray, grid: GridSpec,
                activation: ReactionSpec = no_reaction()) -> Conv2DBlock:
     """Wrap a 3x3 stencil as a learnable conv layer with the Euler identity.
 
     Initialize from e.g. (k*D/h**2) * laplacian_2d_9pt() to reproduce a
     diffusion step.
     """
-    return Conv2DBlock(np.asarray(kernel_init, dtype=float), grid,
-                       channels_in=channels, channels_out=channels,
-                       activation=activation)
+    return Conv2DBlock(np.asarray(kernel_init, dtype=float), grid, activation)
 
 
 def gen_dense(W: np.ndarray, bias: np.ndarray,

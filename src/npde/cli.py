@@ -433,8 +433,7 @@ def cmd_gen_block(cfg: _Section, args) -> int:
             raise ConfigError("conv2d generation needs a 2D grid")
         D = b.value("D", float)
         taps = stencil_2d(b.value("stencil", _text(), "9pt"))
-        block = blocks.gen_conv2d(grid.k * D / grid.h**2 * taps, grid,
-                                  b.value("channels", _integer, 1))
+        block = blocks.gen_conv2d(grid.k * D / grid.h**2 * taps, grid)
     elif kind == "dense":
         act = _reaction(b, b.value("activation", _text(), "none"), 1.0)
         block = blocks.gen_dense(b.value("W", _floats), b.value("bias", _floats), act)

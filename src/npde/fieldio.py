@@ -114,7 +114,6 @@ def block_to_dict(block) -> dict:
         return {"kind": "conv2d",
                 "shapes": {"kernel": [3, 3]},
                 "weights": {"kernel": block.kernel.ravel().tolist()},
-                "channels": {"in": block.channels_in, "out": block.channels_out},
                 "activation": _activation_to_dict(block.activation),
                 "grid": _grid_to_dict(block.grid)}
     if isinstance(block, DenseBlock):
@@ -153,7 +152,6 @@ def block_from_dict(d: dict):
     if kind == "conv2d":
         kernel = np.asarray(d["weights"]["kernel"]).reshape(3, 3)
         return Conv2DBlock(kernel, _grid_from_dict(d["grid"]),
-                           d["channels"]["in"], d["channels"]["out"],
                            _activation_from_dict(d["activation"]))
     if kind == "dense":
         W = np.asarray(d["weights"]["W"]).reshape(d["shapes"]["W"])

@@ -149,6 +149,22 @@ def _ghost_fill(P: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
     return P
 
 
+def _fill_ghosts(P: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
+    """Set the width-1 ghost cells of P's last two axes from its interior.
+
+    Each P[c] then equals pad(P[c, 1:-1, 1:-1], bc, 1) bit for bit: rows
+    first, then full columns (_ghost_fill), so corners pad the padded rows as
+    np.pad does. Returns P.
+    """
+    if bc.kind == "dirichlet":
+        P[..., 0, :] = P[..., -1, :] = bc.value
+    else:
+        lo, hi = _GHOST_SOURCE[bc.kind]
+        P[..., 0, 1:-1] = P[..., lo, 1:-1]
+        P[..., -1, 1:-1] = P[..., hi, 1:-1]
+    return _ghost_fill(P, bc)
+
+
 def _ghost_scatter(G: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
     """Adjoint of _ghost_fill's linear part: add each ghost of G's last axis
     onto the cell it copies (in place) and return the interior view.

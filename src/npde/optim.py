@@ -94,32 +94,18 @@ def _as_theta(theta) -> ThetaVector:
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Loss family and its weights: l2_decay(nu) or pde_constrained(beta, lam)."""
+    """Loss family and its weights: l2_decay(nu) or pde_constrained(lam)."""
 
     kind: str = "l2_decay"
     nu: float = 0.0
-    beta: float = 0.0
     lam: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("l2_decay", "pde_constrained"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        for name in ("nu", "beta", "lam"):
+        for name in ("nu", "lam"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-
-def l2_loss(output: np.ndarray, target: np.ndarray, weights: np.ndarray,
-            nu: float) -> tuple[float, np.ndarray]:
-    """Half squared error with weight decay; returns (loss, d loss/d output)."""
-    output = np.asarray(output, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if output.shape != target.shape:
-        raise ValueError("output and target lengths differ")
-    diff = output - target
-    w = np.asarray(weights, dtype=float)
-    loss = 0.5 * (float(diff @ diff) + nu * float(w @ w))
-    return loss, diff
 
 
 def pde_constrained_loss(u: np.ndarray, u_hat: np.ndarray, theta,

@@ -8,6 +8,8 @@ Explicit (forward Euler) step, with r = k/h**2:
 In 1D these per-node taps are stencil._step_taps, gen_conv1d's kernels, so
 solver, block and DiffusionLayer steps agree bit for bit; they round a few
 ulps per step apart from u + k * elliptic_apply(u), the divergence form.
+A 2D step is that divergence form bit for bit; a 2D solve pads A once and
+owns one ghost buffer, as a 1D solve builds its taps and buffer once.
 
 Implicit (backward Euler) step solves the tridiagonal system
 
@@ -55,9 +57,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # pad stays part of this module's namespace (npde.solver.pad); no step here calls it
-from .grid import _GHOST_SOURCE, BoundaryCondition, GridSpec, _ghost_fill, pad  # noqa: F401
+from .grid import _GHOST_SOURCE, GridSpec, _fill_ghosts, pad, pad_coefficient  # noqa: F401
 from .reactions import TwoComponentReaction
-from .stencil import EllipticCoefficients, _step_taps, _tap_step, elliptic_apply
+from .stencil import (EllipticCoefficients, _correlate_2d, _step_taps, _tap_step,
+                      elliptic_apply, stencil_2d)
 
 # A step is declared divergent when max|u| exceeds this factor times the
 # initial scale, long before float64 overflow turns values non-finite.
@@ -106,24 +109,6 @@ def cfl_check(coeffs: EllipticCoefficients, grid: GridSpec) -> CflReport:
     else:
         stable = max_r_a <= limit and float(np.min(coeffs.A)) >= 0.0
     return CflReport(stable, max_r_a, limit)
-
-
-def step_explicit(field: np.ndarray, coeffs: EllipticCoefficients,
-                  grid: GridSpec, stencil2d: str = "5pt") -> np.ndarray:
-    """One forward-Euler step u + k * O_L(u); raises on non-finite output.
-
-    1D applies the step taps (gen_conv1d's kernels), 2D the divergence form.
-    """
-    u = np.asarray(field, dtype=float)
-    # a misshaped 1D field falls through to elliptic_apply's shape check
-    if grid.ndim == 1 and u.shape == grid.shape:
-        coeffs.validate_against(grid)
-        out = _tap_step(_step_taps(coeffs.A, coeffs.B, grid), u, grid, coeffs.C)
-    else:
-        out = u + grid.k * elliptic_apply(u, coeffs, grid, stencil2d)
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("explicit step produced non-finite values")
-    return out
 
 
 class _TridiagonalFactor:
@@ -272,6 +257,57 @@ def _implicit_stepper(coeffs: EllipticCoefficients, grid: GridSpec):
     return step
 
 
+def _stepper(coeffs: EllipticCoefficients, grid: GridSpec, scheme: str,
+             stencil2d: str = "5pt"):
+    """Validate a solve once and return the step u -> u' each of its steps applies.
+
+    Explicit 2D pads A once and refills one ghost buffer per step, running
+    elliptic_apply's sequence, so a step equals u + k * elliptic_apply(u).
+    """
+    if scheme == "implicit":
+        return _implicit_stepper(coeffs, grid)
+    if scheme != "explicit":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    coeffs.validate_against(grid)
+    P = np.empty(tuple(m + 2 for m in grid.shape))
+    if grid.ndim == 1:
+        taps = _step_taps(coeffs.A, coeffs.B, grid)
+        return lambda u: _tap_step(taps, u, grid, coeffs.C, P)
+    s, Ap = stencil_2d(stencil2d), pad_coefficient(coeffs.A, grid.bc, 1)
+    reaction, k, h2 = coeffs.C, grid.k, grid.h**2
+
+    def step(u: np.ndarray) -> np.ndarray:
+        P[1:-1, 1:-1] = u
+        out = _correlate_2d(Ap * _fill_ghosts(P, grid.bc), s) / h2
+        if reaction.kind != "none":
+            out += reaction(u)
+        return u + k * out
+
+    return step
+
+
+def _step_once(field: np.ndarray, coeffs: EllipticCoefficients, grid: GridSpec,
+               scheme: str, stencil2d: str = "5pt") -> np.ndarray:
+    """Build a solve's step, apply it once and check the result is finite."""
+    step = _stepper(coeffs, grid, scheme, stencil2d)
+    u = np.asarray(field, dtype=float)
+    if u.shape != grid.shape:
+        raise ValueError(f"field shape {u.shape} does not match grid {grid.shape}")
+    out = step(u)
+    if not np.all(np.isfinite(out)):
+        raise DivergenceError(f"{scheme} step produced non-finite values")
+    return out
+
+
+def step_explicit(field: np.ndarray, coeffs: EllipticCoefficients,
+                  grid: GridSpec, stencil2d: str = "5pt") -> np.ndarray:
+    """One forward-Euler step u + k * O_L(u); raises on non-finite output.
+
+    1D applies the step taps (gen_conv1d's kernels), 2D the divergence form.
+    """
+    return _step_once(field, coeffs, grid, "explicit", stencil2d)
+
+
 def step_implicit(field: np.ndarray, coeffs: EllipticCoefficients,
                   grid: GridSpec) -> np.ndarray:
     """One backward-Euler diffusion step (1D); reaction is evaluated explicitly.
@@ -283,30 +319,7 @@ def step_implicit(field: np.ndarray, coeffs: EllipticCoefficients,
     for bit; substituting the output back into the implicit recurrence
     recovers the right-hand side within 1e-10.
     """
-    step = _implicit_stepper(coeffs, grid)
-    u = np.asarray(field, dtype=float)
-    if u.shape != grid.shape:
-        raise ValueError(f"field shape {u.shape} does not match grid {grid.shape}")
-    out = step(u)
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("implicit step produced non-finite values")
-    return out
-
-
-def _fill_ghosts(P: np.ndarray, bc: BoundaryCondition) -> None:
-    """Set the width-1 ghost cells of P's last two axes from its interior.
-
-    Each P[c] then equals grid.pad(P[c, 1:-1, 1:-1], bc, 1) bit for bit:
-    rows first, then full columns (grid._ghost_fill), so corners pad the
-    padded rows as np.pad does.
-    """
-    if bc.kind == "dirichlet":
-        P[..., 0, :] = P[..., -1, :] = bc.value
-    else:
-        lo, hi = _GHOST_SOURCE[bc.kind]
-        P[..., 0, 1:-1] = P[..., lo, 1:-1]
-        P[..., -1, 1:-1] = P[..., hi, 1:-1]
-    _ghost_fill(P, bc)
+    return _step_once(field, coeffs, grid, "implicit")
 
 
 class _TwoComponentStepper:
@@ -388,40 +401,24 @@ def step_two_component(U: np.ndarray, V: np.ndarray, Du: float, Dv: float,
 
 def solve_forward(initial: np.ndarray, coeffs: EllipticCoefficients,
                   grid: GridSpec, n_steps: int, scheme: str = "explicit",
-                  stencil2d: str = "5pt",
-                  divergence_factor: float = DIVERGENCE_FACTOR) -> Trajectory:
+                  stencil2d: str = "5pt") -> Trajectory:
     """March ``n_steps`` steps; the trajectory holds n_steps+1 slices.
 
-    Divergence (non-finite values, or magnitudes beyond divergence_factor
+    Divergence (non-finite values, or magnitudes beyond DIVERGENCE_FACTOR
     times the initial scale) raises DivergenceError carrying the step index.
-    An explicit 1D solve builds the step taps and the padded buffer once; an
-    implicit solve validates its input and factors its matrix once.
+    The input is validated and the step built once (_stepper); the implicit
+    matrix is factored once.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if scheme not in ("explicit", "implicit"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     u = np.array(initial, dtype=float)
     if u.shape != grid.shape:
         raise ValueError(f"initial shape {u.shape} does not match grid {grid.shape}")
-    bound = divergence_factor * (1.0 + float(np.max(np.abs(u))))
-    explicit_1d = scheme == "explicit" and grid.ndim == 1
-    if explicit_1d:
-        coeffs.validate_against(grid)
-        taps, P = _step_taps(coeffs.A, coeffs.B, grid), np.empty(grid.n_points + 2)
-    elif scheme == "implicit":
-        implicit = _implicit_stepper(coeffs, grid)
+    advance = _stepper(coeffs, grid, scheme, stencil2d)
+    bound = DIVERGENCE_FACTOR * (1.0 + float(np.max(np.abs(u))))
     slices = [u]
     for step in range(1, n_steps + 1):
-        try:
-            if explicit_1d:
-                u = _tap_step(taps, u, grid, coeffs.C, P)
-            elif scheme == "explicit":
-                u = step_explicit(u, coeffs, grid, stencil2d)
-            else:
-                u = implicit(u)
-        except DivergenceError as err:
-            raise DivergenceError(f"{err} at step {step}", step=step) from None
+        u = advance(u)
         # one reduction catches NaN, inf and runaway growth: NaN fails every <=
         biggest = float(np.abs(u).max())
         if not biggest <= bound:

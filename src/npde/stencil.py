@@ -28,9 +28,9 @@ The 1D explicit step has one definition: _step_taps builds its per-node
 taps once, and _tap_step pads into a buffer and applies them. The solver,
 gen_conv1d's blocks, the DiffusionLayer, the RBM/RNN matrices (_band_matrix)
 and the implicit bands all read those taps. elliptic_apply keeps the
-divergence form, (1/h**2) stencil(A*u); it steps 2D grids, evaluates
-residuals and is the independent reference for the taps, which differ from
-it by a few ulps of rounding.
+divergence form, (1/h**2) stencil(A*u), whose sequence a 2D step runs; it
+evaluates residuals and is the independent reference for the taps, which
+differ from it by a few ulps of rounding.
 """
 
 from __future__ import annotations
@@ -143,13 +143,14 @@ def _band_matrix(taps: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
 
 
 def _correlate_2d(padded: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    n0, n1 = padded.shape[0] - 2, padded.shape[1] - 2
-    out = np.zeros((n0, n1))
+    """3x3 correlation over padded's last two axes; leading axes ride along."""
+    n0, n1 = padded.shape[-2] - 2, padded.shape[-1] - 2
+    out = np.zeros(padded.shape[:-2] + (n0, n1))
     for i in range(3):
         for j in range(3):
             w = taps[i, j]
             if w != 0.0:
-                out += w * padded[i:i + n0, j:j + n1]
+                out += w * padded[..., i:i + n0, j:j + n1]
     return out
 
 
@@ -210,8 +211,8 @@ def diffusion_term(u: np.ndarray, A: np.ndarray, grid: GridSpec,
                    stencil2d: str = "5pt") -> np.ndarray:
     """Second difference of the product A*u: (1/h**2) * stencil(A*u).
 
-    The divergence form: 2D explicit steps use it; in 1D it is the reference
-    the per-node step taps are checked against.
+    The divergence form, which a 2D explicit step runs; in 1D it is the
+    reference the per-node step taps are checked against.
     """
     P = pad_coefficient(A, grid.bc, 1) * pad(u, grid.bc, 1)
     if grid.ndim == 1:

@@ -282,32 +282,15 @@ def batch_gradient(model: Pipeline, theta: ThetaVector, samples,
     return _gradient(model, theta, residual, caches, loss)
 
 
-def residuals_and_jacobian(model: Pipeline, theta: ThetaVector, samples):
-    """Stacked residuals out - target and their exact Jacobian w.r.t. theta.
-
-    One batched forward; each Jacobian row is one reverse pass whose
-    cotangent is zero except at that residual entry.
-    """
-    X, T = _stack(samples)
-    out, caches = model.forward_with_caches(theta, X)
-    residual = out - T
-    return residual.ravel(), _jacobian(model, theta, caches, residual.shape)
-
-
 @dataclass(frozen=True)
 class Dataset:
-    """Supervised samples (input vector, target vector) plus a train/val split."""
+    """Supervised samples (input vector, target vector); training uses them all."""
 
     samples: list
-    split: tuple[float, float] = (1.0, 0.0)
 
     def __post_init__(self):
         if not self.samples:
             raise ValueError("dataset needs at least one sample")
-        if not np.isclose(sum(self.split), 1.0):
-            raise ValueError("split fractions must sum to 1")
-        if self.n_train < 1:
-            raise ValueError("dataset needs at least one training sample")
         d_in = {np.asarray(x).shape for x, _ in self.samples}
         d_out = {np.asarray(y).shape for _, y in self.samples}
         if len(d_in) != 1 or len(d_out) != 1:
@@ -315,15 +298,7 @@ class Dataset:
 
     @property
     def n_train(self) -> int:
-        return max(1, int(round(self.split[0] * len(self.samples))))
-
-    @property
-    def train_samples(self) -> list:
-        return self.samples[:self.n_train]
-
-    @property
-    def validation_samples(self) -> list:
-        return self.samples[self.n_train:]
+        return len(self.samples)
 
 
 def _warn_if_unstable(model: Pipeline, theta: ThetaVector) -> None:
@@ -392,7 +367,7 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
         raise ValueError("max_epochs must be >= 0")
     rng = np.random.default_rng(seed)
     theta = theta0 if theta0 is not None else model.init_theta(rng)
-    X, T = _stack(data.train_samples)
+    X, T = _stack(data.samples)
     _warn_if_unstable(model, theta)
 
     adam = AdamState.fresh(model.n_params, opt.beta1, opt.beta2, opt.eps, opt.eta) \

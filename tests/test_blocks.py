@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from npde.blocks import (Conv1DBlock, RBMEnergy, gen_conv1d, gen_conv2d,
                          gen_dense, gen_rbm, gen_rnn_cell, rbm_energy,
                          rbm_free_energy, residual_step, rnn_forward)
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
-from npde.reactions import fisher, sigmoid_reaction
+from npde.reactions import fisher, no_reaction, sigmoid_reaction
 from npde.solver import step_explicit, solve_forward
-from npde.stencil import EllipticCoefficients, laplacian_2d_9pt
+from npde.stencil import EllipticCoefficients, apply_stencil, laplacian_2d_9pt
 
 
 def test_gen_conv1d_constant_a_rows():
@@ -80,6 +81,38 @@ def test_conv2d_equals_2d_diffusion_step():
     np.testing.assert_allclose(block.forward(u),
                                step_explicit(u, coeffs, grid, "9pt"),
                                rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bc=st.sampled_from([periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(-1.3)]),
+       n=st.integers(3, 10), c=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       activation=st.sampled_from([no_reaction(), fisher(0.7), sigmoid_reaction(1.5)]))
+def test_conv2d_stack_is_each_channel_stepped(bc, n, c, seed, activation):
+    rng = np.random.default_rng(seed)
+    grid = make_grid(n, 0.5, 0.02, bc, ndim=2)
+    block = gen_conv2d(rng.standard_normal((3, 3)), grid, activation)
+    stack = rng.standard_normal((c, n, n))
+    out = block.forward(stack)
+    for ch, got in zip(stack, out):
+        expected = ch + apply_stencil(ch, block.kernel, bc)
+        if activation.kind != "none":
+            expected += grid.k * activation(ch)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(block.forward(ch), got)
+
+
+def test_conv2d_needs_a_3x3_kernel_on_a_2d_grid():
+    with pytest.raises(ValueError):
+        gen_conv2d(laplacian_2d_9pt(), make_grid(8, 0.5, 0.02, periodic()))
+    with pytest.raises(ValueError):
+        gen_conv2d(np.zeros((3, 4)), make_grid(8, 0.5, 0.02, periodic(), ndim=2))
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 7), (5, 7), (8,), (2, 2, 8, 8), (1, 8, 9)])
+def test_conv2d_rejects_a_field_off_the_grid(shape):
+    block = gen_conv2d(laplacian_2d_9pt(), make_grid(8, 0.5, 0.02, periodic(), ndim=2))
+    with pytest.raises(ValueError):
+        block.forward(np.zeros(shape))
 
 
 def test_dense_identity():

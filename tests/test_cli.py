@@ -452,6 +452,9 @@ def _valid_configs(tmp_path):
         "gen-conv1d": ("gen-block", {
             "grid": grid1d, "model": {"kind": "heat", "A": 1.0},
             "block": {"kind": "conv1d"}, "io": {"out_dir": str(blocks_out)}}),
+        "gen-conv2d": ("gen-block", {
+            "grid": dict(_GRID_2D), "block": {"kind": "conv2d", "D": 1.0},
+            "io": {"out_dir": str(blocks_out)}}),
         "gen-dense": ("gen-block", {
             "block": {"kind": "dense", "W": [[1.0, 2.0]], "bias": [0.5],
                       "activation": "sigmoid", "rate": 2.0},
@@ -460,7 +463,7 @@ def _valid_configs(tmp_path):
 
 
 VALID_CONFIG_NAMES = ["heat", "fisher", "gray_scott", "train-dense", "train-diffusion",
-                      "gen-conv1d", "gen-dense"]
+                      "gen-conv1d", "gen-conv2d", "gen-dense"]
 
 
 @pytest.mark.parametrize("name", VALID_CONFIG_NAMES)
@@ -501,6 +504,8 @@ def test_only_solve_and_train_take_seed(tmp_path, capsys, name, status):
     ("train-dense", ("train", "pipeline", 0), "rate", 2.0),
     ("train-dense", (), "model", {"kind": "heat", "A": 1.0}),
     ("gen-dense", (), "grid", {"n_points": 5, "h": 1.0, "k": 0.1, "bc": "periodic"}),
+    # a conv2d block steps any leading channel axis; it has no channel count
+    ("gen-conv2d", ("block",), "channels", 1),
 ])
 def test_key_the_run_does_not_read_is_rejected(tmp_path, capsys, name, path, key, value):
     command, cfg = _valid_configs(tmp_path)[name]
@@ -592,14 +597,13 @@ def _conv2d(**block):
     ("train-dense", _set(("optimizer",), {"kind": "adam", "beta1": 1.5})),
     ("train-dense", _set(("train", "max_epochs"), -1)),
     ("train-dense", _underdetermined),
-    ("gen-conv1d", _conv2d(channels=0)),
     ("gen-conv1d", _set(("grid",), _GRID_2D)),
     ("gen-dense", _set(("block", "bias"), [0.0, 1.0])),
     ("gen-conv1d", _conv2d(stencil="7pt")),
     ("gen-dense", _set(("block", "activation"), "relu")),
 ], ids=["implicit-with-B", "implicit-2d", "lbfgs-memory-0", "sgd-negative-eta",
         "adam-beta1-1.5", "negative-max-epochs", "gauss-newton-underdetermined",
-        "conv2d-no-channels", "conv1d-on-2d-grid", "dense-bias-mismatch",
+        "conv1d-on-2d-grid", "dense-bias-mismatch",
         "stencil-7pt", "relu-activation"])
 def test_value_the_library_refuses_is_a_config_error(tmp_path, capsys, name, mutate):
     command, cfg = _valid_configs(tmp_path)[name]

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from npde.blocks import gen_conv1d, gen_conv2d, gen_dense, gen_rbm, gen_rnn_cell
-from npde.fieldio import (block_from_dict, block_to_dict,
+from npde.fieldio import (block_from_dict, block_to_bytes, block_to_dict,
                           field_to_csv, field_to_pgm, fmt, load_block,
                           load_field_csv, save_block, save_field_csv,
                           save_trajectory_csv)
@@ -92,7 +94,7 @@ def _sample_blocks():
     grid2 = make_grid(5, 0.5, 0.02, periodic(), ndim=2)
     return [
         gen_conv1d(coeffs, grid),
-        gen_conv2d(0.1 * laplacian_2d_9pt(), grid2, channels=2),
+        gen_conv2d(0.1 * laplacian_2d_9pt(), grid2),
         gen_dense(rng.standard_normal((3, 4)), rng.standard_normal(3),
                   sigmoid_reaction(1.5)),
         gen_rnn_cell(0.6, 0.3, 1.2, grid),
@@ -115,6 +117,18 @@ def test_block_bytes_stable_across_save_load_save(idx, tmp_path):
     first = path.read_bytes()
     save_block(path, load_block(path))
     assert path.read_bytes() == first
+
+
+def test_conv2d_file_with_a_channels_entry_loads_without_it(tmp_path):
+    # files written before the channel counts were dropped: the entry is ignored
+    block = _sample_blocks()[1]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({**block_to_dict(block), "channels": {"in": 2, "out": 2}}))
+    clone = load_block(path)
+    assert "channels" not in block_to_dict(clone)
+    assert block_to_bytes(clone) == block_to_bytes(block)
+    u = np.random.default_rng(74).standard_normal((2, 5, 5))
+    np.testing.assert_array_equal(clone.forward(u), block.forward(u))
 
 
 def test_conv1d_round_trip_preserves_forward(tmp_path):
@@ -143,8 +157,7 @@ def _random_block(kind, seed):
         return gen_conv1d(coeffs, grid)
     if kind == "conv2d":
         grid2 = make_grid(n, grid.h, grid.k, bc, ndim=2)
-        return gen_conv2d(scale * rng.standard_normal((3, 3)), grid2,
-                          int(rng.integers(1, 4)), act)
+        return gen_conv2d(scale * rng.standard_normal((3, 3)), grid2, act)
     if kind == "dense":
         m = int(rng.integers(1, 6))
         if rng.random() < 0.25:

@@ -3,37 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from npde.optim import (AdamState, LBFGSState, LossSpec, ThetaVector, adam_step,
-                        gauss_newton_step, grad_fd, l2_loss, lbfgs_direction,
-                        lbfgs_update, newton_pinv_step, pde_constrained_loss,
-                        sgd_step)
+                        gauss_newton_step, grad_fd, lbfgs_direction, lbfgs_update,
+                        newton_pinv_step, pde_constrained_loss, sgd_step)
 
 
 # --- losses -----------------------------------------------------------------
-
-def test_l2_loss_zero_at_target():
-    loss, grad = l2_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0]),
-                         np.zeros(1), 0.0)
-    assert loss == 0.0
-    np.testing.assert_array_equal(grad, [0.0, 0.0])
-
-
-def test_l2_loss_half_square():
-    loss, grad = l2_loss(np.array([1.0, 0.0]), np.array([0.0, 0.0]),
-                         np.zeros(1), 0.0)
-    assert loss == pytest.approx(0.5)
-    np.testing.assert_array_equal(grad, [1.0, 0.0])
-
-
-def test_l2_loss_weight_decay():
-    loss, _ = l2_loss(np.array([1.0, 0.0]), np.array([0.0, 0.0]),
-                      np.array([2.0]), 0.1)
-    assert loss == pytest.approx(0.7)
-
-
-def test_l2_loss_length_mismatch():
-    with pytest.raises(ValueError):
-        l2_loss(np.zeros(2), np.zeros(3), np.zeros(1), 0.0)
-
 
 def test_pde_constrained_loss_cases():
     assert pde_constrained_loss(np.ones(3), np.ones(3), np.zeros(2), 0.0,

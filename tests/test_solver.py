@@ -1,15 +1,18 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
-from npde.reactions import fisher, gray_scott, no_reaction, TwoComponentReaction
+from npde.reactions import (TwoComponentReaction, fisher, gray_scott, linear, no_reaction,
+                            sigmoid_reaction)
 from npde.solver import (CflReport, DivergenceError, _TridiagonalFactor, cfl_check,
                          discrete_residual, solve_forward, solve_two_component,
                          step_explicit, step_implicit, step_two_component,
                          thomas_solve)
-from npde.stencil import EllipticCoefficients
+from npde.stencil import EllipticCoefficients, elliptic_apply
 
 
 def test_explicit_hand_example():
@@ -112,6 +115,7 @@ def test_periodic_implicit_matches_dense_solve():
 SIZES = st.one_of(st.sampled_from([1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]),
                   st.integers(1, 70))
 SEEDS = st.integers(0, 2**32 - 1)
+BCS = st.sampled_from([periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(-1.3)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -151,19 +155,66 @@ def test_periodic_implicit_matches_dense_cyclic_solve(n, seed):
     assert np.max(np.abs(out - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
-@settings(max_examples=60, deadline=None)
-@given(bc=st.sampled_from([periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(-1.3)]),
-       n=st.integers(3, 40), m=st.integers(1, 6), seed=SEEDS,
-       reaction=st.sampled_from([no_reaction(), fisher(0.8)]))
-def test_implicit_solve_equals_chained_steps(bc, n, m, seed, reaction):
+@settings(max_examples=100, deadline=None)
+@given(bc=BCS, n=st.integers(3, 40), m=st.integers(1, 6), seed=SEEDS,
+       reaction=st.sampled_from([no_reaction(), fisher(0.8)]),
+       case=st.sampled_from([("implicit", 1, "5pt"), ("explicit", 1, "5pt"),
+                             ("explicit", 2, "5pt"), ("explicit", 2, "9pt")]))
+def test_implicit_solve_equals_chained_steps(bc, n, m, seed, reaction, case):
+    # every scheme: solve_forward's slices are chained step_* calls, bit for bit
+    scheme, ndim, stencil2d = case
     rng = np.random.default_rng(seed)
-    grid = make_grid(n, 0.5, float(rng.uniform(0.01, 1.0)), bc)
-    coeffs = EllipticCoefficients(rng.uniform(0.0, 2.0, n), None, reaction)
-    u = rng.uniform(0.0, 1.0, n)
-    traj = solve_forward(u, coeffs, grid, m, scheme="implicit")
+    # explicit: r max A <= 1/4, so nothing diverges
+    k = float(rng.uniform(0.01, 1.0) if scheme == "implicit" else rng.uniform(0.001, 0.03))
+    grid = make_grid(n, 0.5, k, bc, ndim)
+    B = rng.uniform(-1.0, 1.0, n) if scheme == "explicit" and ndim == 1 else None
+    coeffs = EllipticCoefficients(rng.uniform(0.0, 2.0, grid.shape), B, reaction)
+    u = rng.uniform(0.0, 1.0, grid.shape)
+    traj = solve_forward(u, coeffs, grid, m, scheme=scheme, stencil2d=stencil2d)
     for s in traj.slices[1:]:
-        u = step_implicit(u, coeffs, grid)
+        u = (step_implicit(u, coeffs, grid) if scheme == "implicit"
+             else step_explicit(u, coeffs, grid, stencil2d))
         np.testing.assert_array_equal(s, u)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bc=BCS, n=st.integers(3, 12), seed=SEEDS, stencil2d=st.sampled_from(["5pt", "9pt"]),
+       reaction=st.sampled_from([no_reaction(), fisher(0.8), sigmoid_reaction(1.5),
+                                 linear(-0.4)]))
+def test_2d_explicit_step_is_the_divergence_form(bc, n, seed, stencil2d, reaction):
+    rng = np.random.default_rng(seed)
+    grid = make_grid(n, 0.5, float(rng.uniform(0.001, 0.05)), bc, ndim=2)
+    coeffs = EllipticCoefficients(rng.uniform(0.0, 2.0, grid.shape), None, reaction)
+    u = rng.uniform(-1.0, 1.0, grid.shape)
+    np.testing.assert_array_equal(step_explicit(u, coeffs, grid, stencil2d),
+                                  u + grid.k * elliptic_apply(u, coeffs, grid, stencil2d))
+
+
+@pytest.mark.parametrize("scheme,ndim,stencil2d", [
+    ("explicit", 1, "5pt"), ("explicit", 2, "5pt"), ("explicit", 2, "9pt"),
+    ("implicit", 1, "5pt")])
+def test_solve_validates_and_pads_once(monkeypatch, scheme, ndim, stencil2d):
+    # pad and pad_coefficient both reach np.pad; a solve's count must not grow with its steps
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "pad", counted("np.pad", np.pad))
+    monkeypatch.setattr(EllipticCoefficients, "validate_against",
+                        counted("validate", EllipticCoefficients.validate_against))
+    grid = make_grid(6, 0.5, 0.01, mirror(), ndim)
+    coeffs = EllipticCoefficients.constant(grid, 1.0, reaction=fisher(0.5))
+    u = np.random.default_rng(3).uniform(0.0, 1.0, grid.shape)
+    per_solve = []
+    for n_steps in (1, 7):
+        calls.clear()
+        solve_forward(u, coeffs, grid, n_steps, scheme, stencil2d)
+        per_solve.append(dict(calls))
+    assert per_solve[0] == per_solve[1] and per_solve[0]["validate"] == 1
 
 
 def test_two_component_null_dynamics():

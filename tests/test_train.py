@@ -9,8 +9,8 @@ from npde.reactions import fisher, no_reaction, sigmoid_reaction
 from npde.solver import cfl_check
 from npde.stencil import EllipticCoefficients
 from npde.train import (Dataset, DenseLayer, DiffusionLayer, OptimizerConfig,
-                        Pipeline, batch_gradient, batch_loss,
-                        residuals_and_jacobian, train_supervised)
+                        Pipeline, _jacobian, _stack, batch_gradient, batch_loss,
+                        train_supervised)
 
 
 def _xor_data():
@@ -25,8 +25,6 @@ def test_dataset_validation():
         Dataset([])
     with pytest.raises(ValueError):
         Dataset([(np.zeros(2), np.zeros(1)), (np.zeros(3), np.zeros(1))])
-    data = Dataset([(np.zeros(2), np.zeros(1))] * 4, split=(0.5, 0.5))
-    assert data.n_train == 2 and len(data.validation_samples) == 2
 
 
 def test_single_dense_gradient_matches_hand_formula():
@@ -212,8 +210,14 @@ def test_residuals_and_jacobian_match_fd():
     model = Pipeline.dense([2, 3, 2], [sigmoid_reaction(1.0), no_reaction()])
     theta = model.init_theta(rng)
     samples = [(rng.standard_normal(2), rng.standard_normal(2)) for _ in range(2)]
-    r, J = residuals_and_jacobian(model, theta, samples)
+    # the Jacobian Gauss-Newton steps with, on one batched forward's caches
+    X, T = _stack(samples)
+    out, caches = model.forward_with_caches(theta, X)
+    r = (out - T).ravel()
+    J = _jacobian(model, theta, caches, out.shape)
     assert r.shape == (4,) and J.shape == (4, model.n_params)
+    np.testing.assert_allclose(r, np.concatenate([model.forward(theta, x) - t
+                                                  for x, t in samples]), rtol=0, atol=1e-14)
     eps = 1e-6
     for col in range(model.n_params):
         vp = theta.values.copy()

@@ -10,7 +10,7 @@ from npde.reactions import ReactionSpec, no_reaction
 from npde.solver import solve_forward
 from npde.stencil import EllipticCoefficients
 from npde.train import (Dataset, DenseLayer, DiffusionLayer, OptimizerConfig, Pipeline,
-                        batch_gradient, residuals_and_jacobian, train_supervised)
+                        _jacobian, _stack, batch_gradient, train_supervised)
 
 BCS = st.sampled_from([periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(0.7)])
 REACTIONS = st.sampled_from([ReactionSpec("none"), ReactionSpec("fisher", 0.8),
@@ -65,7 +65,9 @@ def test_diffusion_batch_gradient_is_mean_of_per_sample(seed, n_samples, bc, rea
 
 
 def _assert_jacobian_rows_match_fd(model, theta, samples):
-    _, J = residuals_and_jacobian(model, theta, samples)
+    X, _ = _stack(samples)
+    out, caches = model.forward_with_caches(theta, X)
+    J = _jacobian(model, theta, caches, out.shape)
     n_out = len(samples[0][1])
     for row in range(J.shape[0]):
         (x, t), i = samples[row // n_out], row % n_out

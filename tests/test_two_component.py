@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from npde.grid import dirichlet, extend, make_grid, mirror, pad, periodic
+from npde.grid import _fill_ghosts, dirichlet, extend, make_grid, mirror, pad, periodic
 from npde.reactions import TwoComponentReaction, gray_scott
-from npde.solver import (DIVERGENCE_FACTOR, DivergenceError, _fill_ghosts,
-                         solve_two_component, step_two_component)
+from npde.solver import (DIVERGENCE_FACTOR, DivergenceError, solve_two_component,
+                         step_two_component)
 from npde.stencil import _correlate_2d, laplacian_2d_9pt
 
 EPS = np.finfo(float).eps
