@@ -395,9 +395,9 @@ def cmd_train(cfg: _Section, args) -> int:
     report = train.train_supervised(model, data, loss, opt, seed, max_epochs,
                                     target_loss)
     out.mkdir(parents=True, exist_ok=True)
-    curve = "".join(f"{i + 1},{fieldio.fmt(v)}\n"
-                    for i, v in enumerate(report.loss_curve))
-    (out / "loss_curve.csv").write_text(curve)
+    epochs = np.arange(1, len(report.loss_curve) + 1)
+    fieldio.save_field_csv(out / "loss_curve.csv",
+                           np.column_stack([epochs, report.loss_curve]))
     _save_trained_model(out / "model.json", model, report)
     print(report.summary())
     if report.stop_reason == "divergence":

@@ -264,6 +264,7 @@ def _stepper(coeffs: EllipticCoefficients, grid: GridSpec, scheme: str,
     Explicit 2D pads A once and refills one ghost buffer per step, running
     elliptic_apply's sequence, so a step equals u + k * elliptic_apply(u).
     """
+    s = stencil_2d(stencil2d)    # a misspelt name is refused on every grid
     if scheme == "implicit":
         return _implicit_stepper(coeffs, grid)
     if scheme != "explicit":
@@ -273,7 +274,7 @@ def _stepper(coeffs: EllipticCoefficients, grid: GridSpec, scheme: str,
     if grid.ndim == 1:
         taps = _step_taps(coeffs.A, coeffs.B, grid)
         return lambda u: _tap_step(taps, u, grid, coeffs.C, P)
-    s, Ap = stencil_2d(stencil2d), pad_coefficient(coeffs.A, grid.bc, 1)
+    Ap = pad_coefficient(coeffs.A, grid.bc, 1)
     reaction, k, h2 = coeffs.C, grid.k, grid.h**2
 
     def step(u: np.ndarray) -> np.ndarray:

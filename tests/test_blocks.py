@@ -83,7 +83,7 @@ def test_conv2d_equals_2d_diffusion_step():
                                rtol=0, atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(bc=st.sampled_from([periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(-1.3)]),
        n=st.integers(3, 10), c=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
        activation=st.sampled_from([no_reaction(), fisher(0.7), sigmoid_reaction(1.5)]))

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from npde import train
 from npde.cli import _load_config, main
-from npde.fieldio import load_block
+from npde.fieldio import fmt, load_block
 
 
 def run_cli(args):
@@ -185,6 +186,27 @@ def test_train_vacuous_target_exits_zero(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli(["train", "--config", cfg_path]) == 0
     assert "converged=true" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("optimizer, target_loss", [
+    ({"kind": "sgd", "eta": 0.01}, 0.0),          # five epochs
+    ({"kind": "gauss_newton", "eta": 1.0}, 1e-12),  # one epoch
+    ({"kind": "gauss_newton", "eta": 1.0}, 1e300),  # zero epochs: an empty file
+])
+def test_loss_curve_bytes_match_fstring_writer(tmp_path, monkeypatch, optimizer,
+                                               target_loss):
+    reports, real = [], train.train_supervised
+    monkeypatch.setattr(train, "train_supervised",
+                        lambda *a: reports.append(real(*a)) or reports[-1])
+    cfg_path = _linreg_files(tmp_path)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["optimizer"], cfg["loss"]["target_loss"] = optimizer, target_loss
+    cfg_path.write_text(json.dumps(cfg))
+    with contextlib.redirect_stdout(io.StringIO()):
+        run_cli(["train", "--config", cfg_path])
+    expected = "".join(f"{i + 1},{fmt(v)}\n" for i, v in enumerate(reports[0].loss_curve))
+    assert (tmp_path / "fit" / "loss_curve.csv").read_bytes() == expected.encode()
+    assert expected.count("\n") == {0.0: 5, 1e-12: 1, 1e300: 0}[target_loss]
 
 
 def test_train_missing_dataset_names_path(tmp_path, capsys):
@@ -527,7 +549,7 @@ def _object_paths(node, path=()):
 
 
 @pytest.mark.parametrize("name", VALID_CONFIG_NAMES)
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(data=st.data())
 def test_unknown_key_at_any_depth_is_rejected(tmp_path_factory, name, data):
     tmp_path = tmp_path_factory.mktemp(name)

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from npde.blocks import gen_conv1d, gen_conv2d, gen_dense, gen_rbm, gen_rnn_cell
-from npde.fieldio import (block_from_dict, block_to_bytes, block_to_dict,
+from npde.fieldio import (_CHUNK, block_from_dict, block_to_bytes, block_to_dict,
                           field_to_csv, field_to_pgm, fmt, load_block,
                           load_field_csv, save_block, save_field_csv,
                           save_trajectory_csv)
@@ -67,6 +68,69 @@ def test_trajectory_csv_bytes_match_join_writer(ndim, tmp_path):
     traj = Trajectory(grid, slices)
     save_trajectory_csv(tmp_path / "t.csv", traj)
     assert (tmp_path / "t.csv").read_bytes() == _join_trajectory_csv(traj).encode()
+
+
+def _join_csv(values):
+    """The writer field_to_csv replaced: one fmt call per number."""
+    return "".join(",".join(fmt(x) for x in row) + "\n" for row in np.atleast_2d(values))
+
+
+def _adversarial():
+    """Values next to every decision the CSV encoder takes."""
+    p10 = np.array([float(f"1e{k}") for k in range(-30, 19)])
+    p2 = 2.0 ** np.arange(-100, 60)
+    edges = np.concatenate([p10, p2])
+    special = [2.0**-25,                                # a tie at 17 digits, two-stage
+               9 * 2.0**-23, 11 * 2.0**-23, 83 * 2.0**-23,  # ties with one exact product
+               9.9999999999999999e-06, 9.99999999999999999e-05,  # 1e-5/1e-4 switch
+               99999999999999984.0, 1e16 - 1, 1e16 + 2,  # 1e16/1e17 switch
+               1e-14,                                   # 17 digits carry into an 18th
+               1e-28, np.nextafter(1e-28, 1), 1e17,     # the encoder's range edges
+               0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+               np.inf, -np.inf, np.nan, 1.7976931348623157e308, 0.1, 1 / 3]
+    near = np.concatenate([np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+    values = np.concatenate([edges, near, special])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("width", [1, 7, _CHUNK + 3])
+def test_csv_bytes_match_fmt_on_adversarial_values(width):
+    values = _adversarial()
+    values = np.resize(values, (-(-values.size // width), width))   # rows span chunks
+    assert field_to_csv(values) == _join_csv(values)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_csv_bytes_match_fmt_on_floats(xs):
+    assert field_to_csv(np.array(xs)) == _join_csv(np.array(xs))
+
+
+# any uint64, or a sign, a biased exponent around the encoder's range 1e-28..1e17
+# (930..1080) and a 52-bit fraction
+_BITS = st.one_of(st.integers(0, 2**64 - 1),
+                  st.builds(lambda sign, exp, frac: sign << 63 | exp << 52 | frac,
+                            st.integers(0, 1), st.integers(930, 1080),
+                            st.integers(0, 2**52 - 1)))
+
+
+@settings(max_examples=200)
+@given(st.lists(_BITS, min_size=1, max_size=40))
+def test_csv_bytes_match_fmt_on_bit_patterns(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert field_to_csv(values) == _join_csv(values)
+
+
+@settings(max_examples=100)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=9),
+                  elements=st.floats()))
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, field):
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    save_field_csv(path, field)
+    back = load_field_csv(path).reshape(field.shape)
+    nan = np.isnan(field)
+    np.testing.assert_array_equal(np.isnan(back), nan)
+    assert np.array_equal(back.view(np.uint64)[~nan], field.view(np.uint64)[~nan])
 
 
 def test_pgm_header_and_normalization():
@@ -171,7 +235,7 @@ def _random_block(kind, seed):
                         float(rng.uniform(0.1, 3.0)), grid)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(kind=st.sampled_from(["dense", "conv1d", "conv2d", "rbm", "rnn"]),
        seed=st.integers(0, 2**32 - 1))
 def test_random_block_bytes_stable_across_save_load_save(kind, seed, tmp_path_factory):

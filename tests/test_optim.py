@@ -121,7 +121,7 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(data=st.data(), n=st.integers(1, 8), t=st.integers(0, 10_000),
        beta1=st.floats(0.0, 0.999), beta2=st.floats(0.0, 0.9999),
        eps=st.floats(1e-12, 1e-2), eta=st.floats(1e-6, 1.0))

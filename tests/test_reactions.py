@@ -101,7 +101,7 @@ PLANES = st.integers(1, 6).flatmap(
     lambda n: st.tuples(*[arrays(float, (n, n), elements=st.floats(-0.0, 1.0))] * 2))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(UV=PLANES, F=st.floats(0.0, 0.2), kr=st.floats(0.0, 0.2))
 def test_gray_scott_fused_equals_f_and_g_bit_for_bit(UV, F, kr):
     U, V = UV

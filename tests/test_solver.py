@@ -118,7 +118,7 @@ SEEDS = st.integers(0, 2**32 - 1)
 BCS = st.sampled_from([periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(-1.3)])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(n=SIZES, seed=SEEDS)
 def test_cyclic_reduction_matches_dense_solve(n, seed):
     # column-dominant: |diag_j| exceeds the off-diagonal entries of column j
@@ -137,7 +137,7 @@ def test_cyclic_reduction_matches_dense_solve(n, seed):
         assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(n=st.integers(3, 70), seed=SEEDS)
 def test_periodic_implicit_matches_dense_cyclic_solve(n, seed):
     rng = np.random.default_rng(seed)
@@ -155,7 +155,7 @@ def test_periodic_implicit_matches_dense_cyclic_solve(n, seed):
     assert np.max(np.abs(out - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(bc=BCS, n=st.integers(3, 40), m=st.integers(1, 6), seed=SEEDS,
        reaction=st.sampled_from([no_reaction(), fisher(0.8)]),
        case=st.sampled_from([("implicit", 1, "5pt"), ("explicit", 1, "5pt"),
@@ -177,7 +177,7 @@ def test_implicit_solve_equals_chained_steps(bc, n, m, seed, reaction, case):
         np.testing.assert_array_equal(s, u)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(bc=BCS, n=st.integers(3, 12), seed=SEEDS, stencil2d=st.sampled_from(["5pt", "9pt"]),
        reaction=st.sampled_from([no_reaction(), fisher(0.8), sigmoid_reaction(1.5),
                                  linear(-0.4)]))
@@ -215,6 +215,18 @@ def test_solve_validates_and_pads_once(monkeypatch, scheme, ndim, stencil2d):
         solve_forward(u, coeffs, grid, n_steps, scheme, stencil2d)
         per_solve.append(dict(calls))
     assert per_solve[0] == per_solve[1] and per_solve[0]["validate"] == 1
+
+
+@pytest.mark.parametrize("scheme,ndim", [("explicit", 1), ("explicit", 2), ("implicit", 1)])
+def test_unknown_stencil_refused_on_every_grid_and_scheme(scheme, ndim):
+    grid = make_grid(6, 0.5, 0.01, periodic(), ndim)
+    coeffs = EllipticCoefficients.constant(grid, 1.0)
+    u = np.ones(grid.shape)
+    with pytest.raises(ValueError, match="unknown 2D stencil 'bogus'"):
+        solve_forward(u, coeffs, grid, 2, scheme=scheme, stencil2d="bogus")
+    if scheme == "explicit":
+        with pytest.raises(ValueError, match="unknown 2D stencil 'bogus'"):
+            step_explicit(u, coeffs, grid, "bogus")
 
 
 def test_two_component_null_dynamics():

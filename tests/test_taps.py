@@ -35,7 +35,7 @@ def _case(seed, bc, with_b):
     return rng, grid, EllipticCoefficients(rng.uniform(0.0, 1.0, n), B)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(seed=SEEDS, bc=BCS, batch=st.integers(1, 3))
 def test_ghost_fill_pads_and_scatter_is_its_adjoint(seed, bc, batch):
     rng = np.random.default_rng(seed)
@@ -52,7 +52,7 @@ def test_ghost_fill_pads_and_scatter_is_its_adjoint(seed, bc, batch):
     assert abs(lhs - rhs) <= 2 * v.size * EPS * float(np.vdot(np.abs(filled), np.abs(v)))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(seed=SEEDS, bc=BCS, with_b=st.booleans())
 def test_taps_step_equals_divergence_form(seed, bc, with_b):
     rng, grid, coeffs = _case(seed, bc, with_b)
@@ -66,7 +66,7 @@ def test_taps_step_equals_divergence_form(seed, bc, with_b):
     assert float(np.max(np.abs(taps_step - divergence_form))) <= tol
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(seed=SEEDS, bc=BCS, with_b=st.booleans(), n_steps=st.integers(1, 6))
 def test_block_and_solver_share_one_kernel(seed, bc, with_b, n_steps):
     rng, grid, coeffs = _case(seed, bc, with_b)
@@ -78,7 +78,7 @@ def test_block_and_solver_share_one_kernel(seed, bc, with_b, n_steps):
     assert float(np.max(np.abs(x - solve_forward(u, coeffs, grid, n_steps).final()))) == 0.0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(seed=SEEDS, bc=BCS)
 def test_dense_band_columns_are_unit_vector_steps(seed, bc):
     rng, grid, coeffs = _case(seed, bc, False)
@@ -100,7 +100,7 @@ def test_dense_band_columns_are_unit_vector_steps(seed, bc):
                                    - stencil_offset, rtol=0, atol=4 * EPS * g * np.max(np.abs(L)))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(seed=SEEDS, bc=BCS)
 def test_implicit_residual_over_random_coefficients(seed, bc):
     rng = np.random.default_rng(seed)

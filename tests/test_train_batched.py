@@ -50,14 +50,14 @@ def _assert_mean_of_per_sample(model, theta, samples, loss):
     _assert_close(batch_gradient(model, theta, samples, loss), per_sample, 1e-12)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=SEEDS, n_samples=st.integers(1, 6), nu=st.sampled_from([0.0, 0.05]))
 def test_dense_batch_gradient_is_mean_of_per_sample(seed, n_samples, nu):
     model, theta, samples = _dense_case(seed, n_samples)
     _assert_mean_of_per_sample(model, theta, samples, LossSpec(nu=nu))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(seed=SEEDS, n_samples=st.integers(1, 6), bc=BCS, reaction=REACTIONS)
 def test_diffusion_batch_gradient_is_mean_of_per_sample(seed, n_samples, bc, reaction):
     model, theta, samples = _diffusion_case(seed, n_samples, bc, reaction)
@@ -75,19 +75,19 @@ def _assert_jacobian_rows_match_fd(model, theta, samples):
         np.testing.assert_allclose(J[row], fd, rtol=1e-5, atol=1e-8)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(seed=SEEDS, n_samples=st.integers(1, 3))
 def test_dense_jacobian_rows_match_fd(seed, n_samples):
     _assert_jacobian_rows_match_fd(*_dense_case(seed, n_samples))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(seed=SEEDS, n_samples=st.integers(1, 3), bc=BCS, reaction=REACTIONS)
 def test_diffusion_jacobian_rows_match_fd(seed, n_samples, bc, reaction):
     _assert_jacobian_rows_match_fd(*_diffusion_case(seed, n_samples, bc, reaction))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=SEEDS, n_samples=st.integers(1, 5), bc=BCS, n_steps=st.integers(1, 8),
        reaction=REACTIONS)
 def test_batched_diffusion_rows_equal_solver_exactly(seed, n_samples, bc, n_steps, reaction):
@@ -113,7 +113,7 @@ def _matrix(data, shape):
                                        max_size=int(np.prod(shape))))).reshape(shape)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(data=st.data(), kind=st.sampled_from(["none", "fisher", "sigmoid", "linear"]),
        rate=st.floats(-50.0, 50.0), n_samples=st.integers(1, 5),
        n_in=st.integers(1, 3), n_out=st.integers(1, 4))

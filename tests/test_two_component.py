@@ -49,7 +49,7 @@ def _case(seed, n, bc):
     return grid, U, V, Du, Dv, rxn
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(seed=SEEDS, n=st.integers(3, 12), bc=BCS)
 def test_step_matches_nine_tap_reference(seed, n, bc):
     grid, U, V, Du, Dv, rxn = _case(seed, n, bc)
@@ -59,7 +59,7 @@ def test_step_matches_nine_tap_reference(seed, n, bc):
     assert np.max(np.abs(V2 - V_ref)) <= _tolerance(V, U, Dv, lambda V, U: rxn.g(U, V), grid)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(seed=SEEDS, n=st.integers(3, 12), bc=BCS)
 def test_ghost_fill_equals_grid_pad_per_channel(seed, n, bc):
     X = np.random.default_rng(seed).standard_normal((2, n, n))
@@ -70,7 +70,7 @@ def test_ghost_fill_equals_grid_pad_per_channel(seed, n, bc):
         np.testing.assert_array_equal(P[c], pad(X[c], bc, 1))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=SEEDS, n=st.integers(3, 12), bc=BCS, n_steps=st.integers(1, 6))
 def test_solve_equals_chained_steps_bit_for_bit(seed, n, bc, n_steps):
     grid, U, V, Du, Dv, rxn = _case(seed, n, bc)
