@@ -19,12 +19,14 @@ whose bands are read off the same taps, diag = 1 - centre and off-diagonals
 -side. The matrix is fixed for a whole solve, so it is factored once by
 odd-even cyclic reduction (Hockney 1965): each level keeps the odd rows,
 storing the inverted pivots of the even rows it eliminates and the
-multipliers that fold them into their odd neighbours. Every step then
-applies the factor in log2(n) vectorised passes down and log2(n) back up.
-A periodic grid adds a Sherman-Morrison rank-1 correction whose vector and
-denominator are part of the factor. There is no pivoting, as in the Thomas
-algorithm; I - k O_L is column diagonally dominant for A >= 0. A pivot
-below 1e-300 in magnitude raises ValueError while factoring.
+multipliers that fold them into their odd neighbours, down to a system of
+at most _TAIL rows that is stored as its dense inverse. Every step runs the
+stored levels down, one product with the tail inverse and the levels back
+up. A periodic grid adds a Sherman-Morrison rank-1 correction whose vector
+and denominator are part of the factor. There is no pivoting, as in the
+Thomas algorithm; I - k O_L is column diagonally dominant for A >= 0. Any
+pivot below 1e-300 in magnitude, the tail's included, or a periodic
+denominator that is rounding noise on zero raises ValueError while factoring.
 The reaction C is always evaluated on the pre-update slice (IMEX splitting
 for the implicit scheme): diffusion and convection first, nonlinearity on the
 old slice within the same step.
@@ -65,6 +67,8 @@ from .stencil import (EllipticCoefficients, _correlate_2d, _step_taps, _tap_step
 # A step is declared divergent when max|u| exceeds this factor times the
 # initial scale, long before float64 overflow turns values non-finite.
 DIVERGENCE_FACTOR = 1e12
+# cyclic reduction hands a reduced system of at most this many rows to one dense inverse
+_TAIL = 64
 
 
 class DivergenceError(ArithmeticError):
@@ -116,11 +120,14 @@ class _TridiagonalFactor:
 
     Each level keeps the odd rows: it inverts the even rows' pivots and stores
     the multipliers that eliminate them from their odd neighbours, so the
-    reduced system is again tridiagonal and half the size. solve(rhs) then
-    runs log2(n) vectorised passes down and log2(n) back up. ``corner`` =
-    (beta, alpha) adds the periodic wrap entries (row 0 times x_{n-1}, row
-    n-1 times x_0) as a Sherman-Morrison rank-1 correction whose vector z
-    and denominator are computed here, once.
+    reduced system is again tridiagonal and half the size. Levels are stored
+    down to the first system of at most _TAIL rows, kept as its dense inverse
+    (and still reduced, so every pivot is checked). solve(rhs) runs the
+    stored levels down, tinv @ d and back up: O(n) work, the tail being
+    fixed. ``corner`` = (beta, alpha) adds the periodic wrap entries (row 0
+    times x_{n-1}, row n-1 times x_0) as a Sherman-Morrison rank-1 correction
+    whose vector z and denominator are computed here, once; a denominator
+    that is rounding noise on an exact zero raises ValueError.
     """
 
     def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
@@ -128,16 +135,21 @@ class _TridiagonalFactor:
         a = np.array(sub, dtype=float)
         b = np.array(diag, dtype=float)
         c = np.array(sup, dtype=float)
+        if b.ndim != 1 or not b.size or a.shape != b.shape or c.shape != b.shape:
+            raise ValueError(f"sub, diag and sup must be 1D, non-empty and of one length, "
+                             f"got shapes {a.shape}, {b.shape} and {c.shape}")
         a[:1] = 0.0
         c[-1:] = 0.0
-        n = b.size
+        self.n = n = b.size
         if corner is not None:
             beta, alpha = corner
             gamma = -b[0]
             b[0] -= gamma
             b[-1] -= alpha * beta / gamma
-        self.levels = []
+        self.levels, tail = [], None
         while b.size:
+            if tail is None and b.size <= _TAIL:
+                tail = np.diag(b) + np.diag(a[1:], -1) + np.diag(c[:-1], 1)
             # the even rows' pivots are inverted: these are the pivots checked
             piv = b[0::2]
             if np.any(np.abs(piv) < 1e-300):
@@ -153,15 +165,21 @@ class _TridiagonalFactor:
             b_next[:q] += right * ae[1:]
             c_next = np.zeros(o)
             c_next[:q] = right * ce[1:]
-            self.levels.append((inv, ae * inv, ce * inv, left, right))
+            if tail is None:
+                self.levels.append((inv, ae * inv, ce * inv, left, right))
             a, b, c = left * ae[:o], b_next, c_next
+        self.tinv = np.linalg.inv(tail)
         self.wrap = None
         if corner is not None:
             rank1 = np.zeros(n)
             rank1[0], rank1[-1] = gamma, alpha
             z = self._reduce(rank1)
             ratio = beta / gamma
-            self.wrap = (z, ratio, 1.0 + z[0] + ratio * z[-1])
+            z0, z1 = z[0], ratio * z[-1]
+            denom = 1.0 + z0 + z1
+            if abs(denom) <= 16 * np.finfo(float).eps * (1.0 + abs(z0) + abs(z1)):
+                raise ValueError("singular tridiagonal system (periodic wrap)")
+            self.wrap = (z, ratio, denom)
 
     def _reduce(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the factored (non-periodic) system for one right-hand side."""
@@ -172,7 +190,7 @@ class _TridiagonalFactor:
             evens.append(de)
             d = d[1::2] + left * de[:left.size]
             d[:right.size] += right * de[1:]
-        x = d
+        x = self.tinv @ d
         for (inv, ae, ce, _, _), de in zip(reversed(self.levels), reversed(evens)):
             xe = de * inv
             xe[1:] -= ae[1:] * x[:inv.size - 1]
@@ -185,7 +203,10 @@ class _TridiagonalFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with M x = rhs; a fresh array, rhs is not written."""
-        y = self._reduce(np.asarray(rhs, dtype=float))
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (self.n,):
+            raise ValueError(f"rhs has shape {rhs.shape}; the system has {self.n} rows")
+        y = self._reduce(rhs)
         if self.wrap is not None:
             z, ratio, denom = self.wrap
             y -= z * ((y[0] + ratio * y[-1]) / denom)
@@ -197,13 +218,15 @@ def thomas_solve(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
     """Solve the tridiagonal system (sub, diag, sup) x = rhs.
 
     sub[j] multiplies x_{j-1} in row j (sub[0] unused); sup[j] multiplies
-    x_{j+1} (sup[-1] unused). The solve is the factor-once odd-even cyclic
-    reduction the implicit scheme uses (_TridiagonalFactor): O(n) work in
-    log2(n) vectorised levels, no pivoting, so it suits diagonally dominant
-    systems as the Thomas algorithm does. Raises ValueError on a vanishing
-    pivot (magnitude below 1e-300). The pivots checked are the diagonal
-    entries, as reduced so far, of the rows each level eliminates; every row
-    is eliminated at exactly one level, so every row's pivot is checked.
+    x_{j+1} (sup[-1] unused); bands and rhs of unequal lengths raise
+    ValueError. The solve is the factor-once odd-even cyclic reduction the
+    implicit scheme uses (_TridiagonalFactor): O(n) work in vectorised levels
+    over one dense inverse of at most _TAIL rows, no pivoting, so it suits
+    diagonally dominant systems as the Thomas algorithm does. Raises
+    ValueError on a vanishing pivot (magnitude below 1e-300). The pivots
+    checked are the diagonal entries, as reduced so far, of the rows each
+    level eliminates; every row, the tail's included, is eliminated at
+    exactly one level, so every row's pivot is checked.
     """
     return _TridiagonalFactor(sub, diag, sup).solve(rhs)
 
@@ -314,11 +337,12 @@ def step_implicit(field: np.ndarray, coeffs: EllipticCoefficients,
     """One backward-Euler diffusion step (1D); reaction is evaluated explicitly.
 
     The convenience path: each call validates and factors the matrix again,
-    several times the cost of one step of solve_forward(..., scheme="implicit"),
-    which factors once and is the path for chained steps. Both run the same
-    factor and apply, so n chained calls equal an n-step implicit solve bit
-    for bit; substituting the output back into the implicit recurrence
-    recovers the right-hand side within 1e-10.
+    reduction and tail inverse included, five to ten times the cost of one
+    step of solve_forward(..., scheme="implicit"), which factors once and is
+    the path for chained steps. Both run the same factor and apply, so n
+    chained calls equal an n-step implicit solve bit for bit; substituting
+    the output back into the implicit recurrence recovers the right-hand
+    side within 1e-10.
     """
     return _step_once(field, coeffs, grid, "implicit")
 

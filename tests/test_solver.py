@@ -8,7 +8,7 @@ from scipy.linalg import solve_banded
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
 from npde.reactions import (TwoComponentReaction, fisher, gray_scott, linear, no_reaction,
                             sigmoid_reaction)
-from npde.solver import (CflReport, DivergenceError, _TridiagonalFactor, cfl_check,
+from npde.solver import (_TAIL, CflReport, DivergenceError, _TridiagonalFactor, cfl_check,
                          discrete_residual, solve_forward, solve_two_component,
                          step_explicit, step_implicit, step_two_component,
                          thomas_solve)
@@ -77,6 +77,47 @@ def test_singular_tridiagonal_reported():
         step_implicit(np.ones(3), EllipticCoefficients(A), grid)
 
 
+@pytest.mark.parametrize("n", [8, 10, 64, 400])
+def test_singular_periodic_implicit_reported(n):
+    # A = -1/(4r) on an even periodic grid: the matrix is exactly singular and the
+    # Sherman-Morrison denominator is rounding noise (1e-16) on an exact 0
+    grid = make_grid(n, 1.0, 1.0, periodic())
+    coeffs = EllipticCoefficients(np.full(n, -0.25))
+    with pytest.raises(ValueError, match="singular"):
+        step_implicit(np.ones(n), coeffs, grid)
+    with pytest.raises(ValueError, match="singular"):
+        solve_forward(np.ones(n), coeffs, grid, 3, scheme="implicit")
+
+
+@pytest.mark.parametrize("n", [_TAIL + 1, 2 * _TAIL + 1, 4 * _TAIL + 1, 600])
+def test_zero_pivot_below_the_tail_cut_reported(n):
+    # the row that is index 0 of the first reduced system of at most _TAIL rows is
+    # eliminated only below the cut; decoupled with a zero diagonal, its pivot is 0
+    row, m = 0, n
+    while m > _TAIL:
+        row, m = 2 * row + 1, m // 2
+    rng = np.random.default_rng(n)
+    sub, sup = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    diag = 3.0 + rng.uniform(0.0, 1.0, n)
+    sub[row] = sup[row] = diag[row] = 0.0
+    with pytest.raises(ValueError, match="singular"):
+        _TridiagonalFactor(sub, diag, sup)
+
+
+@pytest.mark.parametrize("bands,rhs", [
+    ((np.zeros(4), np.ones(4), np.zeros(4)), np.ones(3)),
+    ((np.zeros(4), np.ones(4), np.zeros(4)), np.ones(5)),
+    ((np.zeros(4), np.ones(4), np.zeros(4)), np.ones((4, 1))),
+    ((np.zeros(3), np.ones(4), np.zeros(4)), np.ones(4)),
+    ((np.zeros(4), np.ones(4), np.zeros(5)), np.ones(4)),
+    ((np.zeros((2, 2)), np.ones((2, 2)), np.zeros((2, 2))), np.ones(4)),
+    ((np.zeros(0), np.ones(0), np.zeros(0)), np.ones(0)),
+])
+def test_mismatched_band_lengths_rejected(bands, rhs):
+    with pytest.raises(ValueError, match="of one length|the system has 4 rows"):
+        thomas_solve(*bands, rhs)
+
+
 def test_thomas_against_scipy_banded():
     rng = np.random.default_rng(9)
     n = 40
@@ -111,9 +152,12 @@ def test_periodic_implicit_matches_dense_solve():
                                np.linalg.solve(M, u), rtol=1e-11, atol=1e-12)
 
 
-# n = 1, 2, 3, every size up to 70, and 2**k - 1, 2**k, 2**k + 1 among them
-SIZES = st.one_of(st.sampled_from([1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]),
-                  st.integers(1, 70))
+# n = 1, 2, 3, every size up to 600, 2**k - 1, 2**k, 2**k + 1 among them, and sizes
+# either side of the tail cut with one, two and three levels stored above it
+SIZES = st.one_of(st.sampled_from([1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,
+                                   _TAIL - 1, _TAIL, _TAIL + 1, 2 * _TAIL - 1, 2 * _TAIL + 1,
+                                   4 * _TAIL - 1, 4 * _TAIL + 1]),
+                  st.integers(1, 600))
 SEEDS = st.integers(0, 2**32 - 1)
 BCS = st.sampled_from([periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(-1.3)])
 
@@ -138,7 +182,7 @@ def test_cyclic_reduction_matches_dense_solve(n, seed):
 
 
 @settings(max_examples=80)
-@given(n=st.integers(3, 70), seed=SEEDS)
+@given(n=SIZES.filter(lambda n: n >= 3), seed=SEEDS)
 def test_periodic_implicit_matches_dense_cyclic_solve(n, seed):
     rng = np.random.default_rng(seed)
     grid = make_grid(n, float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.001, 1.0)), periodic())
