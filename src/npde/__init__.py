@@ -8,15 +8,14 @@ from .reactions import (ReactionSpec, TwoComponentReaction, fisher, gray_scott,
 from .stencil import (EllipticCoefficients, apply_stencil, elliptic_apply,
                       laplacian_1d, laplacian_2d_5pt, laplacian_2d_9pt)
 from .solver import (CflReport, DivergenceError, Trajectory, cfl_check,
-                     discrete_residual, solve_forward, solve_two_component,
-                     step_explicit, step_implicit, step_two_component,
-                     thomas_solve)
+                     solve_forward, solve_two_component, step_explicit,
+                     step_implicit, step_two_component, thomas_solve)
 from .blocks import (Conv1DBlock, Conv2DBlock, DenseBlock, RBMEnergy, RNNCell,
                      gen_conv1d, gen_conv2d, gen_dense, gen_rbm, gen_rnn_cell,
                      rbm_energy, rbm_free_energy, residual_step, rnn_forward)
 from .optim import (AdamState, LBFGSState, LossSpec, ThetaVector, adam_step,
                     gauss_newton_step, grad_fd, lbfgs_direction, lbfgs_update,
-                    newton_pinv_step, pde_constrained_loss, sgd_step)
+                    newton_pinv_step, sgd_step)
 from .train import (Dataset, DenseLayer, DiffusionLayer, OptimizerConfig,
                     Pipeline, TrainReport, batch_gradient, batch_loss,
                     train_supervised)

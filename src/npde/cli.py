@@ -377,10 +377,6 @@ def cmd_train(cfg: _Section, args) -> int:
     loss_cfg = cfg.value("loss", _object, {})
     target_loss = loss_cfg.value("target_loss", float)
     loss = LossSpec(nu=loss_cfg.value("nu", float, 0.0))
-    for key in "beta", "lambda":
-        # training minimizes the L2-with-decay loss only; the penalty weights would do nothing
-        if loss_cfg.value(key, float, 0.0) != 0.0:
-            raise ConfigError(f"loss.{key} is not used by training; remove it or set it to 0")
     max_epochs = t.value("max_epochs", _integer)
     opt = _parse_optimizer(cfg)
     seed = _read_seed(cfg.value("run", _object, {}), args)

@@ -134,6 +134,11 @@ def save_field_csv(path, values: np.ndarray) -> None:
 
 
 def load_field_csv(path) -> np.ndarray:
+    """The table save_field_csv wrote, one array row per line.
+
+    A one-row file reads back 1D: a saved (1, n) table loads as shape (n,),
+    because the header-less format cannot tell the two apart.
+    """
     rows = [[float(x) for x in line.split(",")]
             for line in Path(path).read_text().splitlines() if line]
     arr = np.asarray(rows, dtype=float)

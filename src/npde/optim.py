@@ -94,36 +94,13 @@ def _as_theta(theta) -> ThetaVector:
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Loss family and its weights: l2_decay(nu) or pde_constrained(lam)."""
+    """The L2 loss with weight decay: mean squared error plus (nu/2) ||theta||^2."""
 
-    kind: str = "l2_decay"
     nu: float = 0.0
-    lam: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("l2_decay", "pde_constrained"):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-        for name in ("nu", "lam"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-
-def pde_constrained_loss(u: np.ndarray, u_hat: np.ndarray, theta,
-                         beta: float, residual: np.ndarray, lam: float) -> float:
-    """Penalty form of the constrained objective.
-
-    0.5 ||u - u_hat||^2 + (beta/2) ||theta||^2 + (lam/2) ||residual||^2, with
-    the residual being the discrete u_t - O_L u evaluated on the trajectory
-    (discretize-then-optimize).
-    """
-    u = np.ravel(np.asarray(u, dtype=float))
-    u_hat = np.ravel(np.asarray(u_hat, dtype=float))
-    if u.shape != u_hat.shape:
-        raise ValueError("u and u_hat shapes differ")
-    th = _as_theta(theta).values
-    r = np.ravel(np.asarray(residual, dtype=float))
-    d = u - u_hat
-    return 0.5 * float(d @ d) + 0.5 * beta * float(th @ th) + 0.5 * lam * float(r @ r)
+        if self.nu < 0:
+            raise ValueError("nu must be >= 0")
 
 
 def sgd_step(theta, g: np.ndarray, eta: float) -> ThetaVector:

@@ -8,8 +8,9 @@ Explicit (forward Euler) step, with r = k/h**2:
 In 1D these per-node taps are stencil._step_taps, gen_conv1d's kernels, so
 solver, block and DiffusionLayer steps agree bit for bit; they round a few
 ulps per step apart from u + k * elliptic_apply(u), the divergence form.
-A 2D step is that divergence form bit for bit; a 2D solve pads A once and
-owns one ghost buffer, as a 1D solve builds its taps and buffer once.
+A 2D step runs stencil._laplacian_2d on A*u in a buffer the solve
+allocates once; diffusion_term runs the same sequence, so the step is
+u + k * elliptic_apply(u) bit for bit.
 
 Implicit (backward Euler) step solves the tridiagonal system
 
@@ -37,13 +38,12 @@ transverse Laplacian:
     U' = U + k (Du lap U + f(U, V)),  V' = V + k (Dv lap V + g(U, V)).
 
 U and V are stacked into one (2, n, n) state that a solve advances in place,
-reusing one padded buffer and one scratch buffer for every step. The 9-point
-stencil is separable, outer([1/2, 1, 1/2], [1/2, 1, 1/2]) minus 4 times the
-centre, so the Laplacian is one 3-tap pass along x, one along y and a
-subtraction; its rounding differs from the 9-tap sum by a few ulps. The
-kinetics fill one stacked (2, n, n) buffer through the reaction's fused
-evaluator (gray_scott's computes U V^2 once), or by copying f and g when it
-has none, with the same bits; one multiply then scales both channels by k.
+reusing one padded buffer and one scratch buffer for every step. Both
+channels ride along one separable 9-point _laplacian_2d, whose rounding
+differs from the 9-tap sum by a few ulps. The kinetics fill one stacked
+(2, n, n) buffer through the reaction's fused evaluator (gray_scott's
+computes U V^2 once), or by copying f and g when it has none, with the same
+bits; one multiply then scales both channels by k.
 
 Explicit stability (cfl_check) requires a monotone 1D step, every tap >= 0
 (r A <= 1/2 and |B| h <= 2 A), and r * max(A) <= 1/4 with A >= 0 in 2D;
@@ -61,8 +61,8 @@ import numpy as np
 # pad stays part of this module's namespace (npde.solver.pad); no step here calls it
 from .grid import _GHOST_SOURCE, GridSpec, _fill_ghosts, pad, pad_coefficient  # noqa: F401
 from .reactions import TwoComponentReaction
-from .stencil import (EllipticCoefficients, _correlate_2d, _step_taps, _tap_step,
-                      elliptic_apply, stencil_2d)
+from .stencil import (EllipticCoefficients, _laplacian_2d, _step_taps, _tap_step,
+                      stencil_2d)
 
 # A step is declared divergent when max|u| exceeds this factor times the
 # initial scale, long before float64 overflow turns values non-finite.
@@ -77,6 +77,23 @@ class DivergenceError(ArithmeticError):
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
         self.step = step
+
+
+def _divergence_check(u0: np.ndarray, label: str):
+    """check(u, step), raising DivergenceError for a non-finite u or one
+    beyond DIVERGENCE_FACTOR * (1 + max|u0|), the rule of every solve."""
+    bound = DIVERGENCE_FACTOR * (1.0 + float(max(u0.max(), -u0.min())))
+
+    def check(u: np.ndarray, step: int) -> None:
+        # max|u| catches NaN, inf and runaway growth: a NaN makes both
+        # reductions NaN, and NaN fails every <=
+        biggest = float(max(u.max(), -u.min()))
+        if not biggest <= bound:
+            what = (f"magnitude {biggest:.3e} exceeded {bound:.3e}"
+                    if np.isfinite(biggest) else "non-finite values")
+            raise DivergenceError(f"{label} step {step} produced {what}", step=step)
+
+    return check
 
 
 @dataclass(frozen=True)
@@ -284,10 +301,11 @@ def _stepper(coeffs: EllipticCoefficients, grid: GridSpec, scheme: str,
              stencil2d: str = "5pt"):
     """Validate a solve once and return the step u -> u' each of its steps applies.
 
-    Explicit 2D pads A once and refills one ghost buffer per step, running
-    elliptic_apply's sequence, so a step equals u + k * elliptic_apply(u).
+    Explicit 2D pads A once; each step refills one ghost buffer, scales it
+    by A in place and runs elliptic_apply's sequence, so it equals
+    u + k * elliptic_apply(u).
     """
-    s = stencil_2d(stencil2d)    # a misspelt name is refused on every grid
+    stencil_2d(stencil2d)    # a misspelt name is refused on every grid
     if scheme == "implicit":
         return _implicit_stepper(coeffs, grid)
     if scheme != "explicit":
@@ -297,12 +315,14 @@ def _stepper(coeffs: EllipticCoefficients, grid: GridSpec, scheme: str,
     if grid.ndim == 1:
         taps = _step_taps(coeffs.A, coeffs.B, grid)
         return lambda u: _tap_step(taps, u, grid, coeffs.C, P)
-    Ap = pad_coefficient(coeffs.A, grid.bc, 1)
+    A, Ap = coeffs.A, pad_coefficient(coeffs.A, grid.bc, 1)
+    lap = _laplacian_2d(P, np.zeros(P.size), stencil2d)
     reaction, k, h2 = coeffs.C, grid.k, grid.h**2
 
     def step(u: np.ndarray) -> np.ndarray:
         P[1:-1, 1:-1] = u
-        out = _correlate_2d(Ap * _fill_ghosts(P, grid.bc), s) / h2
+        np.multiply(Ap, _fill_ghosts(P, grid.bc), out=P)
+        out = lap(A * u) / h2
         if reaction.kind != "none":
             out += reaction(u)
         return u + k * out
@@ -327,7 +347,8 @@ def step_explicit(field: np.ndarray, coeffs: EllipticCoefficients,
                   grid: GridSpec, stencil2d: str = "5pt") -> np.ndarray:
     """One forward-Euler step u + k * O_L(u); raises on non-finite output.
 
-    1D applies the step taps (gen_conv1d's kernels), 2D the divergence form.
+    1D applies the step taps (gen_conv1d's kernels), 2D the separable
+    Laplacian of A*u, which is u + k * elliptic_apply(u) bit for bit.
     """
     return _step_once(field, coeffs, grid, "explicit", stencil2d)
 
@@ -351,9 +372,9 @@ class _TwoComponentStepper:
     """The stacked state W = [U, V] of one solve, stepped in place.
 
     The padded buffer P, the scratch S and the kinetics' plane are allocated
-    once per solve. Each 3-tap pass of the separable Laplacian is a contiguous shifted
-    add over the flattened P; its results in ghost cells are discarded. The
-    reaction then fills the head of P as a (2, n, n) region.
+    once per solve. The 9-point _laplacian_2d runs over P with both channels
+    riding along and writes into T, the head of S. The reaction then fills
+    the head of P as a (2, n, n) region.
     """
 
     def __init__(self, U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
@@ -365,23 +386,18 @@ class _TwoComponentStepper:
         if U0.shape != grid.shape or V0.shape != grid.shape:
             raise ValueError("U and V must both be shaped to the grid")
         self.W = np.stack([U0, V0])
-        scale0 = float(np.max(np.abs(self.W)))
-        if not np.isfinite(scale0):
+        if not np.all(np.isfinite(self.W)):
             raise ValueError("U and V must be finite")
-        self.bound = DIVERGENCE_FACTOR * (1.0 + scale0)
+        self.check = _divergence_check(self.W, "two-component")
         self.grid = grid
         # k * D / h**2 per channel
         self.scale = (grid.k / grid.h**2) * np.array([Du, Dv], dtype=float).reshape(2, 1, 1)
         m = grid.n_points + 2
-        self.P = np.empty((2, m, m))
-        # zeroed: S[0] and S[-1] are read (into discarded cells) before any write
-        self.S = np.zeros(2 * m * m)
-        self.plane = np.empty(grid.shape)
-        # the views every step reuses; a pass is (left, right, centre, out)
-        p, S, W = self.P.reshape(-1), self.S, self.W
+        self.P, S = np.empty((2, m, m)), np.zeros(2 * m * m)
+        self.lap, self.plane = _laplacian_2d(self.P, S, "9pt"), np.empty(grid.shape)
+        # the views every step reuses
+        W, p = self.W, self.P.reshape(-1)
         self.interior, self.channels = self.P[:, 1:-1, 1:-1], (W[0], W[1])
-        self.passes = ((p[:-2], p[2:], p[1:-1], S[1:-1]),
-                       (S[:-2 * m], S[2 * m:], S[m:-m], p[m:-m]))
         self.T, self.reaction = S[:W.size].reshape(W.shape), p[:W.size].reshape(W.shape)
 
     def step(self, rxn: TwoComponentReaction, step: int) -> None:
@@ -389,27 +405,14 @@ class _TwoComponentStepper:
         W, T, reaction = self.W, self.T, self.reaction
         self.interior[...] = W
         _fill_ghosts(self.P, self.grid.bc)
-        # out[t] = left[t]/2 + centre[t] + right[t]/2: the x pass runs along the
-        # flattened P into S, the y pass one padded row (m cells) apart back into P
-        for left, right, centre, out in self.passes:
-            np.add(left, right, out=out)
-            out *= 0.5
-            out += centre
-        # T = k D/h**2 * (P interior - 4 W) + k [f, g], in the now free S and P
-        np.multiply(W, -4.0, out=T)
-        T += self.interior
+        # T = k D/h**2 * lap W + k [f, g], in the now free S and P
+        self.lap(W, T)
         T *= self.scale
         rxn._fill(*self.channels, reaction, self.plane)
         reaction *= self.grid.k
         T += reaction
         W += T
-        # max|W| catches NaN, inf and runaway growth: a NaN makes both reductions
-        # NaN, and NaN fails every <=
-        biggest = float(max(W.max(), -W.min()))
-        if not biggest <= self.bound:
-            what = (f"magnitude {biggest:.3e} exceeded {self.bound:.3e}"
-                    if np.isfinite(biggest) else "non-finite values")
-            raise DivergenceError(f"two-component step {step} produced {what}", step=step)
+        self.check(W, step)
 
 
 def step_two_component(U: np.ndarray, V: np.ndarray, Du: float, Dv: float,
@@ -440,16 +443,11 @@ def solve_forward(initial: np.ndarray, coeffs: EllipticCoefficients,
     if u.shape != grid.shape:
         raise ValueError(f"initial shape {u.shape} does not match grid {grid.shape}")
     advance = _stepper(coeffs, grid, scheme, stencil2d)
-    bound = DIVERGENCE_FACTOR * (1.0 + float(np.max(np.abs(u))))
+    check = _divergence_check(u, scheme)
     slices = [u]
     for step in range(1, n_steps + 1):
         u = advance(u)
-        # one reduction catches NaN, inf and runaway growth: NaN fails every <=
-        biggest = float(np.abs(u).max())
-        if not biggest <= bound:
-            what = (f"magnitude {biggest:.3e} exceeded {bound:.3e}"
-                    if np.isfinite(biggest) else "non-finite values")
-            raise DivergenceError(f"{scheme} step {step} produced {what}", step=step)
+        check(u, step)
         slices.append(u)
     return Trajectory(grid, slices)
 
@@ -474,15 +472,3 @@ def solve_two_component(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
             frames.append(stepper.W[1].copy())
     return stepper.W[0], stepper.W[1], frames
 
-
-def discrete_residual(traj: Trajectory, coeffs: EllipticCoefficients,
-                      grid: GridSpec, stencil2d: str = "5pt") -> np.ndarray:
-    """Per-step residual (u^{n+1} - u^n)/k - O_L u^n over a trajectory.
-
-    Zero (to rounding) for trajectories produced by the explicit scheme; the
-    penalty form of the constrained objective consumes this flattened.
-    """
-    res = []
-    for prev, nxt in zip(traj.slices[:-1], traj.slices[1:]):
-        res.append((nxt - prev) / grid.k - elliptic_apply(prev, coeffs, grid, stencil2d))
-    return np.asarray(res)

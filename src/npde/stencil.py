@@ -28,9 +28,10 @@ The 1D explicit step has one definition: _step_taps builds its per-node
 taps once, and _tap_step pads into a buffer and applies them. The solver,
 gen_conv1d's blocks, the DiffusionLayer, the RBM/RNN matrices (_band_matrix)
 and the implicit bands all read those taps. elliptic_apply keeps the
-divergence form, (1/h**2) stencil(A*u), whose sequence a 2D step runs; it
-evaluates residuals and is the independent reference for the taps, which
-differ from it by a few ulps of rounding.
+divergence form, (1/h**2) stencil(A*u); in 1D it is the independent
+reference for the taps, which differ from it by a few ulps of rounding.
+Every 2D step, diffusion_term's included, runs one separable Laplacian,
+_laplacian_2d; the general 3x3 correlation serves arbitrary kernels only.
 """
 
 from __future__ import annotations
@@ -154,6 +155,51 @@ def _correlate_2d(padded: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _laplacian_2d(P: np.ndarray, S: np.ndarray, stencil2d: str = "5pt"):
+    """The package's one 2D Laplacian (unscaled) over the padded, C-contiguous P.
+
+    The caller fills P's ghost cells before each call; leading axes ride
+    along. S is a zeroed flat scratch of P.size cells. The passes are
+    contiguous shifted adds over the flattened buffers, sliced here once;
+    what lands in ghost cells is discarded. 9pt, outer([1/2, 1, 1/2],
+    [1/2, 1, 1/2]) - 4 delta, is a pass along x into S and one along y back
+    into P; 5pt sums the four edge neighbours into S. Returns lap(centre,
+    out=None), which runs the passes and only then writes out = -4 centre
+    + neighbours, so under 9pt out may alias S.
+    """
+    stencil_2d(stencil2d)    # refuses an unknown name
+    m, p = P.shape[-1], P.reshape(-1)
+    if stencil2d == "9pt":
+        # out[t] = left[t]/2 + centre[t] + right[t]/2; the y pass reads S one
+        # padded row (m cells) apart
+        passes = ((p[:-2], p[2:], p[1:-1], S[1:-1]),
+                  (S[:-2 * m], S[2 * m:], S[m:-m], p[m:-m]))
+        neighbours = P[..., 1:-1, 1:-1]
+
+        def run_passes():
+            for left, right, centre, out in passes:
+                np.add(left, right, out=out)
+                out *= 0.5
+                out += centre
+    else:
+        x, y = S[1:-1], S[m:-m]
+        left, right, below, above = p[:-2], p[2:], p[:-2 * m], p[2 * m:]
+        neighbours = S.reshape(P.shape)[..., 1:-1, 1:-1]
+
+        def run_passes():
+            np.add(left, right, out=x)
+            np.add(y, below, out=y)
+            np.add(y, above, out=y)
+
+    def lap(centre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        run_passes()
+        out = np.multiply(centre, -4.0, out=out)
+        out += neighbours
+        return out
+
+    return lap
+
+
 def apply_stencil(field: np.ndarray, s: np.ndarray,
                   bc: BoundaryCondition) -> np.ndarray:
     """Slide stencil ``s`` over ``field`` padded by one ghost cell per side.
@@ -211,13 +257,14 @@ def diffusion_term(u: np.ndarray, A: np.ndarray, grid: GridSpec,
                    stencil2d: str = "5pt") -> np.ndarray:
     """Second difference of the product A*u: (1/h**2) * stencil(A*u).
 
-    The divergence form, which a 2D explicit step runs; in 1D it is the
-    reference the per-node step taps are checked against.
+    The divergence form. In 2D it runs _laplacian_2d in the 2D explicit
+    step's sequence, so the two agree bit for bit; in 1D it is the reference
+    the per-node step taps are checked against.
     """
     P = pad_coefficient(A, grid.bc, 1) * pad(u, grid.bc, 1)
     if grid.ndim == 1:
         return _apply_taps(np.array([1.0, -2.0, 1.0]), P) / grid.h**2
-    return _correlate_2d(P, stencil_2d(stencil2d)) / grid.h**2
+    return _laplacian_2d(P, np.zeros(P.size), stencil2d)(A * u) / grid.h**2
 
 
 def convection_term(u: np.ndarray, B: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -164,7 +164,6 @@ class Pipeline:
             self._tensors.append(tuple(tensors))
         self.layout: tuple = tuple(layout)
         self.n_params = cursor
-        self._block_theta = None
 
     @classmethod
     def dense(cls, dims: list[int], activations: list[ReactionSpec]) -> "Pipeline":
@@ -177,16 +176,7 @@ class Pipeline:
     @classmethod
     def from_blocks(cls, blocks) -> "Pipeline":
         """Build from generated DenseBlocks (shapes and activations carry over)."""
-        layers = [DenseLayer(b.W.shape[1], b.W.shape[0], b.activation) for b in blocks]
-        pipe = cls(layers)
-        pipe._block_theta = np.concatenate(
-            [np.concatenate([b.W.ravel(), b.bias]) for b in blocks]) if blocks else np.zeros(0)
-        return pipe
-
-    def theta_from_blocks(self) -> ThetaVector:
-        if self._block_theta is None:
-            raise ValueError("pipeline was not built from blocks")
-        return ThetaVector(self._block_theta.copy(), self.layout)
+        return cls([DenseLayer(b.W.shape[1], b.W.shape[0], b.activation) for b in blocks])
 
     def init_theta(self, rng: np.random.Generator) -> ThetaVector:
         """Each tensor from its layer's init_tensor (size uniform draws), in layer order."""
@@ -361,8 +351,6 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
     (non-finite loss or loss above 1e12) stops the run and keeps the last
     finite parameters.
     """
-    if loss.kind != "l2_decay":
-        raise ValueError("train_supervised optimizes the L2-with-decay loss")
     if max_epochs < 0:
         raise ValueError("max_epochs must be >= 0")
     rng = np.random.default_rng(seed)

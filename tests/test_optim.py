@@ -4,25 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from npde.optim import (AdamState, LBFGSState, LossSpec, ThetaVector, adam_step,
                         gauss_newton_step, grad_fd, lbfgs_direction, lbfgs_update,
-                        newton_pinv_step, pde_constrained_loss, sgd_step)
+                        newton_pinv_step, sgd_step)
 
 
 # --- losses -----------------------------------------------------------------
 
-def test_pde_constrained_loss_cases():
-    assert pde_constrained_loss(np.ones(3), np.ones(3), np.zeros(2), 0.0,
-                                np.zeros(3), 1.0) == 0.0
-    assert pde_constrained_loss(np.zeros(1), np.zeros(1), np.zeros(1), 0.0,
-                                np.array([1.0]), 2.0) == pytest.approx(1.0)
-    assert pde_constrained_loss(np.zeros(1), np.zeros(1), np.array([3.0]), 1.0,
-                                np.zeros(1), 0.0) == pytest.approx(4.5)
-
-
 def test_loss_spec_validation():
     with pytest.raises(ValueError):
         LossSpec(nu=-0.1)
-    with pytest.raises(ValueError):
-        LossSpec(kind="huber")
 
 
 # --- theta vector ------------------------------------------------------------

@@ -9,9 +9,8 @@ from npde.grid import dirichlet, extend, make_grid, mirror, periodic
 from npde.reactions import (TwoComponentReaction, fisher, gray_scott, linear, no_reaction,
                             sigmoid_reaction)
 from npde.solver import (_TAIL, CflReport, DivergenceError, _TridiagonalFactor, cfl_check,
-                         discrete_residual, solve_forward, solve_two_component,
-                         step_explicit, step_implicit, step_two_component,
-                         thomas_solve)
+                         solve_forward, solve_two_component, step_explicit,
+                         step_implicit, step_two_component, thomas_solve)
 from npde.stencil import EllipticCoefficients, elliptic_apply
 
 
@@ -441,14 +440,3 @@ def test_solve_two_component_frames():
     _, _, frames = solve_two_component(U, V, 2e-5, 1e-5, gray_scott(0.04, 0.06),
                                        grid, 10, record_every=2)
     assert len(frames) == 5
-
-
-def test_discrete_residual_vanishes_on_explicit_trajectory():
-    rng = np.random.default_rng(17)
-    n = 16
-    grid = make_grid(n, 0.5, 0.05, periodic())
-    coeffs = EllipticCoefficients(rng.uniform(0.1, 1.0, n), None, fisher(0.5))
-    traj = solve_forward(rng.uniform(0.2, 0.8, n), coeffs, grid, 5)
-    res = discrete_residual(traj, coeffs, grid)
-    assert res.shape == (5, n)
-    np.testing.assert_allclose(res, 0.0, atol=1e-11)

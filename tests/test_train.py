@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
-from npde.optim import LossSpec, grad_fd
+from npde.optim import LossSpec, ThetaVector, grad_fd
 from npde.reactions import fisher, no_reaction, sigmoid_reaction
 from npde.solver import cfl_check
 from npde.stencil import EllipticCoefficients
@@ -239,16 +239,14 @@ def test_pipeline_from_blocks_round_trip():
     W2, b2 = rng.standard_normal((1, 4)), rng.standard_normal(1)
     pipe = Pipeline.from_blocks([gen_dense(W1, b1, sigmoid_reaction(1.0)),
                                  gen_dense(W2, b2, sigmoid_reaction(1.0))])
-    theta = pipe.theta_from_blocks()
+    # each block's W then b, in pipe.layout order
+    assert [name for name, _, _ in pipe.layout] == ["layer0.W", "layer0.b",
+                                                    "layer1.W", "layer1.b"]
+    theta = ThetaVector(np.concatenate([W1.ravel(), b1, W2.ravel(), b2]), pipe.layout)
     x = rng.standard_normal(2)
     z = 1.0 / (1.0 + np.exp(-(W1 @ x + b1)))
     expected = 1.0 / (1.0 + np.exp(-(W2 @ z + b2)))
     np.testing.assert_allclose(pipe.forward(theta, x), expected, atol=1e-12)
-
-
-def test_theta_from_blocks_needs_a_block_built_pipeline():
-    with pytest.raises(ValueError):
-        Pipeline.dense([2, 1], [no_reaction()]).theta_from_blocks()
 
 
 def test_init_theta_respects_fan_in_bound():
