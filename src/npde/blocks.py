@@ -130,6 +130,9 @@ class DenseBlock:
             raise ValueError("W must be a matrix")
         if b.shape != (W.shape[0],):
             raise ValueError("bias length must equal the output count")
+        if not self.activation.differentiable:
+            raise ValueError(f"activation {self.activation.kind!r} cannot be composed "
+                             "in a dense block")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "bias", b)
 

@@ -403,18 +403,14 @@ def cmd_train(cfg: _Section, args) -> int:
 
 def _save_trained_model(path: Path, model: train.Pipeline,
                         report: train.TrainReport) -> None:
-    per_layer = model.params(report.final_theta)
-    block_dicts = []
-    for layer, params in zip(model.layers, per_layer):
+    trained = []
+    for layer, params in zip(model.layers, model.params(report.final_theta)):
         if isinstance(layer, train.DenseLayer):
-            block = blocks.gen_dense(params["W"], params["b"], layer.activation)
+            trained.append(blocks.gen_dense(params["W"], params["b"], layer.activation))
         else:
             coeffs = EllipticCoefficients(params["A"], None, layer.reaction)
-            block = blocks.gen_conv1d(coeffs, layer.grid)
-        block_dicts.append(fieldio.block_to_dict(block))
-    payload = json.dumps({"kind": "pipeline", "blocks": block_dicts},
-                         sort_keys=True, separators=(",", ":")) + "\n"
-    path.write_bytes(payload.encode("ascii"))
+            trained.append(blocks.gen_conv1d(coeffs, layer.grid))
+    fieldio.save_pipeline(path, trained)
 
 
 def cmd_gen_block(cfg: _Section, args) -> int:

@@ -5,13 +5,20 @@ no header. Every number is '%.17g' % x byte for byte (fmt), so float64 values
 round-trip exactly and index columns (slice index, epoch) print as integers.
 Files are encoded in numpy and written in chunks of at most _CHUNK numbers.
 2D fields additionally export to binary 8-bit PGM (min-max normalized),
-chosen over PNG for zero-dependency bit-exact output. Blocks serialize to a
-canonical JSON layout (kind, shapes, row-major weight arrays, activation tag)
-so generate -> save -> load -> save reproduces identical bytes.
+chosen over PNG for zero-dependency bit-exact output.
+
+A block file is one JSON object written from the block's dataclass fields:
+"kind" (the _BLOCKS name); each array field under its own name in "shapes"
+(its shape) and "weights" (its row-major values); the GridSpec as "grid";
+the ReactionSpec as "activation" (kind, rate, and for a source its field and
+shape); any other field in "constants". A None field is left out. A trained
+pipeline is {"kind": "pipeline", "blocks": [block objects]}. Keys are sorted
+and nothing is spaced (_json_bytes), so save -> load -> save is the identity.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from pathlib import Path
@@ -176,16 +183,8 @@ def save_field_pgm(path, values: np.ndarray) -> None:
     Path(path).write_bytes(field_to_pgm(values))
 
 
-def _grid_to_dict(grid: GridSpec) -> dict:
-    return {"n_points": grid.n_points, "h": grid.h, "k": grid.k,
-            "ndim": grid.ndim,
-            "bc": {"kind": grid.bc.kind, "value": grid.bc.value}}
-
-
-def _grid_from_dict(d: dict) -> GridSpec:
-    return GridSpec(d["n_points"], d["h"], d["k"],
-                    BoundaryCondition(d["bc"]["kind"], d["bc"]["value"]),
-                    d["ndim"])
+_BLOCKS = {"conv1d": Conv1DBlock, "conv2d": Conv2DBlock, "dense": DenseBlock,
+           "rnn": RNNCell, "rbm": RBMEnergy}
 
 
 def _activation_to_dict(act: ReactionSpec) -> dict:
@@ -197,88 +196,62 @@ def _activation_to_dict(act: ReactionSpec) -> dict:
 
 
 def _activation_from_dict(d: dict) -> ReactionSpec:
+    src = None
     if d["kind"] == "source":
         src = np.asarray(d["source"], dtype=float).reshape(d["source_shape"])
-        return ReactionSpec("source", source=src)
-    return ReactionSpec(d["kind"], d["rate"])
+    return ReactionSpec(d["kind"], d["rate"], src)
 
 
 def block_to_dict(block) -> dict:
-    if isinstance(block, Conv1DBlock):
-        d = {"kind": "conv1d",
-             "shapes": {"kernels": list(block.kernels.shape)},
-             "weights": {"kernels": block.kernels.ravel().tolist()},
-             "activation": _activation_to_dict(block.activation),
-             "grid": _grid_to_dict(block.grid)}
-        if block.bias is not None:
-            d["shapes"]["bias"] = [block.bias.size]
-            d["weights"]["bias"] = block.bias.tolist()
-        return d
-    if isinstance(block, Conv2DBlock):
-        return {"kind": "conv2d",
-                "shapes": {"kernel": [3, 3]},
-                "weights": {"kernel": block.kernel.ravel().tolist()},
-                "activation": _activation_to_dict(block.activation),
-                "grid": _grid_to_dict(block.grid)}
-    if isinstance(block, DenseBlock):
-        return {"kind": "dense",
-                "shapes": {"W": list(block.W.shape), "bias": [block.bias.size]},
-                "weights": {"W": block.W.ravel().tolist(),
-                            "bias": block.bias.tolist()},
-                "activation": _activation_to_dict(block.activation)}
-    if isinstance(block, RNNCell):
-        n = block.n
-        return {"kind": "rnn",
-                "shapes": {"W1": [n, n], "W2": [n, n], "U": [n, n]},
-                "weights": {"W1": block.W1.ravel().tolist(),
-                            "W2": block.W2.ravel().tolist(),
-                            "U": block.U.ravel().tolist()},
-                "constants": {"Dxy": block.Dxy, "Dz": block.Dz, "v": block.v,
-                              "h": block.h, "k": block.k}}
-    if isinstance(block, RBMEnergy):
-        return {"kind": "rbm",
-                "shapes": {"W": list(block.W.shape), "b": [block.b.size],
-                           "c": [block.c.size]},
-                "weights": {"W": block.W.ravel().tolist(),
-                            "b": block.b.tolist(), "c": block.c.tolist()}}
-    raise ValueError(f"unknown block type {type(block).__name__}")
+    """The block's dataclass fields, each filed by its value's type."""
+    kind = next((k for k, cls in _BLOCKS.items() if type(block) is cls), None)
+    if kind is None:
+        raise ValueError(f"unknown block type {type(block).__name__}")
+    d = {"kind": kind, "shapes": {}, "weights": {}}
+    for f in dataclasses.fields(block):
+        value = getattr(block, f.name)
+        if isinstance(value, np.ndarray):
+            d["shapes"][f.name] = list(value.shape)
+            d["weights"][f.name] = value.ravel().tolist()
+        elif isinstance(value, GridSpec):
+            d["grid"] = dataclasses.asdict(value)
+        elif isinstance(value, ReactionSpec):
+            d["activation"] = _activation_to_dict(value)
+        elif value is not None:
+            d.setdefault("constants", {})[f.name] = value
+    return d
 
 
 def block_from_dict(d: dict):
-    kind = d["kind"]
-    if kind == "conv1d":
-        kernels = np.asarray(d["weights"]["kernels"]).reshape(d["shapes"]["kernels"])
-        bias = None
-        if "bias" in d["weights"]:
-            bias = np.asarray(d["weights"]["bias"], dtype=float)
-        return Conv1DBlock(kernels, _grid_from_dict(d["grid"]), bias,
-                           _activation_from_dict(d["activation"]))
-    if kind == "conv2d":
-        kernel = np.asarray(d["weights"]["kernel"]).reshape(3, 3)
-        return Conv2DBlock(kernel, _grid_from_dict(d["grid"]),
-                           _activation_from_dict(d["activation"]))
-    if kind == "dense":
-        W = np.asarray(d["weights"]["W"]).reshape(d["shapes"]["W"])
-        bias = np.asarray(d["weights"]["bias"], dtype=float)
-        return DenseBlock(W, bias, _activation_from_dict(d["activation"]))
-    if kind == "rnn":
-        n = d["shapes"]["W1"][0]
-        c = d["constants"]
-        return RNNCell(np.asarray(d["weights"]["W1"]).reshape(n, n),
-                       np.asarray(d["weights"]["W2"]).reshape(n, n),
-                       np.asarray(d["weights"]["U"]).reshape(n, n),
-                       c["Dxy"], c["Dz"], c["v"], c["h"], c["k"])
-    if kind == "rbm":
-        W = np.asarray(d["weights"]["W"]).reshape(d["shapes"]["W"])
-        return RBMEnergy(W, np.asarray(d["weights"]["b"], dtype=float),
-                         np.asarray(d["weights"]["c"], dtype=float))
-    raise ValueError(f"unknown block kind {kind!r}")
+    """Invert block_to_dict; the block's own __post_init__ validates the file."""
+    cls = _BLOCKS.get(d["kind"])
+    if cls is None:
+        raise ValueError(f"unknown block kind {d['kind']!r}")
+    kwargs = {name: np.asarray(w, dtype=float).reshape(d["shapes"][name])
+              for name, w in d["weights"].items()}
+    kwargs.update(d.get("constants", {}))
+    if "grid" in d:
+        g = d["grid"]
+        kwargs["grid"] = GridSpec(**{**g, "bc": BoundaryCondition(**g["bc"])})
+    if "activation" in d:
+        kwargs["activation"] = _activation_from_dict(d["activation"])
+    return cls(**kwargs)
+
+
+def _json_bytes(d: dict) -> bytes:
+    """Canonical JSON: sorted keys, no spaces, one trailing newline."""
+    return (json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
 
 
 def block_to_bytes(block) -> bytes:
     """Canonical JSON bytes: save -> load -> save is the identity."""
-    return (json.dumps(block_to_dict(block), sort_keys=True,
-                       separators=(",", ":")) + "\n").encode("ascii")
+    return _json_bytes(block_to_dict(block))
+
+
+def save_pipeline(path, blocks) -> None:
+    """A trained pipeline: {"kind": "pipeline", "blocks": [block dicts]}."""
+    Path(path).write_bytes(_json_bytes(
+        {"kind": "pipeline", "blocks": [block_to_dict(b) for b in blocks]}))
 
 
 def save_block(path, block) -> None:

@@ -81,8 +81,10 @@ class DivergenceError(ArithmeticError):
 
 def _divergence_check(u0: np.ndarray, label: str):
     """check(u, step), raising DivergenceError for a non-finite u or one
-    beyond DIVERGENCE_FACTOR * (1 + max|u0|), the rule of every solve."""
-    bound = DIVERGENCE_FACTOR * (1.0 + float(max(u0.max(), -u0.min())))
+    beyond DIVERGENCE_FACTOR * (1 + max|u0|), the rule of every solve. The
+    bound is finite even for an infinite u0, so an infinite u never passes."""
+    bound = min(DIVERGENCE_FACTOR * (1.0 + float(max(u0.max(), -u0.min()))),
+                np.finfo(float).max)
 
     def check(u: np.ndarray, step: int) -> None:
         # max|u| catches NaN, inf and runaway growth: a NaN makes both
@@ -330,42 +332,29 @@ def _stepper(coeffs: EllipticCoefficients, grid: GridSpec, scheme: str,
     return step
 
 
-def _step_once(field: np.ndarray, coeffs: EllipticCoefficients, grid: GridSpec,
-               scheme: str, stencil2d: str = "5pt") -> np.ndarray:
-    """Build a solve's step, apply it once and check the result is finite."""
-    step = _stepper(coeffs, grid, scheme, stencil2d)
-    u = np.asarray(field, dtype=float)
-    if u.shape != grid.shape:
-        raise ValueError(f"field shape {u.shape} does not match grid {grid.shape}")
-    out = step(u)
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError(f"{scheme} step produced non-finite values")
-    return out
-
-
 def step_explicit(field: np.ndarray, coeffs: EllipticCoefficients,
                   grid: GridSpec, stencil2d: str = "5pt") -> np.ndarray:
-    """One forward-Euler step u + k * O_L(u); raises on non-finite output.
+    """One forward-Euler step u + k * O_L(u): a one-step solve_forward.
 
     1D applies the step taps (gen_conv1d's kernels), 2D the separable
     Laplacian of A*u, which is u + k * elliptic_apply(u) bit for bit.
+    Divergence raises DivergenceError with step 1, as in solve_forward.
     """
-    return _step_once(field, coeffs, grid, "explicit", stencil2d)
+    return solve_forward(field, coeffs, grid, 1, "explicit", stencil2d).final()
 
 
 def step_implicit(field: np.ndarray, coeffs: EllipticCoefficients,
                   grid: GridSpec) -> np.ndarray:
-    """One backward-Euler diffusion step (1D); reaction is evaluated explicitly.
+    """One backward-Euler diffusion step (1D): a one-step implicit solve_forward.
 
-    The convenience path: each call validates and factors the matrix again,
-    reduction and tail inverse included, five to ten times the cost of one
-    step of solve_forward(..., scheme="implicit"), which factors once and is
-    the path for chained steps. Both run the same factor and apply, so n
-    chained calls equal an n-step implicit solve bit for bit; substituting
-    the output back into the implicit recurrence recovers the right-hand
-    side within 1e-10.
+    The reaction is evaluated explicitly. Each call validates and factors the
+    matrix again, reduction and tail inverse included, five to ten times the
+    cost of one step of an n-step solve, which factors once and is the path
+    for chained steps. Both run the same factor and apply, so n chained calls
+    equal an n-step implicit solve bit for bit; substituting the output back
+    into the implicit recurrence recovers the right-hand side within 1e-10.
     """
-    return _step_once(field, coeffs, grid, "implicit")
+    return solve_forward(field, coeffs, grid, 1, "implicit").final()
 
 
 class _TwoComponentStepper:

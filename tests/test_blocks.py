@@ -6,7 +6,7 @@ from npde.blocks import (Conv1DBlock, RBMEnergy, gen_conv1d, gen_conv2d,
                          gen_dense, gen_rbm, gen_rnn_cell, rbm_energy,
                          rbm_free_energy, residual_step, rnn_forward)
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
-from npde.reactions import fisher, no_reaction, sigmoid_reaction
+from npde.reactions import fisher, no_reaction, sigmoid_reaction, source
 from npde.solver import step_explicit, solve_forward
 from npde.stencil import EllipticCoefficients, apply_stencil, laplacian_2d_9pt
 
@@ -145,6 +145,12 @@ def test_dense_shape_mismatch():
     block = gen_dense(np.eye(3), np.zeros(3))
     with pytest.raises(ValueError):
         block.forward(np.zeros(4))
+
+
+def test_dense_refuses_a_source_activation():
+    # a source is additive; forward composes act(W u + b), which it cannot be
+    with pytest.raises(ValueError, match="'source' cannot be composed"):
+        gen_dense(np.eye(2), np.zeros(2), source(np.ones(2)))
 
 
 def test_residual_zero_branch_is_identity():

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from npde.blocks import gen_conv1d, gen_conv2d, gen_dense, gen_rbm, gen_rnn_cell
+from npde.blocks import (Conv1DBlock, Conv2DBlock, DenseBlock, RBMEnergy, RNNCell,
+                         gen_conv1d, gen_conv2d, gen_dense, gen_rbm, gen_rnn_cell)
 from npde.fieldio import (_CHUNK, block_from_dict, block_to_bytes, block_to_dict,
                           field_to_csv, field_to_pgm, fmt, load_block,
                           load_field_csv, save_block, save_field_csv,
-                          save_trajectory_csv)
+                          save_pipeline, save_trajectory_csv)
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
 from npde.reactions import ReactionSpec, fisher, linear, no_reaction, sigmoid_reaction
 from npde.solver import Trajectory, solve_forward
@@ -218,14 +219,15 @@ def _random_block(kind, seed):
     coeffs = EllipticCoefficients(scale * rng.uniform(0.0, 1.0, n),
                                   rng.standard_normal(n) if rng.random() < 0.5 else None, act)
     if kind == "conv1d":
+        if rng.random() < 0.25:     # a source's rate is filed although no step reads it
+            coeffs = EllipticCoefficients(coeffs.A, coeffs.B, ReactionSpec(
+                "source", float(rng.uniform(0.5, 3.0)), rng.standard_normal(n)))
         return gen_conv1d(coeffs, grid)
     if kind == "conv2d":
         grid2 = make_grid(n, grid.h, grid.k, bc, ndim=2)
         return gen_conv2d(scale * rng.standard_normal((3, 3)), grid2, act)
     if kind == "dense":
         m = int(rng.integers(1, 6))
-        if rng.random() < 0.25:
-            act = ReactionSpec("source", source=rng.standard_normal(m))
         return gen_dense(scale * rng.standard_normal((m, n)), rng.standard_normal(m), act)
     if kind == "rbm":
         return gen_rbm(EllipticCoefficients(coeffs.A), grid,
@@ -244,3 +246,62 @@ def test_random_block_bytes_stable_across_save_load_save(kind, seed, tmp_path_fa
     first = path.read_bytes()
     save_block(path, load_block(path))
     assert path.read_bytes() == first
+
+
+def _pinned_blocks():
+    """One tiny block per kind from literal arrays, with the file each saves to."""
+    grid = make_grid(3, 0.5, 0.125, dirichlet(0.25))
+    grid2 = make_grid(3, 0.5, 0.125, periodic(), ndim=2)
+    return {
+        "conv1d": (Conv1DBlock(np.array([[0.25, 0.5, 0.25], [0.5, -1.0, 0.5], [0.0, 1.0, 0.0]]),
+                               grid, np.array([1.0, -0.5, 0.0]),
+                               ReactionSpec("source", 2.0, np.array([0.5, 1.5, -2.0]))),
+                   b'{"activation":{"kind":"source","rate":2.0,"source":[0.5,1.5,-2.0],'
+                   b'"source_shape":[3]},"grid":{"bc":{"kind":"dirichlet","value":0.25},'
+                   b'"h":0.5,"k":0.125,"n_points":3,"ndim":1},"kind":"conv1d",'
+                   b'"shapes":{"bias":[3],"kernels":[3,3]},"weights":{"bias":[1.0,-0.5,0.0],'
+                   b'"kernels":[0.25,0.5,0.25,0.5,-1.0,0.5,0.0,1.0,0.0]}}\n'),
+        "conv2d": (Conv2DBlock(np.array([[0.0, 0.25, 0.0], [0.25, -1.0, 0.25], [0.0, 0.25, 0.0]]),
+                               grid2, fisher(0.75)),
+                   b'{"activation":{"kind":"fisher","rate":0.75},"grid":{"bc":{"kind":"periodic",'
+                   b'"value":0.0},"h":0.5,"k":0.125,"n_points":3,"ndim":2},"kind":"conv2d",'
+                   b'"shapes":{"kernel":[3,3]},'
+                   b'"weights":{"kernel":[0.0,0.25,0.0,0.25,-1.0,0.25,0.0,0.25,0.0]}}\n'),
+        "dense": (DenseBlock(np.array([[1.0, -2.0], [0.5, 0.25], [0.0, 3.0]]),
+                             np.array([0.125, -1.0, 2.0]), sigmoid_reaction(1.5)),
+                  b'{"activation":{"kind":"sigmoid","rate":1.5},"kind":"dense",'
+                  b'"shapes":{"W":[3,2],"bias":[3]},'
+                  b'"weights":{"W":[1.0,-2.0,0.5,0.25,0.0,3.0],"bias":[0.125,-1.0,2.0]}}\n'),
+        "rnn": (RNNCell(np.array([[0.5, 0.25], [0.25, 0.5]]),
+                        np.array([[-0.125, 0.0], [0.0, -0.125]]),
+                        np.array([[-0.25, 0.0], [0.0, -0.25]]), 0.5, 0.25, 1.5, 0.5, 0.125),
+                b'{"constants":{"Dxy":0.5,"Dz":0.25,"h":0.5,"k":0.125,"v":1.5},"kind":"rnn",'
+                b'"shapes":{"U":[2,2],"W1":[2,2],"W2":[2,2]},'
+                b'"weights":{"U":[-0.25,0.0,0.0,-0.25],"W1":[0.5,0.25,0.25,0.5],'
+                b'"W2":[-0.125,0.0,0.0,-0.125]}}\n'),
+        "rbm": (RBMEnergy(np.array([[1.0, -1.0, 0.0], [0.5, 0.0, 2.0]]), np.array([0.25, -0.5]),
+                          np.array([1.0, 0.0, -1.0])),
+                b'{"kind":"rbm","shapes":{"W":[2,3],"b":[2],"c":[3]},'
+                b'"weights":{"W":[1.0,-1.0,0.0,0.5,0.0,2.0],"b":[0.25,-0.5],"c":[1.0,0.0,-1.0]}}\n'),
+    }
+
+
+@pytest.mark.parametrize("kind", ["conv1d", "conv2d", "dense", "rnn", "rbm"])
+def test_block_file_bytes_are_pinned(kind):
+    block, expected = _pinned_blocks()[kind]
+    assert block_to_bytes(block) == expected
+    assert block_to_bytes(block_from_dict(json.loads(expected))) == expected
+
+
+def test_pipeline_file_bytes_are_pinned(tmp_path):
+    # a conv1d without a bias files no bias entry
+    pipeline = [DenseBlock(np.array([[0.5, -0.5, 1.0]]), np.array([0.25])),
+                Conv1DBlock(np.array([[0.25, 0.5, 0.25]] * 3), make_grid(3, 1.0, 0.25, mirror()))]
+    save_pipeline(tmp_path / "model.json", pipeline)
+    assert (tmp_path / "model.json").read_bytes() == (
+        b'{"blocks":[{"activation":{"kind":"none","rate":0.0},"kind":"dense",'
+        b'"shapes":{"W":[1,3],"bias":[1]},"weights":{"W":[0.5,-0.5,1.0],"bias":[0.25]}},'
+        b'{"activation":{"kind":"none","rate":0.0},"grid":{"bc":{"kind":"mirror","value":0.0},'
+        b'"h":1.0,"k":0.25,"n_points":3,"ndim":1},"kind":"conv1d","shapes":{"kernels":[3,3]},'
+        b'"weights":{"kernels":[0.25,0.5,0.25,0.25,0.5,0.25,0.25,0.5,0.25]}}],'
+        b'"kind":"pipeline"}\n')

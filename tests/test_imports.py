@@ -1,4 +1,5 @@
-"""Every name a package module imports is used, unless its line says ``# noqa: F401``.
+"""Every name a package module imports is used, unless its line says ``# noqa: F401``,
+and every private module-level definition is referenced somewhere in the package.
 
 A stdlib stand-in for pyflakes' F401 over src/npde (``__init__`` re-exports
 by design). A ``# noqa: F401`` marks a binding kept on purpose, such as the
@@ -34,3 +35,35 @@ def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [entry for path in modules for entry in _unused_imports(path)] == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level ``_name`` functions, classes and assignment targets."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in the module."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.split(".")[-1])
+    return refs
+
+
+def test_no_dead_private_definitions():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    used = set().union(*map(_references, trees.values()))
+    assert [f"{name}: {defn}" for name, tree in trees.items()
+            for defn in _private_definitions(tree) if defn not in used] == []

@@ -430,6 +430,24 @@ def test_explicit_step_reports_nonfinite():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
             step_explicit(u, coeffs, grid)
+        # an infinite input sets no infinite bound
+        u[1] = np.inf
+        with pytest.raises(DivergenceError, match="non-finite") as err:
+            solve_forward(u, EllipticCoefficients.constant(grid, 1.0), grid, 3)
+        assert err.value.step == 1
+
+
+def test_explicit_step_diverges_as_a_one_step_solve():
+    # max|u| = 2e13 is finite but beyond the solve's bound 1e12 * (1 + max|u0|)
+    grid = make_grid(8, 1.0, 1.0, periodic())
+    coeffs = EllipticCoefficients.constant(grid, 1e13)
+    u = np.zeros(8)
+    u[4] = 1.0
+    for single in (lambda: step_explicit(u, coeffs, grid),
+                   lambda: solve_forward(u, coeffs, grid, 1)):
+        with pytest.raises(DivergenceError, match="step 1 produced magnitude 2.000e") as err:
+            single()
+        assert err.value.step == 1
 
 
 def test_solve_two_component_frames():
