@@ -408,8 +408,9 @@ def _save_trained_model(path: Path, model: train.Pipeline,
         if isinstance(layer, train.DenseLayer):
             trained.append(blocks.gen_dense(params["W"], params["b"], layer.activation))
         else:
+            # one conv1d block per unrolled step; n_steps = 0, the identity, writes none
             coeffs = EllipticCoefficients(params["A"], None, layer.reaction)
-            trained.append(blocks.gen_conv1d(coeffs, layer.grid))
+            trained += [blocks.gen_conv1d(coeffs, layer.grid)] * layer.n_steps
     fieldio.save_pipeline(path, trained)
 
 

@@ -13,6 +13,11 @@ padding fields with ghost cells before applying a stencil:
 Mirror padding reflects without duplicating the edge cell, which preserves a
 zero normal derivative to first order. 2D grids are square (same n_points and
 h on both axes).
+
+The rule lives in one table, _GHOST_SOURCE (which cell each ghost copies).
+_ghost_fill applies it along a buffer's last axis; _fill_ghosts and pad are
+made of it. _ghost_scatter, its adjoint, folds ghosts back onto the cells
+they copy, for the training gradient, the band matrix and the implicit bands.
 """
 
 from __future__ import annotations
@@ -95,50 +100,42 @@ def make_grid(n_points: int, h: float, k: float, bc: BoundaryCondition,
     return GridSpec(int(n_points), float(h), float(k), bc, ndim)
 
 
-def pad(field: np.ndarray, bc: BoundaryCondition, width: int = 1) -> np.ndarray:
-    """Extend ``field`` by ``width`` ghost cells per side along every axis.
-
-    periodic wraps, mirror reflects without repeating the edge cell, extend
-    replicates the edge cell, dirichlet fills the boundary value. Interior
-    values are always unchanged.
+def pad(field: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
+    """A fresh 1D or 2D ``field`` with one ghost cell per side per axis, filled
+    by the one ghost rule: periodic wraps, mirror reflects without repeating
+    the edge cell, extend replicates it, dirichlet fills the boundary value.
+    Another rank, or an axis of fewer than 2 cells, raises ValueError.
     """
-    if width < 1:
-        raise ValueError("pad width must be >= 1")
     field = np.asarray(field, dtype=float)
-    if bc.kind == "periodic":
-        return np.pad(field, width, mode="wrap")
-    if bc.kind == "mirror":
-        # np.pad 'reflect' excludes the edge sample, matching the mirror rule;
-        # it needs width <= n-1 source cells to reflect from.
-        if min(field.shape) - 1 < width:
-            raise ValueError("mirror pad width exceeds reflectable interior")
-        return np.pad(field, width, mode="reflect")
-    if bc.kind == "extend":
-        return np.pad(field, width, mode="edge")
-    return np.pad(field, width, mode="constant", constant_values=bc.value)
+    if field.ndim not in (1, 2) or min(field.shape) < 2:
+        raise ValueError(f"pad needs a 1D or 2D field with at least 2 cells per axis, "
+                         f"got shape {field.shape}")
+    P = np.empty(tuple(m + 2 for m in field.shape))
+    P[(slice(1, -1),) * field.ndim] = field
+    return _ghost_fill(P, bc) if field.ndim == 1 else _fill_ghosts(P, bc)
 
 
-def pad_coefficient(coeff: np.ndarray, bc: BoundaryCondition, width: int = 1) -> np.ndarray:
-    """Pad a coefficient field (A or B) to supply ghost-node medium values.
-
-    Coefficients follow the grid geometry for periodic/mirror/extend; under
-    dirichlet the boundary value constrains u, not the medium, so the
-    coefficient is edge-replicated instead.
-    """
-    if bc.kind == "dirichlet":
-        return pad(coeff, extend(), width)
-    return pad(coeff, bc, width)
+def _coefficient_bc(bc: BoundaryCondition) -> BoundaryCondition:
+    """The ghost rule of a coefficient field (A or B) on a grid with rule
+    ``bc``: the grid's own, except under dirichlet, where the boundary value
+    constrains u, not the medium, and the coefficient is edge-replicated."""
+    return extend() if bc.kind == "dirichlet" else bc
 
 
-# Index, along a padded axis, of the cell each width-1 ghost copies: (low
-# ghost, high ghost) per bc. Dirichlet ghosts hold bc.value instead.
+def pad_coefficient(coeff: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
+    """Pad a coefficient field (A or B) by its ghost rule, _coefficient_bc(bc)."""
+    return pad(coeff, _coefficient_bc(bc))
+
+
+# The one ghost rule. Index, along a padded axis, of the cell each ghost
+# copies: (low ghost, high ghost) per bc. Dirichlet ghosts hold bc.value.
 _GHOST_SOURCE = {"periodic": (-2, 1), "mirror": (2, -3), "extend": (1, -2)}
 
 
 def _ghost_fill(P: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
     """Set the ghost cells of P's last axis from its interior P[..., 1:-1].
 
-    Each row of P then equals pad(row interior, bc, 1) bit for bit. Returns P.
+    Every padded row of the package is filled here. Returns P.
     """
     if bc.kind == "dirichlet":
         P[..., 0] = P[..., -1] = bc.value
@@ -150,18 +147,11 @@ def _ghost_fill(P: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
 
 
 def _fill_ghosts(P: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
-    """Set the width-1 ghost cells of P's last two axes from its interior.
-
-    Each P[c] then equals pad(P[c, 1:-1, 1:-1], bc, 1) bit for bit: rows
-    first, then full columns (_ghost_fill), so corners pad the padded rows as
-    np.pad does. Returns P.
+    """Set the ghost cells of P's last two axes from its interior: _ghost_fill
+    along the columns (interior ones only), then along every row, so a corner
+    is the last axis's rule applied to a ghost row, as np.pad does. Returns P.
     """
-    if bc.kind == "dirichlet":
-        P[..., 0, :] = P[..., -1, :] = bc.value
-    else:
-        lo, hi = _GHOST_SOURCE[bc.kind]
-        P[..., 0, 1:-1] = P[..., lo, 1:-1]
-        P[..., -1, 1:-1] = P[..., hi, 1:-1]
+    _ghost_fill(np.swapaxes(P, -1, -2)[..., 1:-1, :], bc)
     return _ghost_fill(P, bc)
 
 

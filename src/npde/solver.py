@@ -45,11 +45,16 @@ differs from the 9-tap sum by a few ulps. The kinetics fill one stacked
 computes U V^2 once), or by copying f and g when it has none, with the same
 bits; one multiply then scales both channels by k.
 
+Every solve validates once, builds its step once (_stepper or
+_two_component_stepper) and runs it through _march, the one time loop.
+Divergence (non-finite values, or magnitudes beyond DIVERGENCE_FACTOR times
+the initial scale) is reported there with the failing step index, never
+clamped. A single step is a one-step solve.
+
 Explicit stability (cfl_check) requires a monotone 1D step, every tap >= 0
-(r A <= 1/2 and |B| h <= 2 A), and r * max(A) <= 1/4 with A >= 0 in 2D;
-the implicit scheme is unconditionally stable. Divergence (non-finite
-values, or magnitudes beyond DIVERGENCE_FACTOR times the initial scale) is
-reported with the failing step index, never clamped.
+(r A <= 1/2 and |B| h <= 2 A), and in 2D r * max(A) <= 1/4 with A >= 0: the
+5-point limit, conservative under 9pt, which is monotone up to 1/3. The
+implicit scheme is unconditionally stable.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # pad stays part of this module's namespace (npde.solver.pad); no step here calls it
-from .grid import _GHOST_SOURCE, GridSpec, _fill_ghosts, pad, pad_coefficient  # noqa: F401
+from .grid import GridSpec, _fill_ghosts, _ghost_scatter, pad, pad_coefficient  # noqa: F401
 from .reactions import TwoComponentReaction
 from .stencil import (EllipticCoefficients, _laplacian_2d, _step_taps, _tap_step,
                       stencil_2d)
@@ -79,14 +84,20 @@ class DivergenceError(ArithmeticError):
         self.step = step
 
 
-def _divergence_check(u0: np.ndarray, label: str):
-    """check(u, step), raising DivergenceError for a non-finite u or one
-    beyond DIVERGENCE_FACTOR * (1 + max|u0|), the rule of every solve. The
-    bound is finite even for an infinite u0, so an infinite u never passes."""
-    bound = min(DIVERGENCE_FACTOR * (1.0 + float(max(u0.max(), -u0.min()))),
-                np.finfo(float).max)
+def _march(u: np.ndarray, advance, n_steps: int, label: str, keep) -> np.ndarray:
+    """The one time loop of every solve: ``n_steps`` steps u <- advance(u),
+    each handed to keep(u, step). Returns the last u.
 
-    def check(u: np.ndarray, step: int) -> None:
+    A step whose u is non-finite or beyond DIVERGENCE_FACTOR * (1 + max|u0|)
+    raises DivergenceError carrying the step index. The bound is finite even
+    for an infinite u0, so an infinite u never passes.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    bound = min(DIVERGENCE_FACTOR * (1.0 + float(max(u.max(), -u.min()))),
+                np.finfo(float).max)
+    for step in range(1, n_steps + 1):
+        u = advance(u)
         # max|u| catches NaN, inf and runaway growth: a NaN makes both
         # reductions NaN, and NaN fails every <=
         biggest = float(max(u.max(), -u.min()))
@@ -94,8 +105,8 @@ def _divergence_check(u0: np.ndarray, label: str):
             what = (f"magnitude {biggest:.3e} exceeded {bound:.3e}"
                     if np.isfinite(biggest) else "non-finite values")
             raise DivergenceError(f"{label} step {step} produced {what}", step=step)
-
-    return check
+        keep(u, step)
+    return u
 
 
 @dataclass(frozen=True)
@@ -122,7 +133,8 @@ class CflReport:
 
 def cfl_check(coeffs: EllipticCoefficients, grid: GridSpec) -> CflReport:
     """Explicit stability: in 1D a monotone step (every step tap >= 0, i.e.
-    r A <= 1/2 and |B| h <= 2 A per node), in 2D r * max(A) <= 1/4 and A >= 0.
+    r A <= 1/2 and |B| h <= 2 A per node), in 2D r * max(A) <= 1/4 and A >= 0,
+    the 5-point limit: conservative under 9pt, which is monotone up to 1/3.
     """
     coeffs.validate_against(grid)
     limit = 0.5 if grid.ndim == 1 else 0.25
@@ -253,22 +265,21 @@ def thomas_solve(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
 def _implicit_system(taps: np.ndarray, grid: GridSpec):
     """Tridiagonal rows of (I - taps) with bc folded into the band; taps of k O_L.
 
-    sub[0] and sup[-1] multiply the ghosts and fold onto the nodes they copy.
-    Returns (sub, diag, sup, corner) where corner = (beta, alpha) holds the
-    periodic wrap coefficients (row 0 times x_{n-1}, row n-1 times x_0), or
-    None for non-periodic grids.
+    Rows 0 and n-1 are laid out over the padded columns, so sub[0] and
+    sup[-1] sit on the ghosts, and _ghost_scatter folds them onto the nodes
+    they copy. Returns (sub, diag, sup, corner) where corner = (beta, alpha)
+    holds the periodic wrap coefficients (row 0 times x_{n-1}, row n-1 times
+    x_0), or None for non-periodic grids.
     """
     sub, diag, sup = -taps[0], 1.0 - taps[1], -taps[2]
-    kind = grid.bc.kind
-    if kind == "periodic":
-        return sub, diag, sup, (sub[0], sup[-1])
-    if kind != "dirichlet":
-        # the ghosts copy nodes lo and hi: extend 0 and n-1, mirror 1 and n-2
-        n = diag.size
-        lo, hi = (s % (n + 2) - 1 for s in _GHOST_SOURCE[kind])
-        (diag, sup)[lo][0] += sub[0]
-        (sub, diag)[hi - (n - 2)][-1] += sup[-1]
-    return sub, diag, sup, None
+    ends = np.zeros((2, diag.size + 2))
+    ends[0, :3] = sub[0], diag[0], sup[0]
+    ends[1, -3:] = sub[-1], diag[-1], sup[-1]
+    ends = _ghost_scatter(ends, grid.bc)
+    diag[0], sup[0] = ends[0, :2]
+    sub[-1], diag[-1] = ends[1, -2:]
+    corner = (ends[0, -1], ends[1, 0]) if grid.bc.kind == "periodic" else None
+    return sub, diag, sup, corner
 
 
 def _implicit_stepper(coeffs: EllipticCoefficients, grid: GridSpec):
@@ -317,7 +328,7 @@ def _stepper(coeffs: EllipticCoefficients, grid: GridSpec, scheme: str,
     if grid.ndim == 1:
         taps = _step_taps(coeffs.A, coeffs.B, grid)
         return lambda u: _tap_step(taps, u, grid, coeffs.C, P)
-    A, Ap = coeffs.A, pad_coefficient(coeffs.A, grid.bc, 1)
+    A, Ap = coeffs.A, pad_coefficient(coeffs.A, grid.bc)
     lap = _laplacian_2d(P, np.zeros(P.size), stencil2d)
     reaction, k, h2 = coeffs.C, grid.k, grid.h**2
 
@@ -357,63 +368,56 @@ def step_implicit(field: np.ndarray, coeffs: EllipticCoefficients,
     return solve_forward(field, coeffs, grid, 1, "implicit").final()
 
 
-class _TwoComponentStepper:
-    """The stacked state W = [U, V] of one solve, stepped in place.
+def _two_component_stepper(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
+                           rxn: TwoComponentReaction, grid: GridSpec):
+    """Validate a two-component solve once; return its stacked state W = [U, V]
+    and the step that advances W in place by one explicit Euler step.
 
     The padded buffer P, the scratch S and the kinetics' plane are allocated
     once per solve. The 9-point _laplacian_2d runs over P with both channels
     riding along and writes into T, the head of S. The reaction then fills
     the head of P as a (2, n, n) region.
     """
+    if grid.ndim != 2:
+        raise ValueError("two-component stepping expects a 2D grid")
+    U0, V0 = np.asarray(U0, dtype=float), np.asarray(V0, dtype=float)
+    if U0.shape != grid.shape or V0.shape != grid.shape:
+        raise ValueError("U and V must both be shaped to the grid")
+    W = np.stack([U0, V0])
+    if not np.all(np.isfinite(W)):
+        raise ValueError("U and V must be finite")
+    # k * D / h**2 per channel
+    scale = (grid.k / grid.h**2) * np.array([Du, Dv], dtype=float).reshape(2, 1, 1)
+    m = grid.n_points + 2
+    P, S = np.empty((2, m, m)), np.zeros(2 * m * m)
+    lap, plane = _laplacian_2d(P, S, "9pt"), np.empty(grid.shape)
+    interior, p = P[:, 1:-1, 1:-1], P.reshape(-1)
+    T, reaction = S[:W.size].reshape(W.shape), p[:W.size].reshape(W.shape)
+    bc, k = grid.bc, grid.k
 
-    def __init__(self, U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
-                 grid: GridSpec):
-        if grid.ndim != 2:
-            raise ValueError("two-component stepping expects a 2D grid")
-        U0 = np.asarray(U0, dtype=float)
-        V0 = np.asarray(V0, dtype=float)
-        if U0.shape != grid.shape or V0.shape != grid.shape:
-            raise ValueError("U and V must both be shaped to the grid")
-        self.W = np.stack([U0, V0])
-        if not np.all(np.isfinite(self.W)):
-            raise ValueError("U and V must be finite")
-        self.check = _divergence_check(self.W, "two-component")
-        self.grid = grid
-        # k * D / h**2 per channel
-        self.scale = (grid.k / grid.h**2) * np.array([Du, Dv], dtype=float).reshape(2, 1, 1)
-        m = grid.n_points + 2
-        self.P, S = np.empty((2, m, m)), np.zeros(2 * m * m)
-        self.lap, self.plane = _laplacian_2d(self.P, S, "9pt"), np.empty(grid.shape)
-        # the views every step reuses
-        W, p = self.W, self.P.reshape(-1)
-        self.interior, self.channels = self.P[:, 1:-1, 1:-1], (W[0], W[1])
-        self.T, self.reaction = S[:W.size].reshape(W.shape), p[:W.size].reshape(W.shape)
-
-    def step(self, rxn: TwoComponentReaction, step: int) -> None:
-        """Advance W by one explicit Euler step; ``step`` labels a divergence."""
-        W, T, reaction = self.W, self.T, self.reaction
-        self.interior[...] = W
-        _fill_ghosts(self.P, self.grid.bc)
-        # T = k D/h**2 * lap W + k [f, g], in the now free S and P
-        self.lap(W, T)
-        T *= self.scale
-        rxn._fill(*self.channels, reaction, self.plane)
-        reaction *= self.grid.k
-        T += reaction
+    def step(W: np.ndarray) -> np.ndarray:
+        interior[...] = W
+        _fill_ghosts(P, bc)
+        # T = k D/h**2 * lap W + k [f, g], in the now free S and P; out= keeps
+        # T and reaction the closure's buffers
+        lap(W, T)
+        np.multiply(T, scale, out=T)
+        rxn._fill(W[0], W[1], reaction, plane)
+        np.multiply(reaction, k, out=reaction)
+        np.add(T, reaction, out=T)
         W += T
-        self.check(W, step)
+        return W
+
+    return W, step
 
 
 def step_two_component(U: np.ndarray, V: np.ndarray, Du: float, Dv: float,
                        rxn: TwoComponentReaction, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit Euler step of the two-component system on a 2D grid.
-
-    One step of the kernel solve_two_component runs, so chaining n calls
-    equals an n-step solve bit for bit.
+    """Explicit Euler step of the two-component system on a 2D grid: a
+    one-step solve_two_component, so chaining n calls equals an n-step solve
+    bit for bit.
     """
-    stepper = _TwoComponentStepper(U, V, Du, Dv, grid)
-    stepper.step(rxn, 1)
-    return stepper.W[0], stepper.W[1]
+    return solve_two_component(U, V, Du, Dv, rxn, grid, 1)[:2]
 
 
 def solve_forward(initial: np.ndarray, coeffs: EllipticCoefficients,
@@ -421,23 +425,16 @@ def solve_forward(initial: np.ndarray, coeffs: EllipticCoefficients,
                   stencil2d: str = "5pt") -> Trajectory:
     """March ``n_steps`` steps; the trajectory holds n_steps+1 slices.
 
-    Divergence (non-finite values, or magnitudes beyond DIVERGENCE_FACTOR
-    times the initial scale) raises DivergenceError carrying the step index.
-    The input is validated and the step built once (_stepper); the implicit
-    matrix is factored once.
+    Divergence raises DivergenceError carrying the step index (_march). The
+    input is validated, the step built and an implicit matrix factored once
+    (_stepper).
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
     u = np.array(initial, dtype=float)
     if u.shape != grid.shape:
         raise ValueError(f"initial shape {u.shape} does not match grid {grid.shape}")
-    advance = _stepper(coeffs, grid, scheme, stencil2d)
-    check = _divergence_check(u, scheme)
     slices = [u]
-    for step in range(1, n_steps + 1):
-        u = advance(u)
-        check(u, step)
-        slices.append(u)
+    _march(u, _stepper(coeffs, grid, scheme, stencil2d), n_steps, scheme,
+           lambda u, step: slices.append(u))
     return Trajectory(grid, slices)
 
 
@@ -448,16 +445,14 @@ def solve_two_component(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
 
     Returns (U, V, frames) where frames is a list of V copies sampled every
     ``record_every`` steps (empty when record_every == 0). U0 and V0 are not
-    written. Non-finite values, or magnitudes beyond DIVERGENCE_FACTOR times
-    the initial scale, raise DivergenceError carrying the step index.
+    written. Divergence raises DivergenceError carrying the step index (_march).
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    stepper = _TwoComponentStepper(U0, V0, Du, Dv, grid)
+    W, advance = _two_component_stepper(U0, V0, Du, Dv, rxn, grid)
     frames: list[np.ndarray] = []
-    for step in range(1, n_steps + 1):
-        stepper.step(rxn, step)
-        if record_every and step % record_every == 0:
-            frames.append(stepper.W[1].copy())
-    return stepper.W[0], stepper.W[1], frames
 
+    def keep(W: np.ndarray, step: int) -> None:
+        if record_every and step % record_every == 0:
+            frames.append(W[1].copy())
+
+    _march(W, advance, n_steps, "two-component", keep)
+    return W[0], W[1], frames

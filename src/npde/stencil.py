@@ -103,7 +103,7 @@ def _step_taps(A: np.ndarray, B: np.ndarray | None, grid: GridSpec,
     pad_coefficient), with a convection B folded into the sides as -+ k B_j/(2h).
     identity = 0 leaves k * O_L, whose implicit bands are 1 - centre and -side.
     """
-    Ap = pad_coefficient(A, grid.bc, 1)
+    Ap = pad_coefficient(A, grid.bc)
     scale = grid.k / grid.h**2
     taps = np.empty((3, A.size))
     taps[0] = scale * Ap[:-2]
@@ -210,7 +210,7 @@ def apply_stencil(field: np.ndarray, s: np.ndarray,
     """
     field = np.asarray(field, dtype=float)
     s = np.asarray(s, dtype=float)
-    padded = pad(field, bc, 1)
+    padded = pad(field, bc)
     if field.ndim == 1 and s.shape == (3,):
         return _apply_taps(s, padded)
     if field.ndim == 2 and s.shape == (3, 3):
@@ -261,7 +261,7 @@ def diffusion_term(u: np.ndarray, A: np.ndarray, grid: GridSpec,
     step's sequence, so the two agree bit for bit; in 1D it is the reference
     the per-node step taps are checked against.
     """
-    P = pad_coefficient(A, grid.bc, 1) * pad(u, grid.bc, 1)
+    P = pad_coefficient(A, grid.bc) * pad(u, grid.bc)
     if grid.ndim == 1:
         return _apply_taps(np.array([1.0, -2.0, 1.0]), P) / grid.h**2
     return _laplacian_2d(P, np.zeros(P.size), stencil2d)(A * u) / grid.h**2
@@ -271,7 +271,7 @@ def convection_term(u: np.ndarray, B: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Centered first difference B * (u_{j+1} - u_{j-1}) / (2h), 1D only."""
     if grid.ndim != 1:
         raise ValueError("convection B is only supported on 1D grids")
-    up = pad(u, grid.bc, 1)
+    up = pad(u, grid.bc)
     return B * (up[2:] - up[:-2]) / (2.0 * grid.h)
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # pad stays part of this module's namespace (npde.train.pad); no layer here calls it
-from .grid import GridSpec, _ghost_scatter, extend, pad  # noqa: F401
+from .grid import GridSpec, _coefficient_bc, _ghost_scatter, pad  # noqa: F401
 from .reactions import ReactionSpec, no_reaction
 from .solver import cfl_check
 from .stencil import EllipticCoefficients, _apply_taps_transposed, _step_taps, _tap_step
@@ -138,8 +138,8 @@ class DiffusionLayer:
         for d, w in enumerate((1.0, -2.0, 1.0)):
             g_tap = np.einsum("ij,ij->j", g_out, P[:, d:d + n])
             g_ap[d:d + n] += w * g_tap
-        coeff_bc = extend() if grid.bc.kind == "dirichlet" else grid.bc
-        return gs[0], {"A": (grid.k / grid.h**2) * _ghost_scatter(g_ap, coeff_bc)}
+        g_a = _ghost_scatter(g_ap, _coefficient_bc(grid.bc))
+        return gs[0], {"A": (grid.k / grid.h**2) * g_a}
 
 
 class Pipeline:
@@ -285,6 +285,8 @@ class Dataset:
         d_out = {np.asarray(y).shape for _, y in self.samples}
         if len(d_in) != 1 or len(d_out) != 1:
             raise ValueError("samples are not dimensionally consistent")
+        if not all(np.all(np.isfinite(v)) for sample in self.samples for v in sample):
+            raise ValueError("samples must be finite")
 
     @property
     def n_train(self) -> int:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from npde import train
 from npde.cli import _load_config, main
-from npde.fieldio import fmt, load_block
+from npde.fieldio import block_from_dict, fmt, load_block
 
 
 def run_cli(args):
@@ -238,6 +238,41 @@ def test_train_rejects_inert_penalty_weight(tmp_path, capsys, key):
         assert run_cli(["train", "--config", cfg_path]) == 1
         assert f"unknown config key loss.{key}" in capsys.readouterr().err
         assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "1e400", "-inf"])
+def test_train_refuses_non_finite_dataset_cell(tmp_path, capsys, cell):
+    cfg_path = _linreg_files(tmp_path)
+    data = tmp_path / "linreg.csv"
+    rows = data.read_text().splitlines()
+    rows[3] = ",".join(rows[3].split(",")[:-1] + [cell])
+    data.write_text("\n".join(rows) + "\n")
+    assert run_cli(["train", "--config", cfg_path]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2])
+def test_model_json_replays_the_trained_pipeline(tmp_path, monkeypatch, n_steps):
+    # one conv1d block per diffusion step, none for the identity layer
+    runs, real = [], train.train_supervised
+    monkeypatch.setattr(train, "train_supervised",
+                        lambda *a: runs.append((a[0], real(*a))) or runs[-1][1])
+    cfg = _diffusion_train_config(tmp_path)
+    cfg["train"]["pipeline"] = [{"kind": "diffusion", "n_steps": n_steps},
+                                {"kind": "dense", "in": 5, "out": 5, "activation": "sigmoid"}]
+    cfg["loss"]["target_loss"] = 0.0       # two epochs move theta off its start; exit 3
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(["train", "--config", write_config(tmp_path, cfg)]) == 3
+    model, report = runs[0]
+    assert report.epochs == 2
+    saved = json.loads((tmp_path / "fit" / "model.json").read_text())["blocks"]
+    assert [b["kind"] for b in saved] == ["conv1d"] * n_steps + ["dense"]
+    for x in np.eye(5)[:2]:
+        out = x
+        for block in map(block_from_dict, saved):
+            out = block.forward(out)
+        np.testing.assert_array_equal(out, model.forward(report.final_theta, x))
 
 
 def test_gen_block_conv1d_kernel_rows(tmp_path):

@@ -1,5 +1,6 @@
 """Every name a package module imports is used, unless its line says ``# noqa: F401``,
-and every private module-level definition is referenced somewhere in the package.
+and every private module-level definition or class method is referenced somewhere in
+the package.
 
 A stdlib stand-in for pyflakes' F401 over src/npde (``__init__`` re-exports
 by design). A ``# noqa: F401`` marks a binding kept on purpose, such as the
@@ -38,11 +39,14 @@ def test_no_unused_imports():
 
 
 def _private_definitions(tree: ast.Module) -> list[str]:
-    """Module-level ``_name`` functions, classes and assignment targets."""
+    """Module-level ``_name`` functions, classes and assignment targets, and the
+    ``_name`` methods defined in module-level classes."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [m.name for m in node.body if isinstance(m, ast.FunctionDef)]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]

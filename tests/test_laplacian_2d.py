@@ -27,7 +27,7 @@ def test_2d_explicit_step_matches_the_nine_tap_reference(bc, n, seed, stencil2d,
     A = rng.uniform(0.0, 2.0, grid.shape)
     u = rng.uniform(-1.0, 1.0, grid.shape)
     taps = stencil_2d(stencil2d)
-    P = pad_coefficient(A, bc, 1) * pad(u, bc, 1)
+    P = pad_coefficient(A, bc) * pad(u, bc)
     expected = u + grid.k * (_correlate_2d(P, taps) / grid.h**2 + reaction(u))
     got = step_explicit(u, EllipticCoefficients(A, None, reaction), grid, stencil2d)
     # reordering a sum of |taps| weights moves it by at most 8 eps sum|taps| max|P|;
