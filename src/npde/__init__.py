@@ -5,8 +5,8 @@ from .grid import (BoundaryCondition, GridSpec, dirichlet, extend, make_grid,
                    mirror, pad, pad_coefficient, periodic)
 from .reactions import (ReactionSpec, TwoComponentReaction, fisher, gray_scott,
                         linear, no_reaction, sigmoid, sigmoid_reaction, source)
-from .stencil import (EllipticCoefficients, apply_stencil, elliptic_apply,
-                      laplacian_1d, laplacian_2d_5pt, laplacian_2d_9pt)
+from .stencil import (EllipticCoefficients, elliptic_apply, laplacian_1d,
+                      laplacian_2d_5pt, laplacian_2d_9pt)
 from .solver import (CflReport, DivergenceError, Trajectory, cfl_check,
                      solve_forward, solve_two_component, step_explicit,
                      step_implicit, step_two_component, thomas_solve)

@@ -51,7 +51,6 @@ class Conv1DBlock:
 
     kernels: np.ndarray           # (n, 3)
     grid: GridSpec
-    bias: np.ndarray | None = None
     activation: ReactionSpec = no_reaction()
 
     def __post_init__(self):
@@ -60,22 +59,12 @@ class Conv1DBlock:
             raise ValueError("kernels must be (n_points, 3)")
         # column-major, so kernels.T is the three contiguous tap rows
         object.__setattr__(self, "kernels", np.asfortranarray(k))
-        if self.bias is not None:
-            b = _finite("bias", self.bias)
-            if b.shape != (k.shape[0],):
-                raise ValueError("bias must have one entry per output node")
-            object.__setattr__(self, "bias", b)
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape != self.grid.shape:
             raise ValueError(f"field shape {u.shape} does not match grid {self.grid.shape}")
-        out = _tap_step(self.kernels.T, u, self.grid)
-        if self.bias is not None:
-            out += self.bias
-        if self.activation.kind != "none":
-            out += self.grid.k * self.activation(u)
-        return out
+        return _tap_step(self.kernels.T, u, self.grid, self.activation)
 
     def forward_without_identity(self, u: np.ndarray) -> np.ndarray:
         """The residual branch: forward minus the identity skip."""
@@ -163,7 +152,7 @@ def gen_conv1d(coeffs: EllipticCoefficients, grid: GridSpec) -> Conv1DBlock:
     if grid.ndim != 1:
         raise ValueError("gen_conv1d expects a 1D grid")
     coeffs.validate_against(grid)
-    return Conv1DBlock(_step_taps(coeffs.A, coeffs.B, grid).T, grid, activation=coeffs.C)
+    return Conv1DBlock(_step_taps(coeffs.A, coeffs.B, grid).T, grid, coeffs.C)
 
 
 def gen_conv2d(kernel_init: np.ndarray, grid: GridSpec,
@@ -192,8 +181,8 @@ def residual_step(x: np.ndarray, block) -> np.ndarray:
 def _laplacian_matrix(grid: GridSpec) -> np.ndarray:
     """Dense matrix of the 3-point Laplacian (1/h**2 included) under the grid bc.
 
-    The linear part of apply_stencil (a nonzero dirichlet value is an affine
-    offset and does not belong in the matrix), laid out in O(n).
+    The linear part of the padded 3-tap apply (a nonzero dirichlet value is an
+    affine offset and does not belong in the matrix), laid out in O(n).
     """
     taps = np.broadcast_to(laplacian_1d(grid.h)[:, None], (3, grid.n_points))
     return _band_matrix(taps, grid.bc)
@@ -300,22 +289,19 @@ class RBMEnergy:
         object.__setattr__(self, "c", c)
 
 
-def gen_rbm(coeffs: EllipticCoefficients, grid: GridSpec,
-            visible_bias: np.ndarray | None = None,
-            hidden_bias: np.ndarray | None = None) -> RBMEnergy:
+def gen_rbm(coeffs: EllipticCoefficients, grid: GridSpec) -> RBMEnergy:
     """Assemble RBM couplings from the explicit one-step matrix I + k*diff.
 
     Visible units are the old slice, hidden units the new slice; the
-    tridiagonal band ties each hidden unit to its stencil neighborhood.
+    tridiagonal band ties each hidden unit to its stencil neighborhood. Both
+    biases start at zero.
     """
     if grid.ndim != 1:
         raise ValueError("gen_rbm expects a 1D grid")
     coeffs.validate_against(grid)
     n = grid.n_points
-    W = _band_matrix(_step_taps(coeffs.A, None, grid), grid.bc)
-    b = np.zeros(n) if visible_bias is None else np.asarray(visible_bias, dtype=float)
-    c = np.zeros(n) if hidden_bias is None else np.asarray(hidden_bias, dtype=float)
-    return RBMEnergy(W, b, c)
+    return RBMEnergy(_band_matrix(_step_taps(coeffs.A, None, grid), grid.bc),
+                     np.zeros(n), np.zeros(n))
 
 
 def rbm_energy(rbm: RBMEnergy, v: np.ndarray, h: np.ndarray) -> float:

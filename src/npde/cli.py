@@ -91,8 +91,8 @@ def _reject_unread(node) -> None:
             _reject_unread(item)
 
 
-# Casts for _Section.value besides float: each returns the parsed value or
-# raises TypeError/ValueError with a message completing "config key <name> ...".
+# Casts for _Section.value: each returns the parsed value or raises
+# TypeError/ValueError with a message completing "config key <name> ...".
 
 def _object(raw) -> _Section:
     if not isinstance(raw, _Section):
@@ -125,19 +125,30 @@ def _list_of(cast):
     return read
 
 
-_floats = partial(np.asarray, dtype=float)
+def _real(raw) -> float:
+    """The one rule for a config number: a finite JSON number. Booleans,
+    strings, NaN, Infinity and numbers beyond float range (1e400) are refused."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TypeError(f"must be a number, got {raw!r}")
+    if not np.isfinite(x := float(raw)):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return x
+
+
+def _reals(raw) -> np.ndarray:
+    """A number or nested lists of numbers, each entry cast by _real."""
+    arr = np.asarray(raw, dtype=object)
+    return np.array([_real(x) for x in arr.flat], dtype=float).reshape(arr.shape)
 
 
 def _field(grid: GridSpec):
     """A cast to a finite grid-shaped array; a scalar fills the grid."""
     def cast(raw) -> np.ndarray:
-        arr = _floats(raw)
+        arr = _reals(raw)
         if arr.ndim == 0:
             arr = np.full(grid.shape, arr)
         if arr.shape != grid.shape:
             raise ValueError("must be a scalar or a grid-shaped array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("contains non-finite entries")
         return arr
     return cast
 
@@ -159,17 +170,17 @@ def _parse_grid(cfg: _Section) -> GridSpec:
     g = cfg.value("grid", _object)
     kind = g.value("bc", _text("dirichlet", "periodic", "mirror", "extend"))
     # only a dirichlet boundary has a value
-    bc = BoundaryCondition(kind, g.value("bc_value", float, 0.0)
+    bc = BoundaryCondition(kind, g.value("bc_value", _real, 0.0)
                            if kind == "dirichlet" else 0.0)
-    return make_grid(g.value("n_points", _integer), g.value("h", float),
-                     g.value("k", float), bc, g.value("ndim", _integer, 1))
+    return make_grid(g.value("n_points", _integer), g.value("h", _real),
+                     g.value("k", _real), bc, g.value("ndim", _integer, 1))
 
 
 def _reaction(section: _Section, kind: str, default_rate: float) -> ReactionSpec:
     """ReactionSpec(kind); ``rate`` is read only for a kind that uses one."""
     if kind == "none":
         return ReactionSpec("none", default_rate)
-    return ReactionSpec(kind, section.value("rate", float, default_rate))
+    return ReactionSpec(kind, section.value("rate", _real, default_rate))
 
 
 def _parse_coeffs(m: _Section, grid: GridSpec) -> EllipticCoefficients:
@@ -181,12 +192,12 @@ def _parse_coeffs(m: _Section, grid: GridSpec) -> EllipticCoefficients:
     if kind == "heat":
         reaction = ReactionSpec("none")
     elif kind == "fisher":
-        reaction = ReactionSpec("fisher", m.value("r", float))
+        reaction = ReactionSpec("fisher", m.value("r", _real))
     else:
         d = m.value("reaction", _object, None)
         kind = "none" if d is None else d.value("kind", _text())
         reaction = _reaction(d, kind, 0.0) if kind != "source" else ReactionSpec(
-            "source", source=d.value("values", _floats).reshape(grid.shape))
+            "source", source=d.value("values", _reals).reshape(grid.shape))
     coeffs = EllipticCoefficients(A, B, reaction)
     coeffs.validate_against(grid)
     return coeffs
@@ -199,25 +210,27 @@ def _parse_initial(run: _Section, grid: GridSpec,
     if kind == "values":
         return init.value("values", _field(grid))
     if kind == "uniform":
-        return np.full(grid.shape, init.value("value", float))
+        return np.full(grid.shape, init.value("value", _real))
     if kind == "delta":
         u = np.zeros(grid.shape)
         idx = init.value("index", lambda raw: tuple(map(_integer, raw))
                          if isinstance(raw, list) else _integer(raw))
         try:
-            u[idx] = init.value("value", float, 1.0)
+            if np.any(np.asarray(idx) < 0):     # numpy would wrap it to the far end
+                raise IndexError
+            u[idx] = init.value("value", _real, 1.0)
         except IndexError:
             raise ConfigError("run.initial.index is outside the grid") from None
         return u
     if kind == "random":
-        lo, hi = init.value("low", float, 0.0), init.value("high", float, 1.0)
+        lo, hi = init.value("low", _real, 0.0), init.value("high", _real, 1.0)
         return rng.uniform(lo, hi, grid.shape)
     if kind == "gaussian":
         if grid.ndim != 1:
             raise ConfigError("gaussian initial data is 1D only")
-        profile = GaussianProfile(init.value("amplitude", float),
-                                  init.value("center", float),
-                                  init.value("sigma2", float))
+        profile = GaussianProfile(init.value("amplitude", _real),
+                                  init.value("center", _real),
+                                  init.value("sigma2", _real))
         return profile.sample(grid.h * np.arange(grid.n_points))
     raise ConfigError(f"unknown run.initial.kind {kind!r}")
 
@@ -260,8 +273,8 @@ def cmd_solve(cfg: _Section, args) -> int:
 
     if two_component:
         tc = model.value("two_component", _object)
-        rxn = gray_scott(tc.value("F", float), tc.value("kr", float))
-        Du, Dv = tc.value("Du", float), tc.value("Dv", float)
+        rxn = gray_scott(tc.value("F", _real), tc.value("kr", _real))
+        Du, Dv = tc.value("Du", _real), tc.value("Dv", _real)
         if grid.ndim != 2:
             raise ConfigError("gray_scott runs need a 2D grid")
         # the two-component step is always explicit with the 9-point Laplacian,
@@ -342,10 +355,10 @@ def _parse_optimizer(cfg: _Section) -> train.OptimizerConfig:
     kind = o.value("kind", _text(), d.kind)
     adam = kind == "adam"
     return train.OptimizerConfig(
-        kind, o.value("eta", float, d.eta),
-        o.value("beta1", float, d.beta1) if adam else d.beta1,
-        o.value("beta2", float, d.beta2) if adam else d.beta2,
-        o.value("eps", float, d.eps) if adam else d.eps,
+        kind, o.value("eta", _real, d.eta),
+        o.value("beta1", _real, d.beta1) if adam else d.beta1,
+        o.value("beta2", _real, d.beta2) if adam else d.beta2,
+        o.value("eps", _real, d.eps) if adam else d.eps,
         o.value("memory", _integer, d.memory) if kind == "lbfgs" else d.memory)
 
 
@@ -375,8 +388,8 @@ def cmd_train(cfg: _Section, args) -> int:
     t = cfg.value("train", _object)
     model = _parse_pipeline(cfg, t)
     loss_cfg = cfg.value("loss", _object, {})
-    target_loss = loss_cfg.value("target_loss", float)
-    loss = LossSpec(nu=loss_cfg.value("nu", float, 0.0))
+    target_loss = loss_cfg.value("target_loss", _real)
+    loss = LossSpec(nu=loss_cfg.value("nu", _real, 0.0))
     max_epochs = t.value("max_epochs", _integer)
     opt = _parse_optimizer(cfg)
     seed = _read_seed(cfg.value("run", _object, {}), args)
@@ -424,16 +437,16 @@ def cmd_gen_block(cfg: _Section, args) -> int:
         grid = _parse_grid(cfg)
         if grid.ndim != 2:
             raise ConfigError("conv2d generation needs a 2D grid")
-        D = b.value("D", float)
+        D = b.value("D", _real)
         taps = stencil_2d(b.value("stencil", _text(), "9pt"))
         block = blocks.gen_conv2d(grid.k * D / grid.h**2 * taps, grid)
     elif kind == "dense":
         act = _reaction(b, b.value("activation", _text(), "none"), 1.0)
-        block = blocks.gen_dense(b.value("W", _floats), b.value("bias", _floats), act)
+        block = blocks.gen_dense(b.value("W", _reals), b.value("bias", _reals), act)
     elif kind == "rnn":
         grid = _parse_grid(cfg)
-        block = blocks.gen_rnn_cell(b.value("Dxy", float), b.value("Dz", float),
-                                    b.value("v", float), grid)
+        block = blocks.gen_rnn_cell(b.value("Dxy", _real), b.value("Dz", _real),
+                                    b.value("v", _real), grid)
     elif kind == "rbm":
         grid = _parse_grid(cfg)
         block = blocks.gen_rbm(_parse_coeffs(cfg.value("model", _object), grid), grid)

@@ -223,10 +223,14 @@ def block_to_dict(block) -> dict:
 
 
 def block_from_dict(d: dict):
-    """Invert block_to_dict; the block's own __post_init__ validates the file."""
+    """Invert block_to_dict, refusing a weights or constants entry the block has
+    no field for; the block's own __post_init__ validates the rest."""
     cls = _BLOCKS.get(d["kind"])
     if cls is None:
         raise ValueError(f"unknown block kind {d['kind']!r}")
+    unknown = {*d["weights"], *d.get("constants", {})} - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"{d['kind']} block has no field {min(unknown)!r}")
     kwargs = {name: np.asarray(w, dtype=float).reshape(d["shapes"][name])
               for name, w in d["weights"].items()}
     kwargs.update(d.get("constants", {}))

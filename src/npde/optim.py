@@ -8,11 +8,11 @@ bias-corrected moments
     theta <- theta - eta * mhat / (sqrt(vhat) + eps)
 
 (defaults b1=0.9, b2=0.999, eps=1e-8; elementwise squaring and rooting).
-An AdamState and a ThetaVector layout are validated once, when built from
-outside; adam_step and ThetaVector.with_values check only the shapes they
-are handed and build their results unchecked, since the hyper-parameters and
-the layout are copied from validated objects and v >= 0 holds by
-construction.
+An AdamState is validated once, when built from outside; adam_step checks
+only the shapes it is handed and builds its result unchecked, since the
+hyper-parameters are copied from a validated state and v >= 0 holds by
+construction. A ThetaVector is only the flat values; the pipeline that reads
+them (train.Pipeline.params) owns their layout.
 
 Second order: Newton steps with the pseudoinverse form (H*H)^{-1} H* grad,
 realized as a regularized solve because exact invertibility fails
@@ -31,8 +31,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-Layout = tuple[tuple[str, int, int], ...]
-
 
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass cls built without __post_init__.
@@ -46,50 +44,22 @@ def _unchecked(cls, **fields):
 
 @dataclass(frozen=True)
 class ThetaVector:
-    """Flat parameter vector plus a named-range layout over its entries."""
+    """Flat parameter vector; the model that reads it names its ranges."""
 
     values: np.ndarray
-    layout: Layout
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        spans = sorted((start, stop, name) for name, start, stop in self.layout)
-        cursor = 0
-        for start, stop, name in spans:
-            if start != cursor or stop < start:
-                raise ValueError(f"layout ranges must be disjoint and cover the vector "
-                                 f"(bad range {name!r}: [{start}, {stop}))")
-            cursor = stop
-        if cursor != v.size:
-            raise ValueError(f"layout covers {cursor} entries but vector has {v.size}")
-
-    @classmethod
-    def flat(cls, values, name: str = "theta") -> "ThetaVector":
-        v = np.asarray(values, dtype=float)
-        return cls(v, ((name, 0, v.size),))
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def get(self, name: str) -> np.ndarray:
-        for nm, start, stop in self.layout:
-            if nm == name:
-                return self.values[start:stop]
-        raise KeyError(name)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
     def with_values(self, values) -> "ThetaVector":
         v = np.asarray(values, dtype=float)
         if v.shape != self.values.shape:
             raise ValueError("replacement values must keep the vector size")
-        # the layout was validated against a vector of this very shape
-        return _unchecked(ThetaVector, values=v, layout=self.layout)
+        return ThetaVector(v)
 
 
 def _as_theta(theta) -> ThetaVector:
-    if isinstance(theta, ThetaVector):
-        return theta
-    return ThetaVector.flat(theta)
+    return theta if isinstance(theta, ThetaVector) else ThetaVector(theta)
 
 
 @dataclass(frozen=True)

@@ -200,24 +200,6 @@ def _laplacian_2d(P: np.ndarray, S: np.ndarray, stencil2d: str = "5pt"):
     return lap
 
 
-def apply_stencil(field: np.ndarray, s: np.ndarray,
-                  bc: BoundaryCondition) -> np.ndarray:
-    """Slide stencil ``s`` over ``field`` padded by one ghost cell per side.
-
-    out_j = sum_i s_i * padded(field)_{j+i}; the output has the input shape.
-    1D stencils are 3 taps, 2D stencils 3x3; their dimensionality must match
-    the field.
-    """
-    field = np.asarray(field, dtype=float)
-    s = np.asarray(s, dtype=float)
-    padded = pad(field, bc)
-    if field.ndim == 1 and s.shape == (3,):
-        return _apply_taps(s, padded)
-    if field.ndim == 2 and s.shape == (3, 3):
-        return _correlate_2d(padded, s)
-    raise ValueError(f"stencil shape {s.shape} does not match field ndim {field.ndim}")
-
-
 @dataclass(frozen=True)
 class EllipticCoefficients:
     """Learnable medium: diffusion field A, convection field B, reaction C.

@@ -1,7 +1,7 @@
 """Supervised training loop binding pipelines, losses, and optimizers.
 
 A pipeline is an ordered stack of differentiable layers whose parameters live
-in one flat ThetaVector:
+in one flat ThetaVector, laid out by the pipeline alone (Pipeline.params):
 
     DenseLayer      y = act(W x + b), parameters W and b
     DiffusionLayer  n unrolled explicit diffusion steps with a learnable
@@ -150,19 +150,16 @@ class Pipeline:
 
     def __init__(self, layers: list):
         self.layers = list(layers)
-        # per layer: (name, slice of theta, shape) of each parameter tensor
+        # the one parameter layout: per layer, (name, slice of theta, shape) of each tensor
         self._tensors = []
-        layout = []
         cursor = 0
-        for i, layer in enumerate(self.layers):
+        for layer in self.layers:
             tensors = []
             for name, shape in layer.param_shapes():
                 size = int(np.prod(shape))
                 tensors.append((name, slice(cursor, cursor + size), shape))
-                layout.append((f"layer{i}.{name}", cursor, cursor + size))
                 cursor += size
             self._tensors.append(tuple(tensors))
-        self.layout: tuple = tuple(layout)
         self.n_params = cursor
 
     @classmethod
@@ -184,7 +181,7 @@ class Pipeline:
         for layer, tensors in zip(self.layers, self._tensors):
             for _, sl, _ in tensors:
                 values[sl] = layer.init_tensor(rng, sl.stop - sl.start)
-        return ThetaVector(values, self.layout)
+        return ThetaVector(values)
 
     def params(self, theta: ThetaVector) -> list[dict]:
         """Per layer, ``{name: tensor}`` views of theta shaped as the layer declares."""
@@ -299,9 +296,9 @@ def _warn_if_unstable(model: Pipeline, theta: ThetaVector) -> None:
     Only a warning: the coefficients are the thing being learned and may move
     into (or out of) the stable region during training.
     """
-    for i, layer in enumerate(model.layers):
+    for i, (layer, p) in enumerate(zip(model.layers, model.params(theta))):
         if isinstance(layer, DiffusionLayer) and layer.n_steps > 0:
-            report = cfl_check(EllipticCoefficients(theta.get(f"layer{i}.A")), layer.grid)
+            report = cfl_check(EllipticCoefficients(p["A"]), layer.grid)
             if not report.stable:
                 warnings.warn(
                     f"layer{i}: initial coefficients are explicit-unstable "

@@ -452,6 +452,13 @@ def test_readme_solve_config_runs_end_to_end(tmp_path):
     assert len((out / "trajectory.csv").read_text().splitlines()) == 801
 
 
+def test_readme_library_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_verify_takes_no_config_flag(tmp_path):
     assert run_cli(["verify", "stencils", "--config", tmp_path / "x.json"]) == 1
 
@@ -690,6 +697,46 @@ def test_integer_keys_refuse_other_values(tmp_path, capsys, name, path, bad):
     assert run_cli([command, "--config", write_config(tmp_path, cfg)]) == 1
     assert f"config key {_dotted(path)} must be an integer" in capsys.readouterr().err
     assert not Path(cfg["io"]["out_dir"]).exists()
+
+
+@pytest.mark.parametrize("name,path,entry", [
+    ("heat", ("grid", "h"), ()),
+    ("heat", ("grid", "k"), ()),
+    ("fisher", ("grid", "bc_value"), ()),
+    ("heat", ("model", "A"), ()),
+    ("fisher", ("model", "r"), ()),
+    ("heat", ("run", "initial", "values"), (2,)),
+    ("fisher", ("run", "initial", "high"), ()),
+    ("gray_scott", ("model", "two_component", "F"), ()),
+    ("gray_scott", ("model", "two_component", "Dv"), ()),
+    ("train-dense", ("optimizer", "eta"), ()),
+    ("train-dense", ("loss", "target_loss"), ()),
+    ("train-dense", ("loss", "nu"), ()),
+    ("gen-conv2d", ("block", "D"), ()),
+    ("gen-dense", ("block", "W"), (0, 1)),
+    ("gen-dense", ("block", "bias"), (0,)),
+    ("gen-dense", ("block", "rate"), ()),
+])
+@pytest.mark.parametrize("bad", ["true", '"0.5"', "NaN", "Infinity", "-Infinity", "1e400"])
+def test_numeric_keys_refuse_other_values(tmp_path, capsys, name, path, entry, bad):
+    command, cfg = _valid_configs(tmp_path)[name]
+    _set(path + entry, "@bad@")(cfg, tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg).replace('"@bad@"', bad))
+    assert run_cli([command, "--config", config]) == 1
+    assert f"config key {_dotted(path)} must be" in capsys.readouterr().err
+    assert not Path(cfg["io"]["out_dir"]).exists()
+
+
+@pytest.mark.parametrize("ndim,index", [(1, -1), (1, 5), (2, [-1, 0]), (2, [0, -3]),
+                                        (2, [4, 0])])
+def test_delta_index_outside_the_grid_is_refused(tmp_path, capsys, ndim, index):
+    cfg = frozen_heat_config(tmp_path / "out")
+    cfg["grid"].update(ndim=ndim, n_points=4 if ndim == 2 else 5)
+    cfg["run"]["initial"] = {"kind": "delta", "index": index}
+    assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 1
+    assert "run.initial.index is outside the grid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_formats_must_be_a_list(tmp_path, capsys):

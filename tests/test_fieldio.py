@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -163,7 +164,7 @@ def _sample_blocks():
         gen_dense(rng.standard_normal((3, 4)), rng.standard_normal(3),
                   sigmoid_reaction(1.5)),
         gen_rnn_cell(0.6, 0.3, 1.2, grid),
-        gen_rbm(coeffs, grid, visible_bias=rng.standard_normal(6)),
+        dataclasses.replace(gen_rbm(coeffs, grid), b=rng.standard_normal(6)),
     ]
 
 
@@ -230,9 +231,9 @@ def _random_block(kind, seed):
         m = int(rng.integers(1, 6))
         return gen_dense(scale * rng.standard_normal((m, n)), rng.standard_normal(m), act)
     if kind == "rbm":
-        return gen_rbm(EllipticCoefficients(coeffs.A), grid,
-                       visible_bias=scale * rng.standard_normal(n),
-                       hidden_bias=rng.standard_normal(n) if rng.random() < 0.5 else None)
+        return dataclasses.replace(
+            gen_rbm(EllipticCoefficients(coeffs.A), grid), b=scale * rng.standard_normal(n),
+            c=rng.standard_normal(n) if rng.random() < 0.5 else np.zeros(n))
     return gen_rnn_cell(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0)),
                         float(rng.uniform(0.1, 3.0)), grid)
 
@@ -254,13 +255,12 @@ def _pinned_blocks():
     grid2 = make_grid(3, 0.5, 0.125, periodic(), ndim=2)
     return {
         "conv1d": (Conv1DBlock(np.array([[0.25, 0.5, 0.25], [0.5, -1.0, 0.5], [0.0, 1.0, 0.0]]),
-                               grid, np.array([1.0, -0.5, 0.0]),
-                               ReactionSpec("source", 2.0, np.array([0.5, 1.5, -2.0]))),
+                               grid, ReactionSpec("source", 2.0, np.array([0.5, 1.5, -2.0]))),
                    b'{"activation":{"kind":"source","rate":2.0,"source":[0.5,1.5,-2.0],'
                    b'"source_shape":[3]},"grid":{"bc":{"kind":"dirichlet","value":0.25},'
                    b'"h":0.5,"k":0.125,"n_points":3,"ndim":1},"kind":"conv1d",'
-                   b'"shapes":{"bias":[3],"kernels":[3,3]},"weights":{"bias":[1.0,-0.5,0.0],'
-                   b'"kernels":[0.25,0.5,0.25,0.5,-1.0,0.5,0.0,1.0,0.0]}}\n'),
+                   b'"shapes":{"kernels":[3,3]},'
+                   b'"weights":{"kernels":[0.25,0.5,0.25,0.5,-1.0,0.5,0.0,1.0,0.0]}}\n'),
         "conv2d": (Conv2DBlock(np.array([[0.0, 0.25, 0.0], [0.25, -1.0, 0.25], [0.0, 0.25, 0.0]]),
                                grid2, fisher(0.75)),
                    b'{"activation":{"kind":"fisher","rate":0.75},"grid":{"bc":{"kind":"periodic",'
@@ -293,8 +293,19 @@ def test_block_file_bytes_are_pinned(kind):
     assert block_to_bytes(block_from_dict(json.loads(expected))) == expected
 
 
+def test_block_file_entry_without_a_field_is_refused():
+    # a conv1d file written while the block still had a bias
+    conv1d = json.loads(_pinned_blocks()["conv1d"][1])
+    conv1d["shapes"]["bias"], conv1d["weights"]["bias"] = [3], [1.0, -0.5, 0.0]
+    with pytest.raises(ValueError, match="conv1d block has no field 'bias'"):
+        block_from_dict(conv1d)
+    rbm = json.loads(_pinned_blocks()["rbm"][1])
+    rbm["constants"] = {"temperature": 2.0}
+    with pytest.raises(ValueError, match="rbm block has no field 'temperature'"):
+        block_from_dict(rbm)
+
+
 def test_pipeline_file_bytes_are_pinned(tmp_path):
-    # a conv1d without a bias files no bias entry
     pipeline = [DenseBlock(np.array([[0.5, -0.5, 1.0]]), np.array([0.25])),
                 Conv1DBlock(np.array([[0.25, 0.5, 0.25]] * 3), make_grid(3, 1.0, 0.25, mirror()))]
     save_pipeline(tmp_path / "model.json", pipeline)

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from npde.optim import (AdamState, LBFGSState, LossSpec, ThetaVector, adam_step,
                         gauss_newton_step, grad_fd, lbfgs_direction, lbfgs_update,
                         newton_pinv_step, sgd_step)
+from npde.reactions import no_reaction
+from npde.train import Pipeline
 
 
 # --- losses -----------------------------------------------------------------
@@ -12,26 +14,6 @@ from npde.optim import (AdamState, LBFGSState, LossSpec, ThetaVector, adam_step,
 def test_loss_spec_validation():
     with pytest.raises(ValueError):
         LossSpec(nu=-0.1)
-
-
-# --- theta vector ------------------------------------------------------------
-
-def test_theta_layout_must_cover():
-    ThetaVector(np.zeros(5), (("a", 0, 3), ("b", 3, 5)))
-    with pytest.raises(ValueError):
-        ThetaVector(np.zeros(5), (("a", 0, 3), ("b", 4, 5)))      # gap
-    with pytest.raises(ValueError):
-        ThetaVector(np.zeros(5), (("a", 0, 3), ("b", 2, 5)))      # overlap
-    with pytest.raises(ValueError):
-        ThetaVector(np.zeros(5), (("a", 0, 3),))                  # short
-
-
-def test_theta_get_by_name():
-    th = ThetaVector(np.arange(5.0), (("a", 0, 3), ("b", 3, 5)))
-    np.testing.assert_array_equal(th.get("a"), [0, 1, 2])
-    np.testing.assert_array_equal(th.get("b"), [3, 4])
-    with pytest.raises(KeyError):
-        th.get("c")
 
 
 # --- sgd ----------------------------------------------------------------------
@@ -119,8 +101,7 @@ def test_adam_step_is_the_documented_update(data, n, t, beta1, beta2, eps, eta):
         return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
 
     m, v, g, values = vector(-1e3, 1e3), vector(0.0, 1e6), vector(-1e3, 1e3), vector(-10, 10)
-    cut = data.draw(st.integers(0, n))
-    theta = ThetaVector(values, (("a", 0, cut), ("b", cut, n)))
+    theta = ThetaVector(values)
     state = AdamState(m, v, beta1, beta2, eps, eta, t)
     before = [a.copy() for a in (m, v, g, values)]
 
@@ -140,8 +121,6 @@ def test_adam_step_is_the_documented_update(data, n, t, beta1, beta2, eps, eta):
     assert rebuilt == new_state and new_state.t == t + 1
     assert (new_state.beta1, new_state.beta2, new_state.eps, new_state.eta) == \
         (beta1, beta2, eps, eta)
-    assert new_theta.layout == theta.layout
-    assert ThetaVector(new_theta.values, new_theta.layout).layout == theta.layout
     # functional: neither the state, theta nor g changed
     for after, old in zip((state.m, state.v, g, theta.values), before):
         np.testing.assert_array_equal(_bits(after), _bits(old))
@@ -149,12 +128,16 @@ def test_adam_step_is_the_documented_update(data, n, t, beta1, beta2, eps, eta):
 
 
 def test_with_values_keeps_layout_and_checks_size():
-    theta = ThetaVector(np.arange(5.0), (("a", 0, 2), ("b", 2, 5)))
-    moved = theta.with_values([5, 6, 7, 8, 9])
-    assert moved.layout == theta.layout and moved.values.dtype == float
-    np.testing.assert_array_equal(moved.get("b"), [7.0, 8.0, 9.0])
+    # the layout is the pipeline's; a same-size vector reads back through it
+    pipe = Pipeline.dense([1, 2], [no_reaction()])
+    theta = pipe.init_theta(np.random.default_rng(0))
+    moved = theta.with_values([5, 6, 7, 8])
+    assert moved.values.dtype == float
+    (params,) = pipe.params(moved)
+    np.testing.assert_array_equal(params["W"], [[5.0], [6.0]])
+    np.testing.assert_array_equal(params["b"], [7.0, 8.0])
     with pytest.raises(ValueError, match="keep the vector size"):
-        theta.with_values(np.zeros(4))
+        theta.with_values(np.zeros(5))
 
 
 # --- newton / gauss-newton -----------------------------------------------------
@@ -351,6 +334,6 @@ def test_grad_fd_reports_bad_coordinate():
 
 
 def test_grad_fd_accepts_theta_vector():
-    th = ThetaVector.flat(np.array([3.0, 4.0]))
+    th = ThetaVector(np.array([3.0, 4.0]))
     grad = grad_fd(lambda t: 0.5 * float(t.values @ t.values), th, 1e-6)
     np.testing.assert_allclose(grad, [3.0, 4.0], atol=1e-9)

@@ -34,8 +34,8 @@ def test_single_dense_gradient_matches_hand_formula():
     x = rng.standard_normal(3)
     t = rng.standard_normal(2)
     grad = batch_gradient(model, theta, [(x, t)], LossSpec())
-    W = theta.get("layer0.W").reshape(2, 3)
-    b = theta.get("layer0.b")
+    (params,) = model.params(theta)
+    W, b = params["W"], params["b"]
     r = W @ x + b - t
     np.testing.assert_allclose(grad[:6], np.outer(r, x).ravel(), atol=1e-13)
     np.testing.assert_allclose(grad[6:], r, atol=1e-13)
@@ -239,10 +239,10 @@ def test_pipeline_from_blocks_round_trip():
     W2, b2 = rng.standard_normal((1, 4)), rng.standard_normal(1)
     pipe = Pipeline.from_blocks([gen_dense(W1, b1, sigmoid_reaction(1.0)),
                                  gen_dense(W2, b2, sigmoid_reaction(1.0))])
-    # each block's W then b, in pipe.layout order
-    assert [name for name, _, _ in pipe.layout] == ["layer0.W", "layer0.b",
-                                                    "layer1.W", "layer1.b"]
-    theta = ThetaVector(np.concatenate([W1.ravel(), b1, W2.ravel(), b2]), pipe.layout)
+    # each block's W then b, in layer order
+    theta = ThetaVector(np.concatenate([W1.ravel(), b1, W2.ravel(), b2]))
+    assert [list(p) for p in pipe.params(theta)] == [["W", "b"], ["W", "b"]]
+    np.testing.assert_array_equal(pipe.params(theta)[1]["W"], W2)
     x = rng.standard_normal(2)
     z = 1.0 / (1.0 + np.exp(-(W1 @ x + b1)))
     expected = 1.0 / (1.0 + np.exp(-(W2 @ z + b2)))
@@ -262,7 +262,7 @@ def test_diffusion_layer_starts_monotone(seed):
     model = Pipeline([DiffusionLayer(grid, 1)])
     rng = np.random.default_rng(seed)
     theta = model.init_theta(rng)
-    assert cfl_check(EllipticCoefficients(theta.get("layer0.A")), grid).stable
+    assert cfl_check(EllipticCoefficients(model.params(theta)[0]["A"]), grid).stable
     # n draws, as the +-1/sqrt(3) rule took, so the stream that follows is unchanged
     old = np.random.default_rng(seed)
     old.uniform(-3 ** -0.5, 3 ** -0.5, 5)
