@@ -214,7 +214,9 @@ def _parse_initial(run: _Section, grid: GridSpec,
     if kind == "delta":
         u = np.zeros(grid.shape)
         idx = init.value("index", lambda raw: tuple(map(_integer, raw))
-                         if isinstance(raw, list) else _integer(raw))
+                         if isinstance(raw, list) else (_integer(raw),))
+        if len(idx) != grid.ndim:       # a short index would set a whole row
+            raise ConfigError(f"run.initial.index must hold {grid.ndim} integers")
         try:
             if np.any(np.asarray(idx) < 0):     # numpy would wrap it to the far end
                 raise IndexError
@@ -311,21 +313,20 @@ def cmd_solve(cfg: _Section, args) -> int:
 
     if two_component:
         U, V, frames = result
-        if "pgm" in formats:
-            for i, frame in enumerate(frames, start=1):
-                fieldio.save_field_pgm(out / f"v_{i:05d}.pgm", frame)
         if "csv" in formats:
             fieldio.save_field_csv(out / "u_final.csv", U)
             fieldio.save_field_csv(out / "v_final.csv", V)
-        print(_summary_line("final V", V))
-        return 0
-    if "csv" in formats:
-        fieldio.save_trajectory_csv(out / "trajectory.csv", result)
-    if "pgm" in formats and grid.ndim == 2 and stride:
-        for i, s in enumerate(result.slices):
-            if i and i % stride == 0:
-                fieldio.save_field_pgm(out / f"u_{i:05d}.pgm", s)
-    print(_summary_line("final", result.final()))
+        name, label, final = "v", "final V", V
+    else:
+        if "csv" in formats:
+            fieldio.save_trajectory_csv(out / "trajectory.csv", result)
+        frames = result.slices[stride::stride] if stride else []
+        name, label, final = "u", "final", result.final()
+    if "pgm" in formats:
+        # frame i is the field after step i * stride
+        for i, frame in enumerate(frames, start=1):
+            fieldio.save_field_pgm(out / f"{name}_{i * stride:05d}.pgm", frame)
+    print(_summary_line(label, final))
     return 0
 
 
@@ -394,10 +395,8 @@ def cmd_train(cfg: _Section, args) -> int:
     opt = _parse_optimizer(cfg)
     seed = _read_seed(cfg.value("run", _object, {}), args)
 
-    first, last = model.layers[0], model.layers[-1]
-    n_in = first.n_in if isinstance(first, train.DenseLayer) else first.grid.n_points
-    n_out = last.n_out if isinstance(last, train.DenseLayer) else last.grid.n_points
-    data = _load_dataset(t.value("dataset", _text()), n_in, n_out)
+    data = _load_dataset(t.value("dataset", _text()), model.layers[0].n_in,
+                         model.layers[-1].n_out)
     out, _ = _read_io(cfg, args)
     _reject_unread(cfg)
 
@@ -407,24 +406,9 @@ def cmd_train(cfg: _Section, args) -> int:
     epochs = np.arange(1, len(report.loss_curve) + 1)
     fieldio.save_field_csv(out / "loss_curve.csv",
                            np.column_stack([epochs, report.loss_curve]))
-    _save_trained_model(out / "model.json", model, report)
+    fieldio.save_pipeline(out / "model.json", model.blocks(report.final_theta))
     print(report.summary())
-    if report.stop_reason == "divergence":
-        return 3
-    return 0 if report.converged else 3
-
-
-def _save_trained_model(path: Path, model: train.Pipeline,
-                        report: train.TrainReport) -> None:
-    trained = []
-    for layer, params in zip(model.layers, model.params(report.final_theta)):
-        if isinstance(layer, train.DenseLayer):
-            trained.append(blocks.gen_dense(params["W"], params["b"], layer.activation))
-        else:
-            # one conv1d block per unrolled step; n_steps = 0, the identity, writes none
-            coeffs = EllipticCoefficients(params["A"], None, layer.reaction)
-            trained += [blocks.gen_conv1d(coeffs, layer.grid)] * layer.n_steps
-    fieldio.save_pipeline(path, trained)
+    return 0 if report.converged else 3     # a diverged run never converged
 
 
 def cmd_gen_block(cfg: _Section, args) -> int:

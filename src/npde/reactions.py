@@ -2,7 +2,8 @@
 
 The reaction term doubles as the activation nonlinearity of generated blocks:
 fisher is the logistic growth r*u*(1-u), sigmoid is the logistic function
-1/(1+exp(-r*u)), linear is c*u, and source adds a fixed forcing field (the
+1/(1+exp(-r*u)), linear is r*u: one table maps each of these rate kinds, and
+none, to C(rate, u) and dC/du(rate, u). source adds a fixed forcing field (the
 absorbed-intensity term of the heat-conduction form). A two-component pair
 fills a solver's (2, n, n) buffer through its fused evaluator (gray_scott
 computes U V^2 once), or else by copying f(U, V) and g(U, V), bit for bit alike.
@@ -15,10 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-_KINDS = ("none", "fisher", "sigmoid", "linear", "source")
-# Activations usable inside differentiable training pipelines.
-DIFFERENTIABLE_KINDS = ("none", "fisher", "sigmoid", "linear")
-
 
 def sigmoid(x):
     """Numerically stable logistic function."""
@@ -28,6 +25,24 @@ def sigmoid(x):
     e = np.exp(np.where(pos, -x, x))
     d = 1.0 + e
     return np.where(pos, 1.0 / d, e / d)
+
+
+def _sigmoid_slope(rate, s):
+    """d/du sigmoid(rate * u) = rate * s * (1 - s), read off s = sigmoid(rate * u)."""
+    return rate * s * (1.0 - s)
+
+
+def _zero(rate, u):  # C and dC/du of kind none, at any rate
+    return np.zeros_like(u)
+
+
+# kind -> (C(rate, u), dC/du(rate, u)); "source", a fixed field, has no rate
+_RATE_KINDS = {
+    "none": (_zero, _zero),
+    "fisher": (lambda r, u: r * u * (1.0 - u), lambda r, u: r * (1.0 - 2.0 * u)),
+    "sigmoid": (lambda r, u: sigmoid(r * u), lambda r, u: _sigmoid_slope(r, sigmoid(r * u))),
+    "linear": (lambda r, u: r * u, lambda r, u: np.full_like(u, r)),
+}
 
 
 @dataclass(frozen=True)
@@ -42,8 +57,6 @@ class ReactionSpec:
     source: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown reaction kind {self.kind!r}")
         if self.kind == "source":
             if self.source is None:
                 raise ValueError("source reaction needs a forcing field")
@@ -51,19 +64,15 @@ class ReactionSpec:
             if not np.all(np.isfinite(s)):
                 raise ValueError("source field must be finite")
             object.__setattr__(self, "source", s)
+        elif self.kind not in _RATE_KINDS:
+            raise ValueError(f"unknown reaction kind {self.kind!r}")
         elif not np.isfinite(self.rate):
             raise ValueError("reaction rate must be finite")
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        if self.kind == "none":
-            return np.zeros_like(u)
-        if self.kind == "fisher":
-            return self.rate * u * (1.0 - u)
-        if self.kind == "sigmoid":
-            return sigmoid(self.rate * u)
-        if self.kind == "linear":
-            return self.rate * u
+        if self.kind != "source":
+            return _RATE_KINDS[self.kind][0](self.rate, u)
         if self.source.shape != u.shape:
             raise ValueError("source field shape does not match the field")
         return self.source.copy()
@@ -71,14 +80,8 @@ class ReactionSpec:
     def deriv(self, u):
         """d/du of the reaction, used by reverse-mode gradients."""
         u = np.asarray(u, dtype=float)
-        if self.kind == "none":
-            return np.zeros_like(u)
-        if self.kind == "fisher":
-            return self.rate * (1.0 - 2.0 * u)
-        if self.kind == "sigmoid":
-            return self._activate_deriv_from(u, sigmoid(self.rate * u))
-        if self.kind == "linear":
-            return np.full_like(u, self.rate)
+        if self.kind != "source":
+            return _RATE_KINDS[self.kind][1](self.rate, u)
         return np.zeros_like(u)
 
     def activate(self, z):
@@ -104,18 +107,14 @@ class ReactionSpec:
         return self.deriv(z)
 
     def _activate_deriv_from(self, z, a):
-        """activate_deriv(z) given a = activate(z), the forward pass's output.
-
-        sigmoid' is rate * s * (1 - s) with s = sigmoid(rate * z), read off a
-        instead of recomputing it; the other kinds differentiate z itself.
-        """
+        """activate_deriv(z), reading a sigmoid's slope off a = activate(z)."""
         if self.kind == "sigmoid":
-            return self.rate * a * (1.0 - a)
+            return _sigmoid_slope(self.rate, a)
         return self.activate_deriv(z)
 
     @property
     def differentiable(self) -> bool:
-        return self.kind in DIFFERENTIABLE_KINDS
+        return self.kind in _RATE_KINDS
 
 
 def no_reaction() -> ReactionSpec:

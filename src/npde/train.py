@@ -14,7 +14,8 @@ initial/boundary data, randomize theta (dense tensors uniform in +-1/sqrt(n_in),
 a diffusion layer's A uniform in the monotone range [0, 1/(2r)]), solve
 forward, take an optimizer step on the L2-with-weight-decay loss, and repeat
 until the target loss or the epoch cap is reached. Gradients are full batch
-(mean over samples); runs are deterministic given the seed.
+(mean over samples); runs are deterministic given the seed. A trained layer is
+the blocks it generates (blocks(params)), which Pipeline.blocks(theta) chains.
 
 Samples ride a leading axis: every layer maps a batch (n_samples, n) in one
 call, dense layers as X W^T + b and diffusion layers with the stencil on the
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import gen_conv1d, gen_dense
 # pad stays part of this module's namespace (npde.train.pad); no layer here calls it
 from .grid import GridSpec, _coefficient_bc, _ghost_scatter, pad  # noqa: F401
 from .reactions import ReactionSpec, no_reaction
@@ -79,6 +81,10 @@ class DenseLayer:
         gz = gy * self.activation._activate_deriv_from(z, a)
         return gz @ params["W"], {"W": gz.T @ x, "b": gz.sum(axis=0)}
 
+    def blocks(self, params):
+        """The trained layer as the one DenseBlock it is."""
+        return [gen_dense(params["W"], params["b"], self.activation)]
+
 
 class DiffusionLayer:
     """Unrolled explicit diffusion steps with a learnable coefficient field A.
@@ -100,6 +106,7 @@ class DiffusionLayer:
         if not reaction.differentiable:
             raise ValueError(f"reaction {reaction.kind!r} is not differentiable")
         self.grid = grid
+        self.n_in = self.n_out = grid.n_points
         self.n_steps = n_steps
         self.reaction = reaction
 
@@ -140,6 +147,11 @@ class DiffusionLayer:
             g_ap[d:d + n] += w * g_tap
         g_a = _ghost_scatter(g_ap, _coefficient_bc(grid.bc))
         return gs[0], {"A": (grid.k / grid.h**2) * g_a}
+
+    def blocks(self, params):
+        """One gen_conv1d block per step; n_steps = 0, the identity, has none."""
+        return [gen_conv1d(EllipticCoefficients(params["A"], None, self.reaction),
+                           self.grid)] * self.n_steps
 
 
 class Pipeline:
@@ -203,7 +215,7 @@ class Pipeline:
             caches.append((p, cache))
         return out, caches
 
-    def backward(self, theta: ThetaVector, caches, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, caches, grad_out: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. theta of <grad_out, output>, summed over the batch.
 
         Reads the parameter views off ``caches``, from forward_with_caches(theta, x)."""
@@ -215,6 +227,11 @@ class Pipeline:
             for name, sl, _ in tensors:
                 grad[sl] = grads[name].ravel()
         return grad
+
+    def blocks(self, theta: ThetaVector) -> list:
+        """Every layer's blocks in order; chained, they replay forward(theta, x)."""
+        return [block for layer, p in zip(self.layers, self.params(theta))
+                for block in layer.blocks(p)]
 
 
 def _stack(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -238,19 +255,19 @@ def _evaluate(model: Pipeline, theta: ThetaVector, X: np.ndarray, T: np.ndarray,
 def _gradient(model: Pipeline, theta: ThetaVector, residual: np.ndarray, caches,
               loss: LossSpec) -> np.ndarray:
     """One batched backward: the gradient of the mean loss from _evaluate's pass."""
-    grad = model.backward(theta, caches, residual) / len(residual)
+    grad = model.backward(caches, residual) / len(residual)
     if loss.nu > 0:
         grad += loss.nu * theta.values
     return grad
 
 
-def _jacobian(model: Pipeline, theta: ThetaVector, caches, shape) -> np.ndarray:
+def _jacobian(model: Pipeline, caches, shape) -> np.ndarray:
     """d residual / d theta: one backward per residual entry [s, i], row-major."""
     rows = np.empty((int(np.prod(shape)), model.n_params))
     for row, index in enumerate(np.ndindex(*shape)):
         one_hot = np.zeros(shape)
         one_hot[index] = 1.0
-        rows[row] = model.backward(theta, caches, one_hot)
+        rows[row] = model.backward(caches, one_hot)
     return rows
 
 
@@ -374,7 +391,7 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
     converged = False
     for _ in range(max_epochs):
         if opt.kind == "gauss_newton":
-            J = _jacobian(model, theta, caches, residual.shape)
+            J = _jacobian(model, caches, residual.shape)
             new_theta = gauss_newton_step(theta, residual.ravel(), J, opt.eta)
         else:
             g = _gradient(model, theta, residual, caches, loss)

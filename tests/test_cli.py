@@ -75,6 +75,20 @@ def test_solve_gray_scott_writes_frames(tmp_path):
     assert (out / "u_final.csv").exists() and (out / "v_final.csv").exists()
 
 
+@pytest.mark.parametrize("kind,frame", [("heat", "u"), ("gray_scott", "v")])
+def test_frames_are_named_by_step(tmp_path, kind, frame):
+    # frame_stride 3 over 6 steps: frames after steps 3 and 6, whatever the model
+    cfg = _gray_scott_config(tmp_path / "out")
+    cfg["run"].update(n_steps=6, frame_stride=3)
+    if kind == "heat":
+        cfg["model"] = {"kind": "heat", "A": 1e-5}
+        cfg["run"]["initial"] = {"kind": "uniform", "value": 0.5}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.pgm")) == \
+        [f"{frame}_00003.pgm", f"{frame}_00006.pgm"]
+
+
 def test_invalid_config_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = frozen_heat_config(out)
@@ -737,6 +751,29 @@ def test_delta_index_outside_the_grid_is_refused(tmp_path, capsys, ndim, index):
     assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 1
     assert "run.initial.index is outside the grid" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("index", [2, [1], [], [1, 2, 3]])
+def test_delta_index_needs_one_integer_per_axis(tmp_path, capsys, index):
+    # a short index would set a whole row, or the whole grid
+    cfg = frozen_heat_config(tmp_path / "out")
+    cfg["grid"].update(ndim=2, n_points=4)
+    cfg["run"]["initial"] = {"kind": "delta", "index": index}
+    assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 1
+    assert "run.initial.index" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_delta_index_sets_one_node_in_2d(tmp_path):
+    cfg = frozen_heat_config(tmp_path / "out", n_steps=1)
+    cfg["grid"].update(ndim=2, n_points=4)
+    cfg["run"]["initial"] = {"kind": "delta", "index": [1, 2], "value": 3.0}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+    first = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[0]
+    want = np.zeros((4, 4))
+    want[1, 2] = 3.0
+    assert first.split(",")[1:] == [fmt(x) for x in want.ravel()]
 
 
 def test_formats_must_be_a_list(tmp_path, capsys):

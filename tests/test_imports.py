@@ -1,6 +1,6 @@
 """Every name a package module imports is used, unless its line says ``# noqa: F401``,
-and every private module-level definition or class method is referenced somewhere in
-the package.
+every private module-level definition or class method is referenced somewhere in
+the package, and every parameter of a package function or lambda is read.
 
 A stdlib stand-in for pyflakes' F401 over src/npde (``__init__`` re-exports
 by design). A ``# noqa: F401`` marks a binding kept on purpose, such as the
@@ -71,3 +71,45 @@ def test_no_dead_private_definitions():
     used = set().union(*map(_references, trees.values()))
     assert [f"{name}: {defn}" for name, tree in trees.items()
             for defn in _private_definitions(tree) if defn not in used] == []
+
+
+# Signatures fixed by a protocol or a callback, whose callee has no use for one
+# argument: (module, function, parameter).
+_UNREAD_BY_DESIGN = {
+    ("train.py", "DiffusionLayer.backward", "params"),     # the layer protocol
+    ("solver.py", "solve_forward.<lambda>", "step"),       # _march's keep(u, step)
+    ("reactions.py", "_zero", "rate"),                     # a _RATE_KINDS entry
+}
+
+
+def _functions(node: ast.AST, prefix: str = ""):
+    """(qualified name, node) of every def and lambda under ``node``; a lambda
+    is named ``<lambda>`` inside the def or class that holds it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = prefix + getattr(child, "name", "<lambda>")
+            yield name, child
+            yield from _functions(child, name + ".")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, prefix + child.name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def _unread_parameters(path: Path) -> list[tuple[str, str, str]]:
+    unread = []
+    for name, fn in _functions(ast.parse(path.read_text())):
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                  if p is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(path.name, name, p) for p in params if p not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in _unread_parameters(path)]
+    assert sorted(set(found) - _UNREAD_BY_DESIGN) == []
+    assert set(found) >= _UNREAD_BY_DESIGN      # no stale allowance

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from npde.reactions import (ReactionSpec, fisher, gray_scott, linear,
+from npde.reactions import (_RATE_KINDS, ReactionSpec, fisher, gray_scott, linear,
                             no_reaction, sigmoid, sigmoid_reaction, source)
 
 
@@ -70,14 +70,23 @@ def test_source_reaction_returns_field():
         rxn.activate(np.zeros(3))
 
 
-def test_derivatives_match_finite_differences():
-    eps = 1e-7
-    z = np.linspace(-2.0, 2.0, 9)
-    for rxn in (fisher(0.8), sigmoid_reaction(1.7), linear(2.5)):
-        fd = (rxn(z + eps) - rxn(z - eps)) / (2 * eps)
-        np.testing.assert_allclose(rxn.deriv(z), fd, atol=1e-6)
-        fd_act = (rxn.activate(z + eps) - rxn.activate(z - eps)) / (2 * eps)
-        np.testing.assert_allclose(rxn.activate_deriv(z), fd_act, atol=1e-6)
+@settings(max_examples=200)
+@given(kind=st.sampled_from(sorted(_RATE_KINDS) + ["source"]), rate=st.floats(-3.0, 3.0),
+       z=arrays(float, 7, elements=st.floats(-3.0, 3.0)))
+def test_derivatives_match_finite_differences(kind, rate, z):
+    rxn = ReactionSpec(kind, rate, z + 1.0 if kind == "source" else None)
+    eps = 1e-6
+    fd = (rxn(z + eps) - rxn(z - eps)) / (2 * eps)
+    np.testing.assert_allclose(rxn.deriv(z), fd, rtol=1e-6, atol=1e-6)
+    if kind == "source":                # a fixed field cannot be composed
+        for composed in (rxn.activate, rxn.activate_deriv):
+            with pytest.raises(ValueError, match="composed activation"):
+                composed(z)
+        return
+    want = z if kind == "none" else rxn(z)      # none composes as the identity
+    np.testing.assert_array_equal(rxn.activate(z).view(np.int64), want.view(np.int64))
+    fd_act = (rxn.activate(z + eps) - rxn.activate(z - eps)) / (2 * eps)
+    np.testing.assert_allclose(rxn.activate_deriv(z), fd_act, rtol=1e-6, atol=1e-6)
 
 
 def test_unknown_kind_rejected():

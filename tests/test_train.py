@@ -214,7 +214,7 @@ def test_residuals_and_jacobian_match_fd():
     X, T = _stack(samples)
     out, caches = model.forward_with_caches(theta, X)
     r = (out - T).ravel()
-    J = _jacobian(model, theta, caches, out.shape)
+    J = _jacobian(model, caches, out.shape)
     assert r.shape == (4,) and J.shape == (4, model.n_params)
     np.testing.assert_allclose(r, np.concatenate([model.forward(theta, x) - t
                                                   for x, t in samples]), rtol=0, atol=1e-14)
@@ -269,3 +269,20 @@ def test_diffusion_layer_starts_monotone(seed):
     assert rng.random() == old.random()
     data = Dataset([(np.eye(5)[0], np.eye(5)[1])])
     train_supervised(model, data, LossSpec(), OptimizerConfig(), seed, 1, 0.0)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2])
+def test_pipeline_blocks_replay_forward_bit_for_bit(n_steps):
+    grid = make_grid(6, 1.0, 0.2, mirror())
+    model = Pipeline([DiffusionLayer(grid, n_steps, fisher(0.7)),
+                      DenseLayer(6, 3, sigmoid_reaction(1.5))])
+    rng = np.random.default_rng(n_steps)
+    theta = model.init_theta(rng)
+    blocks = model.blocks(theta)
+    assert [type(b).__name__ for b in blocks] == ["Conv1DBlock"] * n_steps + ["DenseBlock"]
+    for x in rng.standard_normal((3, 6)):
+        out = x
+        for block in blocks:
+            out = block.forward(out)
+        np.testing.assert_array_equal(out.view(np.int64),
+                                      model.forward(theta, x).view(np.int64))

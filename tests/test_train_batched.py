@@ -67,7 +67,7 @@ def test_diffusion_batch_gradient_is_mean_of_per_sample(seed, n_samples, bc, rea
 def _assert_jacobian_rows_match_fd(model, theta, samples):
     X, _ = _stack(samples)
     out, caches = model.forward_with_caches(theta, X)
-    J = _jacobian(model, theta, caches, out.shape)
+    J = _jacobian(model, caches, out.shape)
     n_out = len(samples[0][1])
     for row in range(J.shape[0]):
         (x, t), i = samples[row // n_out], row % n_out
