@@ -34,7 +34,7 @@ from .stencil import (EllipticCoefficients, _band_matrix, _correlate_2d, _step_t
 
 
 def _finite(name: str, arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
+    arr = np.array(arr, dtype=float)    # a copy: a frozen block owns its arrays
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr

@@ -11,8 +11,11 @@ optimizer / loss / train / block / io (see README). The parsers are the
 schema: ``_Section.value`` types a key, applies its default and records the
 read. A command reads its whole config, rejects by dotted name any key it did
 not read (a misspelling, or a key the run has no use for, such as ``model.r``
-on a heat solve), computes, and only then creates its output directory: --out,
-else NPDE_OUT, else io.out_dir, else the current directory.
+on a heat solve), and has the library validate its run before it creates the
+output directory: --out, else NPDE_OUT, else io.out_dir, else the current
+directory. ``npde solve`` streams trajectory.csv as the steps are computed,
+to a temporary file renamed on success; a failed run removes it and any
+directory it created. The other commands compute before they create it.
 All numeric output is printed with 17 significant digits.
 
 Exit codes: 0 success; 1 invalid config or usage; 2 solver divergence;
@@ -22,6 +25,8 @@ Exit codes: 0 success; 1 invalid config or usage; 2 solver divergence;
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import json
 import os
 import sys
@@ -34,7 +39,7 @@ from . import blocks, fieldio, train, verify
 from .grid import BoundaryCondition, GridSpec, make_grid
 from .reactions import ReactionSpec, gray_scott
 from .reference import GaussianProfile
-from .solver import DivergenceError, solve_forward, solve_two_component
+from .solver import DivergenceError, forward_slices, solve_two_component
 from .stencil import EllipticCoefficients, stencil_2d
 from .optim import LossSpec
 
@@ -301,33 +306,64 @@ def cmd_solve(cfg: _Section, args) -> int:
         scheme = run.value("scheme", _text("explicit", "implicit"), "explicit")
         stencil2d = run.value("stencil2d", _text("5pt", "9pt"), "5pt") \
             if grid.ndim == 2 else "5pt"
-        compute = partial(solve_forward, _parse_initial(run, grid, rng), coeffs, grid,
+        compute = partial(forward_slices, _parse_initial(run, grid, rng), coeffs, grid,
                           n_steps, scheme, stencil2d)
     _reject_unread(cfg)
     try:
-        result = compute()
+        if two_component:
+            U, V, frames = compute()
+        else:
+            final, frames = _stream_solve(compute(), out, "csv" in formats, stride)
     except DivergenceError as err:
         print(f"diverged at step {err.step}", file=sys.stderr)
         return 2
     out.mkdir(parents=True, exist_ok=True)
 
     if two_component:
-        U, V, frames = result
         if "csv" in formats:
             fieldio.save_field_csv(out / "u_final.csv", U)
             fieldio.save_field_csv(out / "v_final.csv", V)
         name, label, final = "v", "final V", V
     else:
-        if "csv" in formats:
-            fieldio.save_trajectory_csv(out / "trajectory.csv", result)
-        frames = result.slices[stride::stride] if stride else []
-        name, label, final = "u", "final", result.final()
+        name, label = "u", "final"
     if "pgm" in formats:
         # frame i is the field after step i * stride
         for i, frame in enumerate(frames, start=1):
             fieldio.save_field_pgm(out / f"{name}_{i * stride:05d}.pgm", frame)
     print(_summary_line(label, final))
     return 0
+
+
+def _stream_solve(slices, out: Path, csv: bool, stride: int):
+    """Run a one-component solve, streaming its slices into a temporary file
+    in ``out`` that is renamed onto trajectory.csv after the last step; return
+    the final slice and every stride-th one. On any exception the temporary
+    file, and every directory this call created, are removed first."""
+    frames, final = [], None
+
+    def watched():
+        nonlocal final
+        for step, final in enumerate(slices):
+            if stride and step and step % stride == 0:
+                frames.append(final)
+            yield final
+
+    created = [p for p in (out, *out.parents) if not p.exists()]   # deepest first
+    out.mkdir(parents=True, exist_ok=True)
+    tmp = out / f"trajectory.csv.{os.getpid()}.tmp"
+    try:
+        if csv:
+            fieldio.save_trajectory_csv(tmp, watched())
+            os.replace(tmp, out / "trajectory.csv")
+        else:
+            collections.deque(watched(), maxlen=0)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):
+            for p in created:
+                p.rmdir()
+        raise
+    return final, frames
 
 
 def _parse_pipeline(cfg: _Section, t: _Section) -> train.Pipeline:
@@ -496,8 +532,8 @@ def main(argv=None) -> int:
             return cmd_train(cfg, args)
         return cmd_gen_block(cfg, args)
     except ValueError as err:
-        # a ConfigError, or the library refusing a config-derived value; the
-        # commands compute before they write, so no output exists yet
+        # a ConfigError, or the library refusing a config-derived value; a
+        # failed command has left no output behind
         print(f"config error: {err}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,10 @@
 CSV is comma-separated decimal text, one row per grid row, '\\n' terminated,
 no header. Every number is '%.17g' % x byte for byte (fmt), so float64 values
 round-trip exactly and index columns (slice index, epoch) print as integers.
-Files are encoded in numpy and written in chunks of at most _CHUNK numbers.
+Every CSV file goes through one writer (_CsvWriter): it collects numbers in a
+table of _CHUNK, encodes each full table in numpy into work arrays made once
+per file, and writes it. A trajectory is written slice by slice as its
+iterable yields them, so a solve streamed into it is never held whole.
 2D fields additionally export to binary 8-bit PGM (min-max normalized),
 chosen over PNG for zero-dependency bit-exact output.
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import json
 from pathlib import Path
 
@@ -73,71 +77,139 @@ def _tables():
     return p10, lut.view(np.uint32).ravel(), chars, masks.reshape(-1, 46)
 
 
-def _scaled(a: np.ndarray, s: np.ndarray) -> tuple:
-    """a * 10^s = hi + r, Dekker's product: exact for s <= 22, else within 1e-14."""
-    p_hi, p_hh, p_hl, p_lo = _tables()[0]
-    a_hi = (c := a * 134217729.0) - (c - a)
-    a_lo = a - a_hi
-    hi = a * p_hi[s]
-    r = ((a_hi * p_hh[s] - hi) + a_hi * p_hl[s] + a_lo * p_hh[s]) + a_lo * p_hl[s]
-    return hi, r + a * p_lo[s]
-
-
-def _encode(x: np.ndarray, width: int, start: int = 0) -> bytes:
-    """CSV bytes of the flat float64 array x, each number '%.17g' % x.
-
-    Number j is followed by '\\n' where start + j + 1 is a multiple of
-    width, else by ','. Zero, and finite _LO <= |x| < _HI as x * 10^s rounded
-    half to even to a 17-digit integer d, are encoded in numpy; the rest, and
-    d next to an inexact tie, go through fmt.
+class _CsvWriter:
+    """CSV rows of ``width`` numbers, encoded a table of _CHUNK numbers (or
+    of ``size``, when fewer will be written) at a time and handed to
+    ``write``. The writer makes the table and every work array _encode uses
+    once, so a chunk allocates only the bytes it hands on.
     """
-    _, lut, chars, masks = _tables()
-    ax = np.abs(x)
-    fast = (ax >= _LO) & (ax < _HI)
-    a = np.where(fast, ax, 1.0)
-    s = 16 - np.clip(np.floor(np.log10(a)), _EMIN, 16).astype(np.int64)
-    hi, r = _scaled(a, s)
-    # hi - 10^k is exact or far from 0, so each sign is that of a * 10^s - 10^k
-    shift = (hi - 1e17 + r >= 0).astype(np.int64) - (hi - 1e16 + r < 0)
-    if shift.any():              # log10 misses by one next to a power of ten
-        s -= shift
-        hi, r = _scaled(a, s)
-    fast &= (s <= 22) | (np.abs(np.abs(r - np.rint(r)) - 0.5) >= _TIE)
-    fast |= x == 0               # printed as 1 (a = 1.0) with its digit cleared
-    d = hi.astype(np.int64) + np.rint(r).astype(np.int64)  # hi >= 2^53 is even
-    X = 16 - s + (d == 10**17)   # a carry into an 18th digit
-    d[d == 10**17] = 10**16
-    groups = np.stack([d // 10**k % 10000 for k in (12, 8, 4, 0)], axis=1)
-    cells = chars.take(X - _EMIN, axis=0)
-    cells[:, 24] = d // 10**16 + 48
-    cells[:, 6] = cells[:, 24] - (x == 0)
-    cells[:, 7:23] = cells[:, 25:41] = lut.take(groups).view(np.uint8)
-    nd = 17 - np.argmax(cells[:, 40:23:-1] != 48, axis=1)   # block B's lead is not 0
-    mask = masks.take((X - _EMIN) * 17 + nd - 1, axis=0)
-    mask[:, 0] = np.signbit(x)
-    text = np.array([fmt(v) for v in x[~fast].tolist()], "S24")  # <= 24 bytes each
-    cells[~fast, :24] = text = text.view(np.uint8).reshape(-1, 24)
-    mask[~fast, :45] = np.arange(45) < np.count_nonzero(text, axis=1)[:, None]
-    cells[(width - 1 - start) % width::width, 45] = ord("\n")
-    return cells[mask].tobytes()
+
+    def __init__(self, write, width: int, size: int = _CHUNK):
+        self.write, self.width = write, width
+        n = min(size, _CHUNK)
+        self.filled = self.written = 0     # numbers in the table, numbers written
+        self.floats = np.empty((11, n))
+        self.ints = np.empty((5, n), np.intp)
+        # rows, not strided views: numpy 2.4's np.signbit and np.isfinite fill
+        # a strided boolean out= wrongly
+        self.bools = np.empty((4, n), bool)
+        self.groups, self.digits = np.empty((n, 4), np.intp), np.empty((n, 4), np.uint32)
+        self.cells, self.mask = np.empty((n, 46), np.uint8), np.empty((n, 46), bool)
+        self.nonzero = np.empty((n, 17), bool)
+
+    def put(self, values) -> None:
+        """Append numbers to the stream, encoding the table each time it fills."""
+        values, n = np.ravel(values), self.floats.shape[1]
+        while values.size:
+            k = min(values.size, n - self.filled)
+            self.floats[0, self.filled:self.filled + k] = values[:k]
+            self.filled += k
+            values = values[k:]
+            if self.filled == n:
+                self.flush()
+
+    def flush(self) -> None:
+        """Encode and write the numbers in the table."""
+        if self.filled:
+            self.floats[0, self.filled:] = 0.0
+            self.write(self._encode())
+            self.written += self.filled
+            self.filled = 0
+
+    def _scaled(self) -> None:
+        """hi + r = a * 10^s, Dekker's product: exact for s <= 22, else within 1e-14."""
+        p_hi, p_hh, p_hl, p_lo = _tables()[0]
+        x, ax, a, f, t, w, p, hi, r, a_hi, a_lo = self.floats
+        s = self.ints[0]
+        np.multiply(a, 134217729.0, out=a_hi)
+        a_hi -= np.subtract(a_hi, a, out=t)
+        np.subtract(a, a_hi, out=a_lo)
+        np.multiply(a, p_hi.take(s, out=p, mode="clip"), out=hi)
+        # r = (((a_hi hh - hi) + a_hi hl) + a_lo hh) + a_lo hl, then + a lo
+        np.subtract(np.multiply(a_hi, p_hh.take(s, out=p, mode="clip"), out=r), hi, out=r)
+        np.multiply(a_lo, p, out=w)
+        r += np.multiply(a_hi, p_hl.take(s, out=p, mode="clip"), out=t)
+        r += w
+        r += np.multiply(a_lo, p, out=w)
+        r += np.multiply(a, p_lo.take(s, out=p, mode="clip"), out=w)
+
+    def _encode(self) -> np.ndarray:
+        """CSV bytes of the table's first ``filled`` numbers, each '%.17g' % x.
+
+        Number j is followed by '\\n' where written + j + 1 is a multiple of
+        width, else by ','. Zero, and finite _LO <= |x| < _HI as x * 10^s
+        rounded half to even to a 17-digit integer d, are encoded in numpy;
+        the rest, and d next to an inexact tie, go through fmt. Every step
+        writes into the writer's arrays (takes in mode="clip", which is not
+        buffered); only the compacted bytes are new.
+        """
+        _, lut, chars, masks = _tables()
+        x, ax, a, f, t, w, p, hi, r, a_hi, a_lo = self.floats
+        s, d, q, row, nd = self.ints
+        fast, b1, b2, zero = self.bools
+        cells, mask = self.cells, self.mask
+        np.greater_equal(np.abs(x, out=ax), _LO, out=fast)
+        fast &= np.less(ax, _HI, out=b1)
+        a.fill(1.0)
+        np.copyto(a, ax, where=fast)
+        np.clip(np.floor(np.log10(a, out=f), out=f), _EMIN, 16, out=f)
+        np.copyto(s, np.subtract(16.0, f, out=f), casting="unsafe")
+        self._scaled()
+        # hi - 10^k is exact or far from 0, so each sign is that of a * 10^s - 10^k
+        np.greater_equal(np.add(np.subtract(hi, 1e17, out=t), r, out=t), 0.0, out=b1)
+        np.less(np.add(np.subtract(hi, 1e16, out=t), r, out=t), 0.0, out=b2)
+        if b1.any() or b2.any():     # log10 misses by one next to a power of ten
+            np.subtract(s, 1, out=s, where=b1)
+            np.add(s, 1, out=s, where=b2)
+            self._scaled()
+        np.abs(np.subtract(r, np.rint(r, out=t), out=t), out=t)
+        np.greater_equal(np.abs(np.subtract(t, 0.5, out=t), out=t), _TIE, out=b1)
+        fast &= np.logical_or(b1, np.less_equal(s, 22, out=b2), out=b1)
+        fast |= np.equal(x, 0.0, out=zero)   # printed as 1 (a = 1.0) with its digit cleared
+        np.copyto(d, hi, casting="unsafe")
+        np.copyto(q, np.rint(r, out=t), casting="unsafe")
+        d += q                               # hi >= 2^53 is even
+        np.copyto(d, 10**16, where=np.equal(d, 10**17, out=b1))  # a carry into an 18th digit
+        np.add(np.subtract(16 - _EMIN, s, out=row), 1, out=row, where=b1)  # X - _EMIN
+        for i, k in enumerate((12, 8, 4, 0)):
+            np.remainder(np.floor_divide(d, 10**k, out=q), 10000, out=self.groups[:, i])
+        digits = lut.take(self.groups, out=self.digits, mode="clip").view(np.uint8)
+        chars.take(row, axis=0, out=cells, mode="clip")
+        np.copyto(cells[:, 24], np.add(np.floor_divide(d, 10**16, out=q), 48, out=q),
+                  casting="unsafe")
+        np.subtract(cells[:, 24], zero, out=cells[:, 6])
+        cells[:, 7:23] = cells[:, 25:41] = digits
+        # 17 - nd digits are printed: block B's lead is not 0
+        np.argmax(np.not_equal(cells[:, 40:23:-1], 48, out=self.nonzero), axis=1, out=nd)
+        np.subtract(np.add(np.multiply(row, 17, out=row), 16, out=row), nd, out=row)
+        masks.take(row, axis=0, out=mask, mode="clip")
+        mask[:, 0] = np.signbit(x, out=b1)
+        if not fast.all():
+            slow = np.flatnonzero(~fast)
+            text = np.array([fmt(v) for v in x[slow].tolist()], "S24")  # <= 24 bytes each
+            cells[slow, :24] = text = text.view(np.uint8).reshape(-1, 24)
+            mask[slow, :45] = np.arange(45) < np.count_nonzero(text, axis=1)[:, None]
+        cells[(self.width - 1 - self.written) % self.width::self.width, 45] = ord("\n")
+        return cells[:self.filled][mask[:self.filled]]
 
 
-def _write_table(write, table: np.ndarray) -> None:
-    """Write a 1D or 2D array as CSV rows, _CHUNK numbers at a time."""
-    table = np.atleast_2d(np.ascontiguousarray(table, dtype=float))
-    for a in range(0, table.size, _CHUNK):
-        write(_encode(table.ravel()[a:a + _CHUNK], table.shape[-1], a))
+def _write_field(write, values: np.ndarray) -> None:
+    """A 1D or 2D array as CSV rows."""
+    table = np.atleast_2d(np.asarray(values, dtype=float))
+    csv = _CsvWriter(write, table.shape[-1], table.size)
+    csv.put(table)
+    csv.flush()
 
 
 def field_to_csv(values: np.ndarray) -> str:
-    chunks = []
-    _write_table(chunks.append, values)
-    return b"".join(chunks).decode("ascii")
+    buf = io.BytesIO()
+    _write_field(buf.write, values)
+    return buf.getvalue().decode("ascii")
 
 
 def save_field_csv(path, values: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        _write_table(fh.write, values)
+        _write_field(fh.write, values)
 
 
 def load_field_csv(path) -> np.ndarray:
@@ -152,18 +224,22 @@ def load_field_csv(path) -> np.ndarray:
     return arr[0] if arr.shape[0] == 1 else arr
 
 
-def save_trajectory_csv(path, traj: Trajectory) -> None:
+def save_trajectory_csv(path, traj) -> None:
     """One row per slice: slice index followed by the flattened field.
 
-    About _CHUNK numbers of whole rows are encoded at a time, so neither
-    the file nor the trajectory as one table ever exists in memory.
+    ``traj`` is a Trajectory or any iterable of slices, slice 0 first. Each
+    slice is encoded as it arrives, so a solve streamed in here never holds
+    its trajectory, and the file never exists in memory.
     """
-    n = int(np.prod(traj.grid.shape))
-    rows = max(1, _CHUNK // (n + 1))
+    csv = None
     with open(path, "wb") as fh:
-        for i in range(0, len(traj.slices), rows):
-            part = np.reshape(traj.slices[i:i + rows], (-1, n))
-            _write_table(fh.write, np.column_stack([np.arange(i, i + len(part)), part]))
+        for i, u in enumerate(traj.slices if isinstance(traj, Trajectory) else traj):
+            if csv is None:
+                csv = _CsvWriter(fh.write, np.size(u) + 1)
+            csv.put(i)
+            csv.put(u)
+        if csv is not None:
+            csv.flush()
 
 
 def field_to_pgm(values: np.ndarray) -> bytes:

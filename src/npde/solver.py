@@ -46,7 +46,9 @@ computes U V^2 once), or by copying f and g when it has none, with the same
 bits; one multiply then scales both channels by k.
 
 Every solve validates once, builds its step once (_stepper or
-_two_component_stepper) and runs it through _march, the one time loop.
+_two_component_stepper) and runs it through _march, the one time loop, a
+generator that computes a step only when the next slice is asked for:
+solve_forward lists forward_slices, and `npde solve` streams it to disk.
 Divergence (non-finite values, or magnitudes beyond DIVERGENCE_FACTOR times
 the initial scale) is reported there with the failing step index, never
 clamped. A single step is a one-step solve.
@@ -59,6 +61,7 @@ implicit scheme is unconditionally stable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,9 +87,9 @@ class DivergenceError(ArithmeticError):
         self.step = step
 
 
-def _march(u: np.ndarray, advance, n_steps: int, label: str, keep) -> np.ndarray:
-    """The one time loop of every solve: ``n_steps`` steps u <- advance(u),
-    each handed to keep(u, step). Returns the last u.
+def _march(u: np.ndarray, advance, n_steps: int, label: str):
+    """The one time loop of every solve: yields u after each of ``n_steps``
+    steps u <- advance(u), computing a step only when it is asked for.
 
     A step whose u is non-finite or beyond DIVERGENCE_FACTOR * (1 + max|u0|)
     raises DivergenceError carrying the step index. The bound is finite even
@@ -105,8 +108,7 @@ def _march(u: np.ndarray, advance, n_steps: int, label: str, keep) -> np.ndarray
             what = (f"magnitude {biggest:.3e} exceeded {bound:.3e}"
                     if np.isfinite(biggest) else "non-finite values")
             raise DivergenceError(f"{label} step {step} produced {what}", step=step)
-        keep(u, step)
-    return u
+        yield u
 
 
 @dataclass(frozen=True)
@@ -420,22 +422,28 @@ def step_two_component(U: np.ndarray, V: np.ndarray, Du: float, Dv: float,
     return solve_two_component(U, V, Du, Dv, rxn, grid, 1)[:2]
 
 
-def solve_forward(initial: np.ndarray, coeffs: EllipticCoefficients,
-                  grid: GridSpec, n_steps: int, scheme: str = "explicit",
-                  stencil2d: str = "5pt") -> Trajectory:
-    """March ``n_steps`` steps; the trajectory holds n_steps+1 slices.
-
-    Divergence raises DivergenceError carrying the step index (_march). The
-    input is validated, the step built and an implicit matrix factored once
-    (_stepper).
+def forward_slices(initial: np.ndarray, coeffs: EllipticCoefficients,
+                   grid: GridSpec, n_steps: int, scheme: str = "explicit",
+                   stencil2d: str = "5pt"):
+    """The n_steps+1 slices of a forward solve, initial state first, each
+    step computed when its slice is asked for (_march). The input is
+    validated, the step built and an implicit matrix factored before this
+    returns (_stepper); n_steps < 1 and divergence raise while iterating.
     """
     u = np.array(initial, dtype=float)
     if u.shape != grid.shape:
         raise ValueError(f"initial shape {u.shape} does not match grid {grid.shape}")
-    slices = [u]
-    _march(u, _stepper(coeffs, grid, scheme, stencil2d), n_steps, scheme,
-           lambda u, step: slices.append(u))
-    return Trajectory(grid, slices)
+    step = _stepper(coeffs, grid, scheme, stencil2d)
+    return itertools.chain((u,), _march(u, step, n_steps, scheme))
+
+
+def solve_forward(initial: np.ndarray, coeffs: EllipticCoefficients,
+                  grid: GridSpec, n_steps: int, scheme: str = "explicit",
+                  stencil2d: str = "5pt") -> Trajectory:
+    """March ``n_steps`` steps; the trajectory holds the n_steps+1 slices
+    of forward_slices. Divergence raises DivergenceError carrying the step."""
+    return Trajectory(grid, list(forward_slices(initial, coeffs, grid, n_steps,
+                                                scheme, stencil2d)))
 
 
 def solve_two_component(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
@@ -449,10 +457,7 @@ def solve_two_component(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
     """
     W, advance = _two_component_stepper(U0, V0, Du, Dv, rxn, grid)
     frames: list[np.ndarray] = []
-
-    def keep(W: np.ndarray, step: int) -> None:
+    for step, W in enumerate(_march(W, advance, n_steps, "two-component"), start=1):
         if record_every and step % record_every == 0:
             frames.append(W[1].copy())
-
-    _march(W, advance, n_steps, "two-component", keep)
     return W[0], W[1], frames

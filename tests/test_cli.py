@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from npde import train
 from npde.cli import _load_config, main
-from npde.fieldio import block_from_dict, fmt, load_block
+from npde.fieldio import (block_from_dict, field_to_pgm, fmt, load_block,
+                          save_trajectory_csv)
+from npde.grid import make_grid, periodic
+from npde.solver import solve_forward
+from npde.stencil import EllipticCoefficients
 
 
 def run_cli(args):
@@ -56,6 +61,63 @@ def test_solve_unstable_run_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert run_cli(["solve", "--config", path]) == 2
     assert "diverged at step" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diverging_solve_keeps_the_older_trajectory(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "trajectory.csv").write_bytes(b"0,1,2\n")
+    cfg = frozen_heat_config(out, n_steps=50)
+    cfg["model"]["A"] = 1.0
+    cfg["grid"]["k"] = 10.0             # r A = 10: the explicit step blows up
+    assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "diverged at step" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
+    assert (out / "trajectory.csv").read_bytes() == b"0,1,2\n"
+
+
+def test_2d_heat_frames_and_trajectory_match_the_library(tmp_path):
+    grid = make_grid(9, 1.0, 0.1, periodic(), ndim=2)
+    u0 = np.zeros(grid.shape)
+    u0[4, 6] = 1.0
+    cfg = {"grid": {"n_points": 9, "h": 1.0, "k": 0.1, "bc": "periodic", "ndim": 2},
+           "model": {"kind": "heat", "A": 1.0},
+           "run": {"n_steps": 7, "frame_stride": 3,
+                   "initial": {"kind": "delta", "index": [4, 6]}},
+           "io": {"out_dir": str(tmp_path / "out")}}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+    traj = solve_forward(u0, EllipticCoefficients.constant(grid, 1.0), grid, 7)
+    save_trajectory_csv(tmp_path / "library.csv", traj)
+    out = tmp_path / "out"
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["trajectory.csv", "u_00003.pgm", "u_00006.pgm"]
+    for step in (3, 6):
+        assert (out / f"u_{step:05d}.pgm").read_bytes() == field_to_pgm(traj.slices[step])
+
+
+def _solve_peak_bytes(tmp_path, n_steps):
+    cfg = {"grid": {"n_points": 400, "h": 0.05, "k": 0.000625, "bc": "periodic"},
+           "model": {"kind": "heat", "A": 1.0},
+           "run": {"n_steps": n_steps, "initial": {"kind": "gaussian", "amplitude": 1.0,
+                                                     "center": 10.0, "sigma2": 1.0}},
+           "io": {"out_dir": str(tmp_path / f"out{n_steps}")}}
+    path = write_config(tmp_path, cfg, f"c{n_steps}.json")
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(["solve", "--config", path]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_memory_does_not_grow_with_steps(tmp_path):
+    _solve_peak_bytes(tmp_path, 1)      # first-use tables and caches
+    # 3,800 more slices of 400 numbers would be 12 MB held until the write
+    assert abs(_solve_peak_bytes(tmp_path, 4000) - _solve_peak_bytes(tmp_path, 200)) < 2**20
 
 
 def test_solve_gray_scott_writes_frames(tmp_path):

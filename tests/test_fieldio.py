@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +75,39 @@ def test_trajectory_csv_bytes_match_join_writer(ndim, tmp_path):
     traj = Trajectory(grid, slices)
     save_trajectory_csv(tmp_path / "t.csv", traj)
     assert (tmp_path / "t.csv").read_bytes() == _join_trajectory_csv(traj).encode()
+
+
+_WRITE_TWICE = """
+import resource, sys
+import numpy as np
+from npde.fieldio import save_trajectory_csv
+from npde.grid import make_grid, periodic
+from npde.reference import GaussianProfile
+from npde.solver import solve_forward
+from npde.stencil import EllipticCoefficients
+
+grid = make_grid(400, 0.05, 0.000625, periodic())      # the README config
+traj = solve_forward(GaussianProfile(1.0, 10.0, 1.0).sample(grid.h * np.arange(400)),
+                     EllipticCoefficients.constant(grid, 1.0), grid, 800)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    save_trajectory_csv(sys.argv[1], traj)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc tunable")
+def test_trajectory_writer_does_not_churn_the_heap(tmp_path):
+    # With the trim threshold at 0, glibc hands freed pages at the top of the
+    # heap back to the kernel, so per-chunk temporaries fault in again on the
+    # next chunk; the writer makes its work arrays once per file.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "MALLOC_TRIM_THRESHOLD_": "0",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", _WRITE_TWICE, str(tmp_path / "t.csv")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert (tmp_path / "t.csv").read_bytes().count(b"\n") == 801
+    assert int(run.stdout) <= 1000       # minor page faults of the second write
 
 
 def _join_csv(values):

@@ -271,6 +271,17 @@ def test_diffusion_layer_starts_monotone(seed):
     train_supervised(model, data, LossSpec(), OptimizerConfig(), seed, 1, 0.0)
 
 
+def test_pipeline_blocks_do_not_share_theta_memory():
+    model = Pipeline.dense([3, 2, 1], [sigmoid_reaction(1.0), no_reaction()])
+    theta = model.init_theta(np.random.default_rng(62))
+    blocks = model.blocks(theta)
+    assert not any(np.shares_memory(getattr(b, f), theta.values)
+                   for b in blocks for f in ("W", "bias"))
+    W = blocks[0].W.copy()
+    theta.values[:] = 0.0
+    np.testing.assert_array_equal(blocks[0].W, W)
+
+
 @pytest.mark.parametrize("n_steps", [0, 1, 2])
 def test_pipeline_blocks_replay_forward_bit_for_bit(n_steps):
     grid = make_grid(6, 1.0, 0.2, mirror())
