@@ -11,13 +11,11 @@ of an RBM energy.
 
 The central contract is generator/solver equivalence: a generated block's
 forward pass reproduces the corresponding solver step to rounding. In 1D it
-holds by construction: gen_conv1d's kernels are the per-node step taps of
-stencil._step_taps, and Conv1DBlock.forward runs the same 3-tap apply as the
-solver, so the two agree bit for bit. The RBM and RNN matrices lay taps out
-densely in O(n). Reaction
-terms enter conv blocks additively with weight k, evaluated on the input
-slice (diffuse first, react on the pre-update slice); dense layers compose
-their activation in the usual y = act(W x + b) sense.
+holds by construction: gen_conv1d's kernels are stencil._step_taps, shared
+with the solver. The RBM and RNN matrices lay taps out densely in O(n).
+Reaction terms enter conv blocks additively with weight k, evaluated on the
+input slice (diffuse first, react on the pre-update slice); dense layers
+compose their activation in the usual y = act(W x + b) sense.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ import numpy as np
 from .blocks import Conv1DBlock, Conv2DBlock, DenseBlock, RBMEnergy, RNNCell
 from .grid import BoundaryCondition, GridSpec
 from .reactions import ReactionSpec
-from .solver import Trajectory
 
 
 def fmt(x: float) -> str:
@@ -224,16 +223,16 @@ def load_field_csv(path) -> np.ndarray:
     return arr[0] if arr.shape[0] == 1 else arr
 
 
-def save_trajectory_csv(path, traj) -> None:
+def save_trajectory_csv(path, slices) -> None:
     """One row per slice: slice index followed by the flattened field.
 
-    ``traj`` is a Trajectory or any iterable of slices, slice 0 first. Each
-    slice is encoded as it arrives, so a solve streamed in here never holds
-    its trajectory, and the file never exists in memory.
+    ``slices`` is any iterable of slices, slice 0 first. Each is encoded as
+    it arrives, so a solve streamed in here never holds its trajectory, and
+    the file never exists in memory.
     """
     csv = None
     with open(path, "wb") as fh:
-        for i, u in enumerate(traj.slices if isinstance(traj, Trajectory) else traj):
+        for i, u in enumerate(slices):
             if csv is None:
                 csv = _CsvWriter(fh.write, np.size(u) + 1)
             csv.put(i)

@@ -5,8 +5,7 @@ Explicit (forward Euler) step, with r = k/h**2:
     u_j' = (1 - 2 r A_j) u_j + r A_{j-1} u_{j-1} + r A_{j+1} u_{j+1}
            + k * (B-term + C-term)
 
-In 1D these per-node taps are stencil._step_taps, gen_conv1d's kernels, so
-solver, block and DiffusionLayer steps agree bit for bit; they round a few
+In 1D these are stencil._step_taps (see there for what shares them), a few
 ulps per step apart from u + k * elliptic_apply(u), the divergence form.
 A 2D step runs stencil._laplacian_2d on A*u in a buffer the solve
 allocates once; diffusion_term runs the same sequence, so the step is

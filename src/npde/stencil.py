@@ -27,8 +27,11 @@ so B is the effective convection coefficient.
 The 1D explicit step has one definition: _step_taps builds its per-node
 taps once, and _tap_step pads into a buffer and applies them. The solver,
 gen_conv1d's blocks, the DiffusionLayer, the RBM/RNN matrices (_band_matrix)
-and the implicit bands all read those taps. elliptic_apply keeps the
-divergence form, (1/h**2) stencil(A*u); in 1D it is the independent
+and the implicit bands all read those taps, so solver, block and layer agree
+bit for bit. The step's adjoint is here too, for the DiffusionLayer's
+gradient: _tap_step_vjp takes an output cotangent back to u and the tap
+rows, and _step_taps_vjp takes the tap rows back to A. elliptic_apply keeps
+the divergence form, (1/h**2) stencil(A*u); in 1D it is the independent
 reference for the taps, which differ from it by a few ulps of rounding.
 Every 2D step, diffusion_term's included, runs one separable Laplacian,
 _laplacian_2d; the general 3x3 correlation serves arbitrary kernels only.
@@ -40,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (BoundaryCondition, GridSpec, _ghost_fill, _ghost_scatter, pad,
-                   pad_coefficient)
+from .grid import (BoundaryCondition, GridSpec, _coefficient_bc, _ghost_fill, _ghost_scatter,
+                   pad, pad_coefficient)
 from .reactions import ReactionSpec, no_reaction
 
 STENCILS_2D = ("5pt", "9pt")
@@ -86,14 +89,6 @@ def _apply_taps(taps, P: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_taps_transposed(taps: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Adjoint of _apply_taps in P: the cotangent of the padded field."""
-    G = np.zeros(g.shape[:-1] + (g.shape[-1] + 2,))
-    for d in range(3):
-        G[..., d:d + g.shape[-1]] += taps[d] * g
-    return G
-
-
 def _step_taps(A: np.ndarray, B: np.ndarray | None, grid: GridSpec,
                identity: float = 1.0) -> np.ndarray:
     """Per-node taps of one explicit 1D step, identity * I + k * O_L's linear
@@ -116,6 +111,15 @@ def _step_taps(A: np.ndarray, B: np.ndarray | None, grid: GridSpec,
     return taps
 
 
+def _step_taps_vjp(g_taps: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Adjoint of _step_taps in A: A's gradient from the (3, n) tap-row gradients."""
+    n = g_taps.shape[1]
+    g_ap = np.zeros(n + 2)
+    for d, w in enumerate((1.0, -2.0, 1.0)):
+        g_ap[d:d + n] += w * g_taps[d]
+    return (grid.k / grid.h**2) * _ghost_scatter(g_ap, _coefficient_bc(grid.bc))
+
+
 def _tap_step(taps: np.ndarray, u: np.ndarray, grid: GridSpec,
               reaction: ReactionSpec = no_reaction(),
               P: np.ndarray | None = None) -> np.ndarray:
@@ -129,6 +133,22 @@ def _tap_step(taps: np.ndarray, u: np.ndarray, grid: GridSpec,
     if reaction.kind != "none":
         out += grid.k * reaction(u)
     return out
+
+
+def _tap_step_vjp(taps: np.ndarray, P: np.ndarray, g: np.ndarray, grid: GridSpec,
+                  reaction: ReactionSpec):
+    """Adjoint of the _tap_step that filled P, at its output's cotangent g: the
+    cotangent of u and the (3, n) tap-row gradients summed over leading axes."""
+    n = g.shape[-1]
+    rows_g, rows_P = g.reshape(-1, n), P.reshape(-1, n + 2)
+    G, g_taps = np.zeros(P.shape), np.empty((3, n))
+    for d in range(3):
+        G[..., d:d + n] += taps[d] * g
+        g_taps[d] = np.einsum("ij,ij->j", rows_g, rows_P[:, d:d + n])
+    g_u = _ghost_scatter(G, grid.bc)
+    if reaction.kind != "none":
+        g_u += grid.k * reaction.deriv(P[..., 1:-1]) * g
+    return g_u, g_taps
 
 
 def _band_matrix(taps: np.ndarray, bc: BoundaryCondition) -> np.ndarray:

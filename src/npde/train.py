@@ -21,13 +21,11 @@ Samples ride a leading axis: every layer maps a batch (n_samples, n) in one
 call, dense layers as X W^T + b and diffusion layers with the stencil on the
 node axis. A dense layer caches its activation output, and its backward pass
 reads a sigmoid's derivative rate * a * (1 - a) off that output instead of
-recomputing the sigmoid. A diffusion layer steps with the per-node taps of
-stencil._step_taps, the solver's and gen_conv1d's kernels, so its rows equal
-solve_forward bit for bit; its backward pass is the transposed tap apply
-followed by the ghost-cell scatter, and the A-gradient is read off the
-gradients of the three tap rows. An epoch is one forward and one backward
-pass over the whole batch: the forward pass that scores an accepted step
-also supplies the caches, parameter views included, for the next gradient.
+recomputing the sigmoid. A diffusion layer runs stencil's one explicit 1D
+step forward and that step's adjoint in reverse (see the stencil module).
+An epoch is one forward and one backward pass over the whole batch: the
+forward pass that scores an accepted step also supplies the caches,
+parameter views included, for the next gradient.
 """
 
 from __future__ import annotations
@@ -39,10 +37,10 @@ import numpy as np
 
 from .blocks import gen_conv1d, gen_dense
 # pad stays part of this module's namespace (npde.train.pad); no layer here calls it
-from .grid import GridSpec, _coefficient_bc, _ghost_scatter, pad  # noqa: F401
+from .grid import GridSpec, pad  # noqa: F401
 from .reactions import ReactionSpec, no_reaction
 from .solver import cfl_check
-from .stencil import EllipticCoefficients, _apply_taps_transposed, _step_taps, _tap_step
+from .stencil import EllipticCoefficients, _step_taps, _step_taps_vjp, _tap_step, _tap_step_vjp
 from .optim import (AdamState, LBFGSState, LossSpec, ThetaVector, adam_step,
                     gauss_newton_step, lbfgs_direction, lbfgs_update, sgd_step)
 
@@ -89,12 +87,11 @@ class DenseLayer:
 class DiffusionLayer:
     """Unrolled explicit diffusion steps with a learnable coefficient field A.
 
-    Each step is u <- taps(A) * padded(u) + k * C(u) on the layer's 1D grid,
-    with the per-node taps of stencil._step_taps: the solver's explicit update
-    bit for bit, so the trained A drops straight into gen_conv1d /
-    step_explicit. n_steps = 0 is the identity map (the parameters then only
-    feel weight decay). Fields are rows of a batch (n_samples, n_points): the
-    stencil acts on the node axis and the batch axis rides along.
+    Each step is stencil._tap_step with A's taps, so the trained A drops
+    straight into gen_conv1d / step_explicit; backward runs _tap_step_vjp
+    over the forward's padded buffers in reverse. n_steps = 0 is the identity
+    map (A then only feels weight decay). Fields are rows of a batch
+    (n_samples, n_points); the batch axis rides along the node axis.
     """
 
     def __init__(self, grid: GridSpec, n_steps: int,
@@ -129,24 +126,11 @@ class DiffusionLayer:
 
     def backward(self, params, cache, gy):
         taps, padded = cache
-        grid = self.grid
-        n = taps.shape[1]
-        # gs[t + 1] is the cotangent of step t's output, gs[0] of the input
-        gs = np.empty((len(padded) + 1,) + np.shape(gy))
-        gs[-1] = gy
-        for t in reversed(range(len(padded))):
-            gs[t] = _ghost_scatter(_apply_taps_transposed(taps, gs[t + 1]), grid.bc)
-            if self.reaction.kind != "none":
-                gs[t] += grid.k * self.reaction.deriv(padded[t, ..., 1:-1]) * gs[t + 1]
-        # step t's output is sum_d taps[d] * padded[t, ..., d:d+n] + k * C(u), and
-        # taps = k/h**2 * [Ap[:-2], -2 A, Ap[2:]] with Ap = pad_coefficient(A)
-        g_out, P = gs[1:].reshape(-1, n), padded.reshape(-1, n + 2)
-        g_ap = np.zeros(n + 2)
-        for d, w in enumerate((1.0, -2.0, 1.0)):
-            g_tap = np.einsum("ij,ij->j", g_out, P[:, d:d + n])
-            g_ap[d:d + n] += w * g_tap
-        g_a = _ghost_scatter(g_ap, _coefficient_bc(grid.bc))
-        return gs[0], {"A": (grid.k / grid.h**2) * g_a}
+        g, g_taps = gy, np.zeros_like(taps)
+        for P in padded[::-1]:
+            g, g_step = _tap_step_vjp(taps, P, g, self.grid, self.reaction)
+            g_taps += g_step
+        return g, {"A": _step_taps_vjp(g_taps, self.grid)}
 
     def blocks(self, params):
         """One gen_conv1d block per step; n_steps = 0, the identity, has none."""

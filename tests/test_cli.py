@@ -89,7 +89,7 @@ def test_2d_heat_frames_and_trajectory_match_the_library(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 0
     traj = solve_forward(u0, EllipticCoefficients.constant(grid, 1.0), grid, 7)
-    save_trajectory_csv(tmp_path / "library.csv", traj)
+    save_trajectory_csv(tmp_path / "library.csv", traj.slices)
     out = tmp_path / "out"
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
     assert sorted(p.name for p in out.iterdir()) == \

@@ -48,7 +48,7 @@ def test_trajectory_csv_has_slice_index(tmp_path):
     grid = make_grid(4, 1.0, 0.1, periodic())
     traj = solve_forward(np.ones(4), EllipticCoefficients.constant(grid, 0.0),
                          grid, 3)
-    save_trajectory_csv(tmp_path / "t.csv", traj)
+    save_trajectory_csv(tmp_path / "t.csv", traj.slices)
     lines = (tmp_path / "t.csv").read_text().splitlines()
     assert len(lines) == 4
     assert lines[0].split(",")[0] == "0"
@@ -73,7 +73,7 @@ def test_trajectory_csv_bytes_match_join_writer(ndim, tmp_path):
     pool = np.concatenate([special, rng.standard_normal(40) * 10.0**rng.integers(-300, 301, 40)])
     slices = [rng.permutation(pool)[:grid.n_points**ndim].reshape(grid.shape) for _ in range(12)]
     traj = Trajectory(grid, slices)
-    save_trajectory_csv(tmp_path / "t.csv", traj)
+    save_trajectory_csv(tmp_path / "t.csv", traj.slices)
     assert (tmp_path / "t.csv").read_bytes() == _join_trajectory_csv(traj).encode()
 
 
@@ -91,7 +91,7 @@ traj = solve_forward(GaussianProfile(1.0, 10.0, 1.0).sample(grid.h * np.arange(4
                      EllipticCoefficients.constant(grid, 1.0), grid, 800)
 for _ in range(2):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    save_trajectory_csv(sys.argv[1], traj)
+    save_trajectory_csv(sys.argv[1], traj.slices)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

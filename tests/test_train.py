@@ -1,8 +1,11 @@
+import inspect
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import npde.train
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
 from npde.optim import LossSpec, ThetaVector, grad_fd
 from npde.reactions import fisher, no_reaction, sigmoid_reaction
@@ -93,6 +96,41 @@ def test_diffusion_unroll_with_reaction_gradient_matches_fd():
     analytic = batch_gradient(model, theta, samples, LossSpec())
     fd = grad_fd(lambda t: batch_loss(model, t, samples, LossSpec()), theta, 1e-6)
     np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8)
+
+
+def test_diffusion_backward_memory_does_not_grow_with_steps():
+    grid = make_grid(4000, 0.1, 0.004, periodic())
+    layer = DiffusionLayer(grid, 200, fisher(1.0))
+    rng = np.random.default_rng(56)
+    params = {"A": np.ones(4000)}
+    _, cache = layer.forward(params, rng.uniform(0.0, 1.0, (1, 4000)))
+    gy = rng.standard_normal((1, 4000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        layer.backward(params, cache, gy)
+        growth = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # a cotangent per step would be 200 rows of 4000 numbers, 6.1 MiB
+    assert growth < 2**20
+
+
+def test_diffusion_gradient_is_the_stencil_step_adjoint(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("DiffusionLayer.backward ran stencil._tap_step_vjp")
+
+    monkeypatch.setattr(npde.train, "_tap_step_vjp", refuse)
+    grid = make_grid(8, 0.5, 0.05, mirror())
+    model = Pipeline([DiffusionLayer(grid, 2, fisher(0.5))])
+    rng = np.random.default_rng(57)
+    samples = [(rng.uniform(0.0, 1.0, 8), rng.uniform(0.0, 1.0, 8))]
+    with pytest.raises(AssertionError, match="_tap_step_vjp"):
+        batch_gradient(model, model.init_theta(rng), samples, LossSpec())
+    # the tap layout and the coefficient ghost rule stay in stencil
+    source = inspect.getsource(npde.train)
+    assert [name for name in ("_coefficient_bc", "_ghost_scatter", "einsum")
+            if name in source] == []
 
 
 def test_two_layer_sigmoid_gradient_matches_fd():
