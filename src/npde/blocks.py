@@ -11,10 +11,11 @@ of an RBM energy.
 
 The central contract is generator/solver equivalence: a generated block's
 forward pass reproduces the corresponding solver step to rounding. In 1D it
-holds by construction: gen_conv1d's kernels are stencil._step_taps, shared
-with the solver. The RBM and RNN matrices lay taps out densely in O(n).
-Reaction terms enter conv blocks additively with weight k, evaluated on the
-input slice (diffuse first, react on the pre-update slice); dense layers
+holds by construction: gen_conv1d's kernels are stencil._step_taps, and a
+block runs the solver's step built from them, stencil._Step1D. The RBM and
+RNN matrices lay taps out densely in O(n). Reaction terms enter conv blocks
+with weight k, evaluated on the input slice (diffuse first, react on the
+pre-update slice); dense layers
 compose their activation in the usual y = act(W x + b) sense.
 """
 
@@ -27,8 +28,8 @@ import numpy as np
 # pad stays part of this module's namespace (npde.blocks.pad); no block here calls it
 from .grid import GridSpec, _fill_ghosts, pad  # noqa: F401
 from .reactions import ReactionSpec, no_reaction
-from .stencil import (EllipticCoefficients, _band_matrix, _correlate_2d, _step_taps,
-                      _tap_step, laplacian_1d)
+from .stencil import (EllipticCoefficients, _band_matrix, _correlate_2d, _Step1D, _step_taps,
+                      laplacian_1d)
 
 
 def _finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -55,14 +56,15 @@ class Conv1DBlock:
         k = _finite("kernels", self.kernels)
         if k.ndim != 2 or k.shape[1] != 3 or k.shape[0] != self.grid.n_points:
             raise ValueError("kernels must be (n_points, 3)")
-        # column-major, so kernels.T is the three contiguous tap rows
+        # column-major: kernels.T is the tap rows; the step is no field, so no file holds it
         object.__setattr__(self, "kernels", np.asfortranarray(k))
+        object.__setattr__(self, "_step", _Step1D(self.kernels.T, self.grid, self.activation))
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape != self.grid.shape:
             raise ValueError(f"field shape {u.shape} does not match grid {self.grid.shape}")
-        return _tap_step(self.kernels.T, u, self.grid, self.activation)
+        return self._step(u)
 
     def forward_without_identity(self, u: np.ndarray) -> np.ndarray:
         """The residual branch: forward minus the identity skip."""

@@ -2,8 +2,10 @@
 
 The reaction term doubles as the activation nonlinearity of generated blocks:
 fisher is the logistic growth r*u*(1-u), sigmoid is the logistic function
-1/(1+exp(-r*u)), linear is r*u: one table maps each of these rate kinds, and
-none, to C(rate, u) and dC/du(rate, u). source adds a fixed forcing field (the
+1/(1+exp(-r*u)), linear is r*u. One table gives these rate kinds, and none,
+C's linear part l (the rate, or 0) and the rest R = C - l u: C and dC/du are
+built from them (fisher's C rounds as r*u - r*u**2), and an explicit 1D step
+folds l into its centre tap. source adds a fixed forcing field (the
 absorbed-intensity term of the heat-conduction form). A two-component pair
 fills a solver's (2, n, n) buffer through its fused evaluator (gray_scott
 computes U V^2 once), or else by copying f(U, V) and g(U, V), bit for bit alike.
@@ -12,6 +14,7 @@ computes U V^2 once), or else by copying f(U, V) and g(U, V), bit for bit alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -32,16 +35,13 @@ def _sigmoid_slope(rate, s):
     return rate * s * (1.0 - s)
 
 
-def _zero(rate, u):  # C and dC/du of kind none, at any rate
-    return np.zeros_like(u)
-
-
-# kind -> (C(rate, u), dC/du(rate, u)); "source", a fixed field, has no rate
+# kind -> (folds, R(rate, u), dR/du(rate, u)) with C = l u + R, l = rate if the
+# kind folds else 0, None for R = 0; "source", a fixed field, has no rate
 _RATE_KINDS = {
-    "none": (_zero, _zero),
-    "fisher": (lambda r, u: r * u * (1.0 - u), lambda r, u: r * (1.0 - 2.0 * u)),
-    "sigmoid": (lambda r, u: sigmoid(r * u), lambda r, u: _sigmoid_slope(r, sigmoid(r * u))),
-    "linear": (lambda r, u: r * u, lambda r, u: np.full_like(u, r)),
+    "none": (False, None, None),
+    "fisher": (True, lambda r, u: -r * u * u, lambda r, u: -2.0 * r * u),
+    "sigmoid": (False, lambda r, u: sigmoid(r * u), lambda r, u: _sigmoid_slope(r, sigmoid(r * u))),
+    "linear": (True, None, None),
 }
 
 
@@ -71,18 +71,34 @@ class ReactionSpec:
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        if self.kind != "source":
-            return _RATE_KINDS[self.kind][0](self.rate, u)
-        if self.source.shape != u.shape:
-            raise ValueError("source field shape does not match the field")
-        return self.source.copy()
+        if self.kind == "source":
+            if self.source.shape != u.shape:
+                raise ValueError("source field shape does not match the field")
+            return self.source.copy()
+        folds, rest, _ = _RATE_KINDS[self.kind]
+        if rest is None:
+            return self.rate * u if folds else np.zeros_like(u)
+        return self.rate * u + rest(self.rate, u) if folds else rest(self.rate, u)
 
     def deriv(self, u):
-        """d/du of the reaction, used by reverse-mode gradients."""
+        """d/du of the reaction, l + dR/du, used by reverse-mode gradients."""
         u = np.asarray(u, dtype=float)
-        if self.kind != "source":
-            return _RATE_KINDS[self.kind][1](self.rate, u)
-        return np.zeros_like(u)
+        folds, _, slope = _RATE_KINDS.get(self.kind, (False, None, None))
+        if slope is None:
+            return np.full_like(u, self.rate if folds else 0.0)
+        return self.rate + slope(self.rate, u) if folds else slope(self.rate, u)
+
+    def split(self, k: float):
+        """(k l, k R, k dR/du) for C(u) = l u + R(u): l is C's part linear in u,
+        which an explicit 1D step of time step k folds into its centre tap; k R
+        and k dR/du are functions of u, None where they vanish. A kind that
+        folds is its rate times a function of u, so there k R is R at rate k r."""
+        if self.kind == "source":
+            return 0.0, lambda u: k * self(u), None
+        folds, rest, slope = _RATE_KINDS[self.kind]
+        if folds:
+            return k * self.rate, *(f and partial(f, k * self.rate) for f in (rest, slope))
+        return 0.0, *(f and (lambda u, f=f: k * f(self.rate, u)) for f in (rest, slope))
 
     def activate(self, z):
         """Composed-activation semantics: ``none`` is the identity map.

@@ -5,8 +5,10 @@ Explicit (forward Euler) step, with r = k/h**2:
     u_j' = (1 - 2 r A_j) u_j + r A_{j-1} u_{j-1} + r A_{j+1} u_{j+1}
            + k * (B-term + C-term)
 
-In 1D these are stencil._step_taps (see there for what shares them), a few
-ulps per step apart from u + k * elliptic_apply(u), the divergence form.
+In 1D these are stencil._step_taps, stored and judged for stability. The
+step that runs, stencil._Step1D, adds k times C's linear part to the centre
+tap and is within 4 eps ((max sum|taps| + k |l|) max|P| + k max|C(u)|) of
+the unfolded taps(P) + k C(u) (see stencil for what shares them).
 A 2D step runs stencil._laplacian_2d on A*u in a buffer the solve
 allocates once; diffusion_term runs the same sequence, so the step is
 u + k * elliptic_apply(u) bit for bit.
@@ -52,10 +54,10 @@ Divergence (non-finite values, or magnitudes beyond DIVERGENCE_FACTOR times
 the initial scale) is reported there with the failing step index, never
 clamped. A single step is a one-step solve.
 
-Explicit stability (cfl_check) requires a monotone 1D step, every tap >= 0
-(r A <= 1/2 and |B| h <= 2 A), and in 2D r * max(A) <= 1/4 with A >= 0: the
-5-point limit, conservative under 9pt, which is monotone up to 1/3. The
-implicit scheme is unconditionally stable.
+Explicit stability (cfl_check) requires a monotone 1D step, every unfolded
+tap >= 0 (r A <= 1/2 and |B| h <= 2 A), and in 2D r * max(A) <= 1/4 with
+A >= 0: the 5-point limit, conservative under 9pt, which is monotone up to
+1/3. The implicit scheme is unconditionally stable.
 """
 
 from __future__ import annotations
@@ -68,8 +70,7 @@ import numpy as np
 # pad stays part of this module's namespace (npde.solver.pad); no step here calls it
 from .grid import GridSpec, _fill_ghosts, _ghost_scatter, pad, pad_coefficient  # noqa: F401
 from .reactions import TwoComponentReaction
-from .stencil import (EllipticCoefficients, _laplacian_2d, _step_taps, _tap_step,
-                      stencil_2d)
+from .stencil import EllipticCoefficients, _laplacian_2d, _Step1D, _step_taps, stencil_2d
 
 # A step is declared divergent when max|u| exceeds this factor times the
 # initial scale, long before float64 overflow turns values non-finite.
@@ -92,21 +93,28 @@ def _march(u: np.ndarray, advance, n_steps: int, label: str):
 
     A step whose u is non-finite or beyond DIVERGENCE_FACTOR * (1 + max|u0|)
     raises DivergenceError carrying the step index. The bound is finite even
-    for an infinite u0, so an infinite u never passes.
+    for an infinite u0, so an infinite u never passes. A computed sum of
+    squares is within a relative u.size * eps of max|u|**2's upper bound, the
+    exact sum (Higham, Accuracy and Stability, sec. 3.1), so one dot product
+    at most bound**2 less that margin passes a step; else (NaN, inf, overflow,
+    or bound**2 itself overflowing) max|u| decides, with the same verdict.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    bound = min(DIVERGENCE_FACTOR * (1.0 + float(max(u.max(), -u.min()))),
-                np.finfo(float).max)
+    bound = float(min(DIVERGENCE_FACTOR * (1.0 + float(max(u.max(), -u.min()))),
+                      np.finfo(float).max))
+    square = bound * bound * (1.0 - 4.0 * (u.size + 1) * np.finfo(float).eps)
     for step in range(1, n_steps + 1):
         u = advance(u)
-        # max|u| catches NaN, inf and runaway growth: a NaN makes both
-        # reductions NaN, and NaN fails every <=
-        biggest = float(max(u.max(), -u.min()))
-        if not biggest <= bound:
-            what = (f"magnitude {biggest:.3e} exceeded {bound:.3e}"
-                    if np.isfinite(biggest) else "non-finite values")
-            raise DivergenceError(f"{label} step {step} produced {what}", step=step)
+        # vdot, unlike @, warns of no overflow
+        if not (square < np.inf and np.vdot(u, u) <= square):
+            # max|u| catches NaN, inf and runaway growth: a NaN makes both
+            # reductions NaN, and NaN fails every <=
+            biggest = float(max(u.max(), -u.min()))
+            if not biggest <= bound:
+                what = (f"magnitude {biggest:.3e} exceeded {bound:.3e}"
+                        if np.isfinite(biggest) else "non-finite values")
+                raise DivergenceError(f"{label} step {step} produced {what}", step=step)
         yield u
 
 
@@ -133,7 +141,7 @@ class CflReport:
 
 
 def cfl_check(coeffs: EllipticCoefficients, grid: GridSpec) -> CflReport:
-    """Explicit stability: in 1D a monotone step (every step tap >= 0, i.e.
+    """Explicit stability: in 1D a monotone step (every unfolded tap >= 0, i.e.
     r A <= 1/2 and |B| h <= 2 A per node), in 2D r * max(A) <= 1/4 and A >= 0,
     the 5-point limit: conservative under 9pt, which is monotone up to 1/3.
     """
@@ -327,8 +335,8 @@ def _stepper(coeffs: EllipticCoefficients, grid: GridSpec, scheme: str,
     coeffs.validate_against(grid)
     P = np.empty(tuple(m + 2 for m in grid.shape))
     if grid.ndim == 1:
-        taps = _step_taps(coeffs.A, coeffs.B, grid)
-        return lambda u: _tap_step(taps, u, grid, coeffs.C, P)
+        step = _Step1D(_step_taps(coeffs.A, coeffs.B, grid), grid, coeffs.C)
+        return lambda u: step(u, P)
     A, Ap = coeffs.A, pad_coefficient(coeffs.A, grid.bc)
     lap = _laplacian_2d(P, np.zeros(P.size), stencil2d)
     reaction, k, h2 = coeffs.C, grid.k, grid.h**2
@@ -348,7 +356,7 @@ def step_explicit(field: np.ndarray, coeffs: EllipticCoefficients,
                   grid: GridSpec, stencil2d: str = "5pt") -> np.ndarray:
     """One forward-Euler step u + k * O_L(u): a one-step solve_forward.
 
-    1D applies the step taps (gen_conv1d's kernels), 2D the separable
+    1D runs the step gen_conv1d's blocks run (stencil._Step1D), 2D the separable
     Laplacian of A*u, which is u + k * elliptic_apply(u) bit for bit.
     Divergence raises DivergenceError with step 1, as in solve_forward.
     """

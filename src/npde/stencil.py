@@ -24,15 +24,16 @@ A*u. The full quasi-linear elliptic operator applied here is
 with C a pointwise reaction. The gradient-of-A cross term is absorbed into B,
 so B is the effective convection coefficient.
 
-The 1D explicit step has one definition: _step_taps builds its per-node
-taps once, and _tap_step pads into a buffer and applies them. The solver,
-gen_conv1d's blocks, the DiffusionLayer, the RBM/RNN matrices (_band_matrix)
-and the implicit bands all read those taps, so solver, block and layer agree
-bit for bit. The step's adjoint is here too, for the DiffusionLayer's
-gradient: _tap_step_vjp takes an output cotangent back to u and the tap
-rows, and _step_taps_vjp takes the tap rows back to A. elliptic_apply keeps
-the divergence form, (1/h**2) stencil(A*u); in 1D it is the independent
-reference for the taps, which differ from it by a few ulps of rounding.
+The 1D explicit step has one definition. _step_taps builds the per-node
+taps that gen_conv1d's blocks store, cfl_check judges and the RBM/RNN
+matrices (_band_matrix) and implicit bands read. _Step1D builds the step
+that solver, blocks and DiffusionLayer run, so they agree bit for bit: k l,
+C's linear part, folded into the centre tap, scalar taps for a uniform
+medium. It is within 4 eps ((max_j sum_d |taps[d, j]| + k |l|) max|P| +
+k max|C(u)|) of the unfolded taps(P) + k C(u), bit for bit when nothing
+folds. Its adjoint: _tap_step_vjp takes an output cotangent to u and the tap
+rows, _step_taps_vjp the rows to A. elliptic_apply keeps the divergence
+form, (1/h**2) stencil(A*u), in 1D the reference for the unfolded taps.
 Every 2D step, diffusion_term's included, runs one separable Laplacian,
 _laplacian_2d; the general 3x3 correlation serves arbitrary kernels only.
 """
@@ -120,39 +121,51 @@ def _step_taps_vjp(g_taps: np.ndarray, grid: GridSpec) -> np.ndarray:
     return (grid.k / grid.h**2) * _ghost_scatter(g_ap, _coefficient_bc(grid.bc))
 
 
-def _tap_step(taps: np.ndarray, u: np.ndarray, grid: GridSpec,
-              reaction: ReactionSpec = no_reaction(),
-              P: np.ndarray | None = None) -> np.ndarray:
-    """One explicit 1D step: pad u's last axis (into the buffer P when given),
-    apply the taps, add k * reaction(u). Returns a fresh array.
+class _Step1D:
+    """The 1D explicit step that runs, built once from _step_taps' (3, n) taps:
+    k l (ReactionSpec.split) added to the centre row leaves k R(u) the only
+    pointwise term (fisher's -k r u**2; none for linear), and constant rows
+    become three floats, whose products are the rows' bit for bit. A call pads
+    u's last axis (into P when given), applies the taps and adds k R(u).
     """
-    if P is None:
-        P = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
-    P[..., 1:-1] = u
-    out = _apply_taps(taps, _ghost_fill(P, grid.bc))
-    if reaction.kind != "none":
-        out += grid.k * reaction(u)
-    return out
+
+    def __init__(self, taps: np.ndarray, grid: GridSpec,
+                 reaction: ReactionSpec = no_reaction()):
+        linear, self.rest, self.rest_deriv = reaction.split(grid.k)
+        if linear != 0.0:
+            taps = np.stack([taps[0], taps[1] + linear, taps[2]])
+        if np.all(taps == taps[:, :1]):
+            taps = tuple(float(row[0]) for row in taps)
+        self.taps, self.grid = taps, grid
+
+    def __call__(self, u: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
+        if P is None:
+            P = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
+        P[..., 1:-1] = u
+        out = _apply_taps(self.taps, _ghost_fill(P, self.grid.bc))
+        if self.rest is not None:
+            out += self.rest(u)
+        return out
 
 
-def _tap_step_vjp(taps: np.ndarray, P: np.ndarray, g: np.ndarray, grid: GridSpec,
-                  reaction: ReactionSpec):
-    """Adjoint of the _tap_step that filled P, at its output's cotangent g: the
-    cotangent of u and the (3, n) tap-row gradients summed over leading axes."""
+def _tap_step_vjp(step: _Step1D, P: np.ndarray, g: np.ndarray):
+    """Adjoint of the step that filled P at its output's cotangent g: u's (the
+    transposed taps that ran, plus k dR/du) and the (3, n) tap rows', summed
+    over leading axes, which the stored and the folded rows share."""
     n = g.shape[-1]
     rows_g, rows_P = g.reshape(-1, n), P.reshape(-1, n + 2)
     G, g_taps = np.zeros(P.shape), np.empty((3, n))
     for d in range(3):
-        G[..., d:d + n] += taps[d] * g
+        G[..., d:d + n] += step.taps[d] * g
         g_taps[d] = np.einsum("ij,ij->j", rows_g, rows_P[:, d:d + n])
-    g_u = _ghost_scatter(G, grid.bc)
-    if reaction.kind != "none":
-        g_u += grid.k * reaction.deriv(P[..., 1:-1]) * g
+    g_u = _ghost_scatter(G, step.grid.bc)
+    if step.rest_deriv is not None:
+        g_u += step.rest_deriv(P[..., 1:-1]) * g
     return g_u, g_taps
 
 
 def _band_matrix(taps: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
-    """Dense (n, n) matrix of _tap_step's linear part, built in O(n): the
+    """Dense (n, n) matrix of the taps' apply under bc, built in O(n): the
     taps on the diagonals of an (n, n+2) matrix, ghost columns folded back.
     """
     n = taps.shape[1]

@@ -40,7 +40,7 @@ from .blocks import gen_conv1d, gen_dense
 from .grid import GridSpec, pad  # noqa: F401
 from .reactions import ReactionSpec, no_reaction
 from .solver import cfl_check
-from .stencil import EllipticCoefficients, _step_taps, _step_taps_vjp, _tap_step, _tap_step_vjp
+from .stencil import EllipticCoefficients, _Step1D, _step_taps, _step_taps_vjp, _tap_step_vjp
 from .optim import (AdamState, LBFGSState, LossSpec, ThetaVector, adam_step,
                     gauss_newton_step, lbfgs_direction, lbfgs_update, sgd_step)
 
@@ -87,11 +87,13 @@ class DenseLayer:
 class DiffusionLayer:
     """Unrolled explicit diffusion steps with a learnable coefficient field A.
 
-    Each step is stencil._tap_step with A's taps, so the trained A drops
-    straight into gen_conv1d / step_explicit; backward runs _tap_step_vjp
-    over the forward's padded buffers in reverse. n_steps = 0 is the identity
-    map (A then only feels weight decay). Fields are rows of a batch
-    (n_samples, n_points); the batch axis rides along the node axis.
+    Each step is the solver's and gen_conv1d's, stencil._Step1D of A's taps
+    (C's linear part folded into the centre tap, scalar taps for a uniform A;
+    blocks store the unfolded taps), so the trained A drops straight into
+    gen_conv1d / step_explicit; backward runs _tap_step_vjp over the
+    forward's padded buffers in reverse. n_steps = 0 is the identity map (A
+    then only feels weight decay). Fields are rows of a batch (n_samples,
+    n_points); the batch axis rides along the node axis.
     """
 
     def __init__(self, grid: GridSpec, n_steps: int,
@@ -115,20 +117,19 @@ class DiffusionLayer:
         return rng.uniform(0.0, self.grid.h**2 / (2.0 * self.grid.k), size)
 
     def forward(self, params, x):
-        grid = self.grid
-        taps = _step_taps(params["A"], None, grid)
+        step = _Step1D(_step_taps(params["A"], None, self.grid), self.grid, self.reaction)
         u = np.asarray(x, dtype=float)
         # one padded buffer per step, kept for the backward pass
         padded = np.empty((self.n_steps,) + u.shape[:-1] + (u.shape[-1] + 2,))
         for P in padded:
-            u = _tap_step(taps, u, grid, self.reaction, P)
-        return u, (taps, padded)
+            u = step(u, P)
+        return u, (step, padded)
 
     def backward(self, params, cache, gy):
-        taps, padded = cache
-        g, g_taps = gy, np.zeros_like(taps)
+        step, padded = cache
+        g, g_taps = gy, np.zeros((3, self.grid.n_points))
         for P in padded[::-1]:
-            g, g_step = _tap_step_vjp(taps, P, g, self.grid, self.reaction)
+            g, g_step = _tap_step_vjp(step, P, g)
             g_taps += g_step
         return g, {"A": _step_taps_vjp(g_taps, self.grid)}
 

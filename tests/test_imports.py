@@ -77,7 +77,6 @@ def test_no_dead_private_definitions():
 # argument: (module, function, parameter).
 _UNREAD_BY_DESIGN = {
     ("train.py", "DiffusionLayer.backward", "params"),     # the layer protocol
-    ("reactions.py", "_zero", "rate"),                     # a _RATE_KINDS entry
 }
 
 

@@ -12,10 +12,13 @@ import npde.stencil
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
 from npde.reactions import (TwoComponentReaction, fisher, gray_scott, linear, no_reaction,
                             sigmoid_reaction)
-from npde.solver import (_TAIL, CflReport, DivergenceError, _TridiagonalFactor, cfl_check,
-                         solve_forward, solve_two_component, step_explicit,
-                         step_implicit, step_two_component, thomas_solve)
+from npde.solver import (_TAIL, DIVERGENCE_FACTOR, CflReport, DivergenceError,
+                         _march, _TridiagonalFactor, cfl_check, solve_forward,
+                         solve_two_component, step_explicit, step_implicit,
+                         step_two_component, thomas_solve)
 from npde.stencil import EllipticCoefficients, elliptic_apply
+
+EPS = np.finfo(float).eps
 
 
 def test_explicit_hand_example():
@@ -454,6 +457,62 @@ def test_explicit_step_diverges_as_a_one_step_solve():
         with pytest.raises(DivergenceError, match="step 1 produced magnitude 2.000e") as err:
             single()
         assert err.value.step == 1
+
+
+class _CountedMax(np.ndarray):
+    """A field that counts the max/min reductions run on it."""
+
+    reductions = 0
+
+    def max(self, *args, **kwargs):
+        _CountedMax.reductions += 1
+        return super().max(*args, **kwargs)
+
+
+def _max_min_verdict(u0, fields, label):
+    """The max|u| rule alone: (message, step) of the first divergent field, or None."""
+    bound = min(DIVERGENCE_FACTOR * (1.0 + float(max(u0.max(), -u0.min()))),
+                np.finfo(float).max)
+    for step, u in enumerate(fields, start=1):
+        biggest = float(max(np.asarray(u).max(), -np.asarray(u).min()))
+        if not biggest <= bound:
+            what = (f"magnitude {biggest:.3e} exceeded {bound:.3e}"
+                    if np.isfinite(biggest) else "non-finite values")
+            return f"{label} step {step} produced {what}", step
+    return None
+
+
+@settings(max_examples=300)
+@given(data=st.data(), shape=st.sampled_from([(1,), (9,), (2, 3, 3)]),
+       scale=st.sampled_from([0.0, 1e-300, 1.0, 7.5, 1e5, 1e141, 1e150, 1e300]),
+       n_steps=st.integers(1, 4))
+def test_march_one_dot_bound_gives_the_max_min_verdict(data, shape, scale, n_steps):
+    u0 = np.full(shape, -scale)
+    bound = min(DIVERGENCE_FACTOR * (1.0 + scale), np.finfo(float).max)
+    with np.errstate(over="ignore"):
+        near = [bound * (1.0 + j * EPS) for j in range(-4, 5)] + [0.9 * bound, 0.5 * bound]
+    entries = st.one_of(st.floats(-1.0, 1.0).map(lambda x: x * bound),
+                        st.sampled_from([np.nan, np.inf, -np.inf] + near + [-x for x in near]))
+    size = int(np.prod(shape))
+    fields = [np.array(data.draw(st.lists(entries, min_size=size, max_size=size)))
+              .reshape(shape).view(_CountedMax) for _ in range(n_steps)]
+    expected = _max_min_verdict(u0, fields, "probe")
+    steps = iter(fields)
+    _CountedMax.reductions = 0
+    passed, got = [], None
+    try:
+        for u in _march(u0, lambda _: next(steps), n_steps, "probe"):
+            passed.append(u)
+    except DivergenceError as err:
+        got = (str(err), err.step)
+    assert got == expected
+    assert len(passed) == (n_steps if expected is None else expected[1] - 1)
+    if scale >= 1e150:      # the squared bound overflows: every field is reduced
+        assert _CountedMax.reductions == len(passed) + (got is not None)
+    # comfortably inside the bound, a field passes on its dot product alone
+    if scale <= 1e141 and all(np.sum(np.square(np.asarray(f))) <= 0.5 * bound**2
+                              for f in fields):
+        assert _CountedMax.reductions == 0
 
 
 def test_solve_two_component_frames():

@@ -2,24 +2,30 @@
 
 The ghost fill pads like np.pad and the ghost scatter is its adjoint; the
 taps step equals the divergence-form step u + k * elliptic_apply(u) to
-rounding; the dense band is the step's matrix; the implicit bands solve the
+rounding; the step that runs (reaction folded, scalar taps for a uniform
+medium) is the unfolded row step to rounding, and bit for bit when nothing
+folds; the dense band is the step's matrix; the implicit bands solve the
 backward step; the step's VJPs are the adjoints of the step and of its taps.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from npde.blocks import _laplacian_matrix, gen_conv1d, gen_rbm
 from npde.grid import (_ghost_fill, _ghost_scatter, dirichlet, extend, make_grid,
                        mirror, periodic)
-from npde.reactions import fisher, linear, no_reaction, sigmoid_reaction
-from npde.solver import solve_forward, step_explicit, step_implicit
-from npde.stencil import (EllipticCoefficients, _apply_taps, _band_matrix, _step_taps,
-                          _step_taps_vjp, _tap_step, _tap_step_vjp, diffusion_term,
+from npde.reactions import ReactionSpec, fisher, linear, no_reaction, sigmoid_reaction
+from npde.solver import (DivergenceError, cfl_check, forward_slices, step_explicit,
+                         step_implicit)
+from npde.stencil import (EllipticCoefficients, _apply_taps, _band_matrix, _Step1D,
+                          _step_taps, _step_taps_vjp, _tap_step_vjp, diffusion_term,
                           elliptic_apply, laplacian_1d)
+from npde.train import DiffusionLayer
 
 BCS = st.sampled_from([periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(-1.3)])
 SEEDS = st.integers(0, 2**32 - 1)
+REACTIONS = st.sampled_from([no_reaction(), fisher(0.8), sigmoid_reaction(1.5), linear(-0.4)])
 EPS = np.finfo(float).eps
 
 
@@ -29,12 +35,14 @@ def _fill(u, bc):
     return _ghost_fill(P, bc)
 
 
-def _case(seed, bc, with_b):
+def _case(seed, bc, with_b, uniform=False, reaction=no_reaction()):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 40))
     grid = make_grid(n, float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.001, 0.1)), bc)
-    B = rng.uniform(-2.0, 2.0, n) if with_b else None
-    return rng, grid, EllipticCoefficients(rng.uniform(0.0, 1.0, n), B)
+    size = 1 if uniform else n
+    A = np.resize(rng.uniform(0.0, 1.0, size), n)
+    B = np.resize(rng.uniform(-2.0, 2.0, size), n) if with_b else None
+    return rng, grid, EllipticCoefficients(A, B, reaction)
 
 
 @settings(max_examples=80)
@@ -68,16 +76,43 @@ def test_taps_step_equals_divergence_form(seed, bc, with_b):
     assert float(np.max(np.abs(taps_step - divergence_form))) <= tol
 
 
-@settings(max_examples=60)
-@given(seed=SEEDS, bc=BCS, with_b=st.booleans(), n_steps=st.integers(1, 6))
-def test_block_and_solver_share_one_kernel(seed, bc, with_b, n_steps):
-    rng, grid, coeffs = _case(seed, bc, with_b)
+@settings(max_examples=150)
+@given(seed=SEEDS, bc=BCS, with_b=st.booleans(), n_steps=st.integers(1, 6),
+       uniform=st.booleans(), reaction=REACTIONS)
+def test_block_and_solver_share_one_kernel(seed, bc, with_b, n_steps, uniform, reaction):
+    rng, grid, coeffs = _case(seed, bc, with_b, uniform, reaction)
     u = rng.standard_normal(grid.n_points)
     block = gen_conv1d(coeffs, grid)
+    # a uniform medium steps with three scalar taps, any other with the rows
+    assert isinstance(block._step.taps, tuple) == uniform
+    solved = []
+    try:
+        solved.extend(forward_slices(u, coeffs, grid, n_steps))
+    except DivergenceError:     # fisher's u**2 can run away on a grid with r A > 1/2
+        pass
     x = u
-    for _ in range(n_steps):
+    for want in solved[1:]:
         x = block.forward(x)
-    assert float(np.max(np.abs(x - solve_forward(u, coeffs, grid, n_steps).final()))) == 0.0
+        assert float(np.max(np.abs(x - want))) == 0.0
+
+    # the step that runs, against the unfolded row step taps apply + k C(u)
+    taps = _step_taps(coeffs.A, coeffs.B, grid)
+    P = _fill(u, bc)
+    unfolded = _apply_taps(taps, P)
+    if reaction.kind != "none":
+        unfolded += grid.k * reaction(u)
+    ran = block.forward(u)
+    folded = reaction.split(grid.k)[0]       # k l, added to the centre tap
+    if folded == 0.0:
+        np.testing.assert_array_equal(ran.view(np.int64), unfolded.view(np.int64))
+    else:
+        # each side rounds its sum of products within 2 eps of sum|taps| max|P|,
+        # and its reaction within 2 eps of k (|l u| + |C(u)|); l u is counted
+        # apart because fisher's C vanishes at u = 1 where r u does not
+        weight = float(np.max(np.abs(taps).sum(axis=0))) + abs(folded)
+        c = float(np.max(np.abs(reaction(u))))
+        tol = 4.0 * EPS * (weight * float(np.max(np.abs(P))) + grid.k * c)
+        assert float(np.max(np.abs(ran - unfolded))) <= tol
 
 
 @settings(max_examples=60)
@@ -122,28 +157,28 @@ def test_implicit_residual_over_random_coefficients(seed, bc):
 
 @settings(max_examples=150)
 @given(seed=SEEDS, bc=BCS, n=st.integers(3, 12), batch=st.integers(1, 3),
-       with_b=st.booleans(),
-       reaction=st.sampled_from([no_reaction(), fisher(0.8), sigmoid_reaction(1.5),
-                                 linear(-0.4)]))
+       with_b=st.booleans(), uniform=st.booleans(), reaction=REACTIONS)
 def test_step_vjp_is_the_adjoint_of_the_step_and_its_taps(seed, bc, n, batch, with_b,
-                                                          reaction):
+                                                          uniform, reaction):
     rng = np.random.default_rng(seed)
     grid = make_grid(n, float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.001, 0.1)), bc)
-    A = rng.uniform(0.0, 1.0, n)
-    B = rng.uniform(-2.0, 2.0, n) if with_b else None
+    size = 1 if uniform else n
+    A = np.resize(rng.uniform(0.0, 1.0, size), n)
+    B = np.resize(rng.uniform(-2.0, 2.0, size), n) if with_b else None
     taps = _step_taps(A, B, grid)
+    step = _Step1D(taps, grid, reaction)
     u, g = rng.uniform(-1.0, 1.0, (batch, n)), rng.standard_normal((batch, n))
     P = np.empty((batch, n + 2))
+    step(u, P)
+    g_u, g_taps = _tap_step_vjp(step, P, g)
 
-    def step(v):
-        return _tap_step(taps, v, grid, reaction, P)
-
-    step(u)
-    g_u, g_taps = _tap_step_vjp(taps, P, g, grid, reaction)
-
-    # u's cotangent: the band matrix's transpose, or a central difference of the step
-    if reaction.kind == "none":
-        M = _band_matrix(taps, bc)
+    # u's cotangent: with nothing left pointwise (none, and linear folded into
+    # the centre) the transposed band of the folded taps, else a central
+    # difference of the step
+    if step.rest is None:
+        folded = taps.copy()
+        folded[1] += reaction.split(grid.k)[0]
+        M = _band_matrix(folded, bc)
         for got, row in zip(g_u, g):
             scale = float(np.max(np.abs(M.T) @ np.abs(row)))
             assert float(np.max(np.abs(got - M.T @ row))) <= 1e-13 * scale
@@ -153,12 +188,12 @@ def test_step_vjp_is_the_adjoint_of_the_step_and_its_taps(seed, bc, n, batch, wi
         for index in np.ndindex(*u.shape):
             e = np.zeros_like(u)
             e[index] = eps
-            fd[index] = np.vdot(g, step(u + e) - step(u - e)) / (2.0 * eps)
+            fd[index] = np.vdot(g, step(u + e, P) - step(u - e, P)) / (2.0 * eps)
         scale = float(np.max(np.abs(g_u)))
         assert float(np.max(np.abs(g_u - fd))) <= 1e-7 * max(scale, 1.0)
 
     # the taps' cotangent, against the tap apply on P as the step at u filled it
-    step(u)
+    step(u, P)
     delta = rng.standard_normal((3, n))
     lhs = float(np.vdot(g, _apply_taps(delta, P)))
     rhs = float(np.vdot(g_taps, delta))
@@ -173,3 +208,41 @@ def test_step_vjp_is_the_adjoint_of_the_step_and_its_taps(seed, bc, n, batch, wi
     g_a = _step_taps_vjp(g_taps, grid)
     rounding = float(np.vdot(np.abs(g_taps), np.abs(plus) + np.abs(minus))) / (2.0 * eps)
     assert abs(fd - float(np.vdot(g_a, a))) <= 64 * n * EPS * rounding
+
+
+@pytest.mark.parametrize("reaction", [fisher(0.8), linear(-0.4)])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_folded_steps_never_evaluate_the_reaction(monkeypatch, reaction, uniform):
+    grid = make_grid(16, 0.5, 0.01, extend())
+    rng = np.random.default_rng(11)
+    A = np.full(16, 0.7) if uniform else rng.uniform(0.2, 1.0, 16)
+    coeffs = EllipticCoefficients(A, None, reaction)
+    u = rng.uniform(0.0, 1.0, 16)
+    # built before the patch: the solve's step, the block and the layer's forward
+    slices, block = forward_slices(u, coeffs, grid, 5), gen_conv1d(coeffs, grid)
+    layer = DiffusionLayer(grid, 5, reaction)
+
+    def refuse(self, v):
+        raise AssertionError("a folded 1D step evaluated C(u)")
+
+    monkeypatch.setattr(ReactionSpec, "__call__", refuse)
+    final = list(slices)[-1]
+    x = u
+    for _ in range(5):
+        x = block.forward(x)
+    assert float(np.max(np.abs(x - final))) == 0.0
+    out, _ = layer.forward({"A": A}, u[None])
+    assert float(np.max(np.abs(out[0] - final))) == 0.0
+
+
+@settings(max_examples=100)
+@given(seed=SEEDS, bc=BCS, rate=st.floats(-50.0, 50.0), a0=st.sampled_from([2.0, 2.5]),
+       kind=st.sampled_from(["fisher", "linear"]))
+def test_cfl_verdict_reads_the_unfolded_taps(seed, bc, rate, a0, kind):
+    # r = 1/4 and A <= 2 away from node 0, whose centre tap 1 - A_0 / 2 is 0
+    # (stable) or -1/4 (unstable); folded, k * rate would move it across 0
+    grid = make_grid(8, 1.0, 0.25, bc)
+    A = np.random.default_rng(seed).uniform(0.0, 2.0, 8)
+    A[0] = a0
+    reacting = EllipticCoefficients(A, None, ReactionSpec(kind, rate))
+    assert cfl_check(reacting, grid).stable == (a0 == 2.0)
