@@ -304,13 +304,6 @@ def gen_rbm(coeffs: EllipticCoefficients, grid: GridSpec) -> RBMEnergy:
                      np.zeros(n), np.zeros(n))
 
 
-def rbm_energy(rbm: RBMEnergy, v: np.ndarray, h: np.ndarray) -> float:
-    """Joint energy of a visible/hidden configuration."""
-    v = np.asarray(v, dtype=float)
-    h = np.asarray(h, dtype=float)
-    return float(-(v @ rbm.W @ h) - rbm.b @ v - rbm.c @ h)
-
-
 def rbm_free_energy(rbm: RBMEnergy, v: np.ndarray) -> float:
     """F(v) = -b^T v - sum_h log(1 + exp(c_h + (W^T v)_h)), overflow-safe."""
     v = np.asarray(v, dtype=float)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import io
 import json
 from pathlib import Path
 
@@ -198,12 +197,6 @@ def _write_field(write, values: np.ndarray) -> None:
     csv = _CsvWriter(write, table.shape[-1], table.size)
     csv.put(table)
     csv.flush()
-
-
-def field_to_csv(values: np.ndarray) -> str:
-    buf = io.BytesIO()
-    _write_field(buf.write, values)
-    return buf.getvalue().decode("ascii")
 
 
 def save_field_csv(path, values: np.ndarray) -> None:

@@ -14,11 +14,12 @@ hyper-parameters are copied from a validated state and v >= 0 holds by
 construction. A ThetaVector is only the flat values; the pipeline that reads
 them (train.Pipeline.params) owns their layout.
 
-Second order: Newton steps with the pseudoinverse form (H*H)^{-1} H* grad,
-realized as a regularized solve because exact invertibility fails
-numerically; Gauss-Newton theta - eta (J^T J)^{-1} J^T r for least squares
-(the left pseudoinverse of J); and L-BFGS via the standard two-loop recursion
-with curvature-guarded history and gamma = s^T y / y^T y initial scaling.
+Second order: Newton steps theta - eta H^+ grad and Gauss-Newton steps
+theta - eta J^+ r for least squares, each the minimum-norm least-squares
+solution from np.linalg.lstsq: the exact pseudoinverse, taken on H or J
+itself, with no damping and no warning on a singular or rank-deficient matrix;
+and L-BFGS via the standard two-loop recursion with curvature-guarded history
+and gamma = s^T y / y^T y initial scaling.
 
 grad_fd is the central-difference gradient oracle every analytic gradient in
 this package is checked against.
@@ -26,7 +27,6 @@ this package is checked against.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -135,38 +135,25 @@ def adam_step(state: AdamState, theta, g: np.ndarray) -> tuple[AdamState, ThetaV
     return advanced, th.with_values(new_values)
 
 
-def _regularized_normal_solve(M: np.ndarray, rhs: np.ndarray,
-                              context: str) -> np.ndarray:
-    """Solve (M + mu I) x = rhs with mu = 1e-12 tr(M)/n; warn when M is bad."""
-    n = M.shape[0]
-    mu = 1e-12 * float(np.trace(M)) / max(n, 1)
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > 1e12:
-        warnings.warn(f"{context}: ill-conditioned normal matrix "
-                      f"(cond ~ {cond:.3e}); using damped solve", RuntimeWarning)
-        mu = max(mu, 1e-10 * float(np.trace(M)) / max(n, 1))
-    return np.linalg.solve(M + mu * np.eye(n), rhs)
-
-
 def newton_pinv_step(theta, g: np.ndarray, H: np.ndarray, eta: float) -> ThetaVector:
-    """Newton update through the pseudoinverse form (H*H)^{-1} H* g.
+    """Newton update theta - eta H^+ g through the pseudoinverse of H.
 
-    For symmetric invertible H this is theta - eta H^{-1} g; the normal
-    matrix is regularized because exact invertibility fails numerically.
+    For invertible H this is theta - eta H^{-1} g; for singular H it is the
+    minimum-norm step (H*H)^+ H* g.
     """
     th = _as_theta(theta)
     g = np.asarray(g, dtype=float)
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] != th.values.size:
         raise ValueError("H must be square and sized to theta")
-    HtH = H.T @ H
-    step = _regularized_normal_solve(HtH, H.T @ g, "newton_pinv_step")
+    step = np.linalg.lstsq(H, g, rcond=None)[0]
     return th.with_values(th.values - eta * step)
 
 
 def gauss_newton_step(theta, residuals: np.ndarray, J: np.ndarray,
                       eta: float) -> ThetaVector:
-    """Gauss-Newton update theta - eta (J^T J)^{-1} J^T r."""
+    """Gauss-Newton update theta - eta J^+ r, which is (J^T J)^{-1} J^T r
+    when J has full column rank."""
     th = _as_theta(theta)
     r = np.asarray(residuals, dtype=float)
     J = np.asarray(J, dtype=float)
@@ -174,7 +161,7 @@ def gauss_newton_step(theta, residuals: np.ndarray, J: np.ndarray,
         raise ValueError("J must be (len(residuals), len(theta))")
     if J.shape[0] < J.shape[1]:
         raise ValueError("Gauss-Newton needs at least as many residuals as parameters")
-    step = _regularized_normal_solve(J.T @ J, J.T @ r, "gauss_newton_step")
+    step = np.linalg.lstsq(J, r, rcond=None)[0]
     return th.with_values(th.values - eta * step)
 
 

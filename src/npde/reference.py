@@ -47,19 +47,19 @@ def fisher_min_front_speed(r: float, D: float) -> float:
     return 2.0 * np.sqrt(r * D)
 
 
-def front_position(u: np.ndarray, h: float, level: float = 0.5) -> float:
-    """Leftmost crossing of ``level`` for a rightward-facing front.
+def front_position(u: np.ndarray, h: float) -> float:
+    """Leftmost crossing of u = 0.5 for a rightward-facing front.
 
     The profile is ~1 on the left and ~0 on the right; the crossing between
-    the last node above the level and the next node is linearly interpolated.
+    the last node at or above 0.5 and the next node is linearly interpolated.
     """
     u = np.asarray(u, dtype=float)
-    below = np.nonzero(u < level)[0]
+    below = np.nonzero(u < 0.5)[0]
     if below.size == 0 or below[0] == 0:
-        raise ValueError("profile has no interior crossing of the level")
+        raise ValueError("profile has no interior crossing of 0.5")
     j = below[0]
     u_hi, u_lo = u[j - 1], u[j]
-    frac = (u_hi - level) / (u_hi - u_lo)
+    frac = (u_hi - 0.5) / (u_hi - u_lo)
     return (j - 1 + frac) * h
 
 

@@ -331,7 +331,6 @@ class TrainReport:
     converged: bool
     stop_reason: str                # target_loss | max_epochs | divergence
     final_loss: float
-    best_loss: float
 
     @property
     def epochs(self) -> int:
@@ -366,11 +365,9 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
 
     # the accepted theta's forward pass; the next step's gradient reuses it
     current, residual, caches = _evaluate(model, theta, X, T, loss)
-    best = current
     curve: list[float] = []
     if current <= target_loss:
-        return TrainReport(np.asarray(curve), theta, True, "target_loss",
-                           current, best)
+        return TrainReport(np.asarray(curve), theta, True, "target_loss", current)
 
     stop_reason = "max_epochs"
     converged = False
@@ -399,10 +396,8 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
         theta, residual, caches = new_theta, new_residual, new_caches
         current = new_loss
         curve.append(current)
-        best = min(best, current)
         if current <= target_loss:
             stop_reason = "target_loss"
             converged = True
             break
-    return TrainReport(np.asarray(curve), theta, converged, stop_reason,
-                       current, best)
+    return TrainReport(np.asarray(curve), theta, converged, stop_reason, current)

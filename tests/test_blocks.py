@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from npde.blocks import (Conv1DBlock, RBMEnergy, gen_conv1d, gen_conv2d,
-                         gen_dense, gen_rbm, gen_rnn_cell, rbm_energy,
-                         rbm_free_energy, residual_step, rnn_forward)
+                         gen_dense, gen_rbm, gen_rnn_cell, rbm_free_energy,
+                         residual_step, rnn_forward)
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
 from npde.reactions import fisher, no_reaction, sigmoid_reaction, source
 from npde.solver import step_explicit, solve_forward
@@ -308,17 +308,6 @@ def test_rbm_free_energy_stable_for_large_inputs():
     rbm = RBMEnergy(np.array([[1000.0], [-1000.0]]), np.zeros(2), np.zeros(1))
     val = rbm_free_energy(rbm, np.array([1.0, 0.0]))
     assert np.isfinite(val) and val == pytest.approx(-1000.0, rel=1e-12)
-
-
-def test_rbm_energy_bilinear():
-    rng = np.random.default_rng(33)
-    W = rng.standard_normal((3, 4))
-    b = rng.standard_normal(3)
-    c = rng.standard_normal(4)
-    v = rng.standard_normal(3)
-    h = rng.standard_normal(4)
-    expected = -(v @ W @ h) - b @ v - c @ h
-    assert rbm_energy(RBMEnergy(W, b, c), v, h) == pytest.approx(expected, rel=1e-14)
 
 
 def test_gen_rbm_band_matches_explicit_step_matrix():

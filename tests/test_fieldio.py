@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import platform
@@ -13,8 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 from npde.blocks import (Conv1DBlock, Conv2DBlock, DenseBlock, RBMEnergy, RNNCell,
                          gen_conv1d, gen_conv2d, gen_dense, gen_rbm, gen_rnn_cell)
-from npde.fieldio import (_CHUNK, block_from_dict, block_to_bytes, block_to_dict,
-                          field_to_csv, field_to_pgm, fmt, load_block,
+from npde.fieldio import (_CHUNK, _write_field, block_from_dict, block_to_bytes,
+                          block_to_dict, field_to_pgm, fmt, load_block,
                           load_field_csv, save_block, save_field_csv,
                           save_pipeline, save_trajectory_csv)
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
@@ -29,8 +30,15 @@ def test_fmt_round_trips_float64():
         assert float(fmt(x)) == x
 
 
+def _csv_text(values):
+    """The bytes save_field_csv writes for values, as text."""
+    buf = io.BytesIO()
+    _write_field(buf.write, values)
+    return buf.getvalue().decode("ascii")
+
+
 def test_field_csv_format_1d():
-    text = field_to_csv(np.array([1.0, 2.5, -3.0]))
+    text = _csv_text(np.array([1.0, 2.5, -3.0]))
     assert text == "1,2.5,-3\n"
 
 
@@ -111,7 +119,7 @@ def test_trajectory_writer_does_not_churn_the_heap(tmp_path):
 
 
 def _join_csv(values):
-    """The writer field_to_csv replaced: one fmt call per number."""
+    """The writer the numpy encoder replaced: one fmt call per number."""
     return "".join(",".join(fmt(x) for x in row) + "\n" for row in np.atleast_2d(values))
 
 
@@ -137,13 +145,13 @@ def _adversarial():
 def test_csv_bytes_match_fmt_on_adversarial_values(width):
     values = _adversarial()
     values = np.resize(values, (-(-values.size // width), width))   # rows span chunks
-    assert field_to_csv(values) == _join_csv(values)
+    assert _csv_text(values) == _join_csv(values)
 
 
 @settings(max_examples=200)
 @given(st.lists(st.floats(), min_size=1, max_size=40))
 def test_csv_bytes_match_fmt_on_floats(xs):
-    assert field_to_csv(np.array(xs)) == _join_csv(np.array(xs))
+    assert _csv_text(np.array(xs)) == _join_csv(np.array(xs))
 
 
 # any uint64, or a sign, a biased exponent around the encoder's range 1e-28..1e17
@@ -158,7 +166,7 @@ _BITS = st.one_of(st.integers(0, 2**64 - 1),
 @given(st.lists(_BITS, min_size=1, max_size=40))
 def test_csv_bytes_match_fmt_on_bit_patterns(bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
-    assert field_to_csv(values) == _join_csv(values)
+    assert _csv_text(values) == _join_csv(values)
 
 
 @settings(max_examples=100)

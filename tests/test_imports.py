@@ -1,6 +1,7 @@
 """Every name a package module imports is used, unless its line says ``# noqa: F401``,
 every private module-level definition or class method is referenced somewhere in
-the package, and every parameter of a package function or lambda is read.
+the package, every public one is named outside the tests, and every parameter
+of a package function or lambda is read.
 
 A stdlib stand-in for pyflakes' F401 over src/npde (``__init__`` re-exports
 by design). A ``# noqa: F401`` marks a binding kept on purpose, such as the
@@ -8,6 +9,8 @@ by design). A ``# noqa: F401`` marks a binding kept on purpose, such as the
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "npde"
@@ -53,16 +56,17 @@ def _private_definitions(tree: ast.Module) -> list[str]:
     return [name for name in names if name.startswith("_") and not name.startswith("__")]
 
 
-def _references(tree: ast.Module) -> set[str]:
-    """Names read, attributes taken and names imported anywhere in the module."""
-    refs = set()
+def _references(tree: ast.AST) -> Counter:
+    """Names read, attributes taken and names imported anywhere under ``tree``,
+    each with its count."""
+    refs = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            refs.add(node.id)
+            refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            refs[node.attr] += 1
         elif isinstance(node, ast.alias):
-            refs.add(node.name.split(".")[-1])
+            refs[node.name.split(".")[-1]] += 1
     return refs
 
 
@@ -71,6 +75,49 @@ def test_no_dead_private_definitions():
     used = set().union(*map(_references, trees.values()))
     assert [f"{name}: {defn}" for name, tree in trees.items()
             for defn in _private_definitions(tree) if defn not in used] == []
+
+
+# Public readers that only tests call so far: the model and trajectory readers
+# that later work builds on.
+_READ_ONLY_BY_TESTS = {"fieldio.load_block", "fieldio.load_field_csv"}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of every public module-level function and class,
+    and of every public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+
+
+def test_every_public_definition_is_used_outside_tests():
+    # named outside its own definition: in a package module other than
+    # __init__, a demo, the benchmark (not its tests) or the README
+    root = SRC.parents[1]
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
+             if p.name != "__init__.py"}
+    callers = sorted(root.glob("demos/*.py")) + \
+        [p for p in sorted(root.glob("bench/*.py")) if not p.name.startswith("test_")]
+    named = sum((_references(tree) for tree in trees.values()), Counter())
+    for path in callers:
+        tree = ast.parse(path.read_text())
+        named.update(_references(tree))
+        # the benchmark's tracer names the functions it rebinds in strings
+        named.update(node.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    readme = (root / "README.md").read_text()
+    found = set()
+    for module, tree in trees.items():
+        for name, node in _public_definitions(tree):
+            bare = name.rpartition(".")[2]
+            if named[bare] <= _references(node)[bare] and \
+                    not re.search(rf"\b{bare}\b", readme):
+                found.add(f"{module}.{name}")
+    assert sorted(found - _READ_ONLY_BY_TESTS) == []
+    assert found >= _READ_ONLY_BY_TESTS         # no stale allowance
 
 
 # Signatures fixed by a protocol or a callback, whose callee has no use for one

@@ -203,6 +203,33 @@ def test_gauss_newton_matches_newton_when_h_is_jtj():
     np.testing.assert_allclose(gn.values, nw.values, atol=1e-10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), extra_rows=st.integers(0, 4),
+       deficient=st.booleans(), eta=st.floats(0.1, 1.0))
+def test_second_order_steps_take_the_exact_pseudoinverse(seed, n, extra_rows, deficient, eta):
+    # M = U diag(s) V^T with s in [1, 10], so cond(M) <= 10 unless a column is
+    # repeated, which drops the rank by one: the minimum-norm step, undamped
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal(n)
+
+    def matrix(rows):
+        U, _ = np.linalg.qr(rng.standard_normal((rows, n)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        M = U * rng.uniform(1.0, 10.0, n) @ V.T
+        if deficient:
+            i, j = rng.choice(n, 2, replace=False)
+            M[:, j] = M[:, i]
+        return M
+
+    H, J = matrix(n), matrix(n + extra_rows)
+    g, r = rng.standard_normal(n), rng.standard_normal(n + extra_rows)
+    for got, M, v in ((newton_pinv_step(theta, g, H, eta), H, g),
+                      (gauss_newton_step(theta, r, J, eta), J, r)):
+        want = theta - eta * np.linalg.pinv(M) @ v
+        assert np.linalg.norm(got.values - want) <= 1e-9 * np.linalg.norm(want)
+
+
 # --- L-BFGS ---------------------------------------------------------------------
 
 def test_lbfgs_empty_history_is_gradient_descent():

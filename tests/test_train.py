@@ -203,16 +203,6 @@ def test_lbfgs_beats_sgd_on_quadratic_bowl():
     assert rep_lbfgs.final_loss < rep_sgd.final_loss
 
 
-def test_min_so_far_loss_non_increasing():
-    model = Pipeline.dense([2, 4, 1], [sigmoid_reaction(1.0), sigmoid_reaction(1.0)])
-    report = train_supervised(model, _xor_data(), LossSpec(),
-                              OptimizerConfig("adam"), seed=3,
-                              max_epochs=200, target_loss=0.0)
-    running = np.minimum.accumulate(report.loss_curve)
-    assert report.best_loss <= running[-1] + 1e-15
-    assert np.all(np.diff(running) <= 0.0 + 1e-15)
-
-
 def test_weight_decay_shrinks_final_norm():
     rng = np.random.default_rng(57)
     X = rng.standard_normal((25, 3))
