@@ -5,8 +5,8 @@ fisher is the logistic growth r*u*(1-u), sigmoid is the logistic function
 1/(1+exp(-r*u)), linear is r*u. One table gives these rate kinds, and none,
 C's linear part l (the rate, or 0) and the rest R = C - l u: C and dC/du are
 built from them (fisher's C rounds as r*u - r*u**2), and an explicit 1D step
-folds l into its centre tap. source adds a fixed forcing field (the
-absorbed-intensity term of the heat-conduction form). A two-component pair
+folds l into its centre tap. source adds a fixed forcing field, a read-only
+copy (the absorbed-intensity term of the heat-conduction form). A two-component pair
 fills a solver's (2, n, n) buffer through its fused evaluator (gray_scott
 computes U V^2 once), or else by copying f(U, V) and g(U, V), bit for bit alike.
 """
@@ -60,9 +60,10 @@ class ReactionSpec:
         if self.kind == "source":
             if self.source is None:
                 raise ValueError("source reaction needs a forcing field")
-            s = np.asarray(self.source, dtype=float)
+            s = np.array(self.source, dtype=float)
             if not np.all(np.isfinite(s)):
                 raise ValueError("source field must be finite")
+            s.flags.writeable = False
             object.__setattr__(self, "source", s)
         elif self.kind not in _RATE_KINDS:
             raise ValueError(f"unknown reaction kind {self.kind!r}")

@@ -48,8 +48,9 @@ bits; one multiply then scales both channels by k.
 
 Every solve validates once, builds its step once (_stepper or
 _two_component_stepper) and runs it through _march, the one time loop, a
-generator that computes a step only when the next slice is asked for:
-solve_forward lists forward_slices, and `npde solve` streams it to disk.
+generator that computes a step only when the next slice is asked for.
+forward_slices streams it (`npde solve` to disk); solve_forward keeps the
+two ends and replays the march once when a middle slice is first read.
 Divergence (non-finite values, or magnitudes beyond DIVERGENCE_FACTOR times
 the initial scale) is reported there with the failing step index, never
 clamped. A single step is a one-step solve.
@@ -62,6 +63,7 @@ A >= 0: the 5-point limit, conservative under 9pt, which is monotone up to
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 from dataclasses import dataclass, field
 
@@ -118,12 +120,35 @@ def _march(u: np.ndarray, advance, n_steps: int, label: str):
         yield u
 
 
+class _Replay(collections.abc.Sequence):
+    """A solve's n_steps+1 slices, only the two ends kept (Trajectory). Any other
+    read (an index, a slice, iteration) replays the march and keeps the list."""
+
+    def __init__(self, first: np.ndarray, last: np.ndarray, n_steps: int, replay):
+        self._ends, self._n, self._replay, self._all = (first, last), n_steps, replay, None
+
+    def __len__(self) -> int:
+        return self._n + 1
+
+    def __getitem__(self, i):
+        if not isinstance(i, slice):
+            i = range(self._n + 1)[i]    # IndexError out of range, TypeError on a non-integer
+            if i in (0, self._n):
+                return self._ends[i > 0]
+        if self._all is None:
+            middle = itertools.islice(self._replay(), self._n - 1)
+            self._all = [self._ends[0], *middle, self._ends[1]]
+        return self._all[i]
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered time slices of a forward solve; slices[0] is the initial state."""
+    """Ordered time slices of a forward solve; slices[0] is the initial state.
+    solve_forward keeps only the two ends; the first read of a middle slice
+    replays the march once, bit for bit (_Replay). forward_slices streams."""
 
     grid: GridSpec
-    slices: list[np.ndarray] = field(default_factory=list)
+    slices: collections.abc.Sequence[np.ndarray] = field(default_factory=list)
 
     @property
     def n_steps(self) -> int:
@@ -319,25 +344,30 @@ def _implicit_stepper(coeffs: EllipticCoefficients, grid: GridSpec):
     return step
 
 
-def _stepper(coeffs: EllipticCoefficients, grid: GridSpec, scheme: str,
-             stencil2d: str = "5pt"):
-    """Validate a solve once and return the step u -> u' each of its steps applies.
+def _stepper(initial: np.ndarray, coeffs: EllipticCoefficients, grid: GridSpec,
+             scheme: str, stencil2d: str = "5pt"):
+    """Validate a solve once; return a copy of its initial state and the step
+    u -> u' each of its steps applies, which reads no array the caller can
+    write later (A is copied, a source field is read-only): a replay repeats it.
 
     Explicit 2D pads A once; each step refills one ghost buffer, scales it
     by A in place and runs elliptic_apply's sequence, so it equals
     u + k * elliptic_apply(u).
     """
+    u = np.array(initial, dtype=float)
+    if u.shape != grid.shape:
+        raise ValueError(f"initial shape {u.shape} does not match grid {grid.shape}")
     stencil_2d(stencil2d)    # a misspelt name is refused on every grid
     if scheme == "implicit":
-        return _implicit_stepper(coeffs, grid)
+        return u, _implicit_stepper(coeffs, grid)
     if scheme != "explicit":
         raise ValueError(f"unknown scheme {scheme!r}")
     coeffs.validate_against(grid)
     P = np.empty(tuple(m + 2 for m in grid.shape))
     if grid.ndim == 1:
         step = _Step1D(_step_taps(coeffs.A, coeffs.B, grid), grid, coeffs.C)
-        return lambda u: step(u, P)
-    A, Ap = coeffs.A, pad_coefficient(coeffs.A, grid.bc)
+        return u, lambda u: step(u, P)
+    A, Ap = coeffs.A.copy(), pad_coefficient(coeffs.A, grid.bc)
     lap = _laplacian_2d(P, np.zeros(P.size), stencil2d)
     reaction, k, h2 = coeffs.C, grid.k, grid.h**2
 
@@ -349,7 +379,7 @@ def _stepper(coeffs: EllipticCoefficients, grid: GridSpec, scheme: str,
             out += reaction(u)
         return u + k * out
 
-    return step
+    return u, step
 
 
 def step_explicit(field: np.ndarray, coeffs: EllipticCoefficients,
@@ -432,25 +462,24 @@ def step_two_component(U: np.ndarray, V: np.ndarray, Du: float, Dv: float,
 def forward_slices(initial: np.ndarray, coeffs: EllipticCoefficients,
                    grid: GridSpec, n_steps: int, scheme: str = "explicit",
                    stencil2d: str = "5pt"):
-    """The n_steps+1 slices of a forward solve, initial state first, each
-    step computed when its slice is asked for (_march). The input is
+    """Stream a forward solve: its n_steps+1 slices, initial state first, each
+    a fresh array computed when it is asked for (_march). The input is
     validated, the step built and an implicit matrix factored before this
     returns (_stepper); n_steps < 1 and divergence raise while iterating.
     """
-    u = np.array(initial, dtype=float)
-    if u.shape != grid.shape:
-        raise ValueError(f"initial shape {u.shape} does not match grid {grid.shape}")
-    step = _stepper(coeffs, grid, scheme, stencil2d)
+    u, step = _stepper(initial, coeffs, grid, scheme, stencil2d)
     return itertools.chain((u,), _march(u, step, n_steps, scheme))
 
 
 def solve_forward(initial: np.ndarray, coeffs: EllipticCoefficients,
                   grid: GridSpec, n_steps: int, scheme: str = "explicit",
                   stencil2d: str = "5pt") -> Trajectory:
-    """March ``n_steps`` steps; the trajectory holds the n_steps+1 slices
-    of forward_slices. Divergence raises DivergenceError carrying the step."""
-    return Trajectory(grid, list(forward_slices(initial, coeffs, grid, n_steps,
-                                                scheme, stencil2d)))
+    """March ``n_steps`` steps now, keeping the two ends in O(n) memory; a
+    middle slice is replayed when first read (Trajectory). n_steps < 1 and
+    divergence (DivergenceError carrying the step) raise here."""
+    u, step = _stepper(initial, coeffs, grid, scheme, stencil2d)
+    final = collections.deque(_march(u, step, n_steps, scheme), maxlen=1).pop()
+    return Trajectory(grid, _Replay(u, final, n_steps, lambda: _march(u, step, n_steps, scheme)))
 
 
 def solve_two_component(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,

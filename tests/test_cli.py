@@ -12,7 +12,8 @@ from npde import train
 from npde.cli import _load_config, main
 from npde.fieldio import (block_from_dict, field_to_pgm, fmt, load_block,
                           save_trajectory_csv)
-from npde.grid import make_grid, periodic
+from npde.grid import extend, make_grid, periodic
+from npde.reactions import fisher
 from npde.solver import solve_forward
 from npde.stencil import EllipticCoefficients
 
@@ -118,6 +119,26 @@ def test_solve_memory_does_not_grow_with_steps(tmp_path):
     _solve_peak_bytes(tmp_path, 1)      # first-use tables and caches
     # 3,800 more slices of 400 numbers would be 12 MB held until the write
     assert abs(_solve_peak_bytes(tmp_path, 4000) - _solve_peak_bytes(tmp_path, 200)) < 2**20
+
+
+def _solve_forward_peak_bytes(u, coeffs, grid, n_steps):
+    tracemalloc.start()
+    try:
+        solve_forward(u, coeffs, grid, n_steps).final()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_forward_memory_does_not_grow_with_steps():
+    # criterion 3's medium: a solve keeps its two ends, whatever its length
+    grid = make_grid(4000, 0.1, 0.004, extend())
+    coeffs = EllipticCoefficients.constant(grid, 1.0, reaction=fisher(1.0))
+    u = np.where(grid.h * np.arange(4000) <= 20.0, 1.0, 0.0)
+    _solve_forward_peak_bytes(u, coeffs, grid, 1)      # first-use tables and caches
+    # 1,800 more kept slices of 4000 numbers would be 55 MB
+    assert abs(_solve_forward_peak_bytes(u, coeffs, grid, 2000)
+               - _solve_forward_peak_bytes(u, coeffs, grid, 200)) < 2**20
 
 
 def test_solve_gray_scott_writes_frames(tmp_path):

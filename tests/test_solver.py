@@ -11,9 +11,9 @@ import npde.stencil
 
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
 from npde.reactions import (TwoComponentReaction, fisher, gray_scott, linear, no_reaction,
-                            sigmoid_reaction)
+                            sigmoid_reaction, source)
 from npde.solver import (_TAIL, DIVERGENCE_FACTOR, CflReport, DivergenceError,
-                         _march, _TridiagonalFactor, cfl_check, solve_forward,
+                         _march, _TridiagonalFactor, cfl_check, forward_slices, solve_forward,
                          solve_two_component, step_explicit, step_implicit,
                          step_two_component, thomas_solve)
 from npde.stencil import EllipticCoefficients, elliptic_apply
@@ -316,6 +316,68 @@ def test_solve_forward_frozen_dynamics():
     assert traj.n_steps == 10 and len(traj.slices) == 11
     for s in traj.slices:
         np.testing.assert_array_equal(s, u0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@settings(max_examples=120)
+@given(bc=BCS, n=st.integers(3, 20), m=st.integers(1, 9), seed=SEEDS,
+       reaction=st.sampled_from(["none", "fisher", "sigmoid", "linear", "source"]),
+       case=st.sampled_from([("explicit", 1, "5pt"), ("explicit", 2, "5pt"),
+                             ("explicit", 2, "9pt"), ("implicit", 1, "5pt")]))
+def test_solve_keeps_its_ends_and_replays_the_rest(bc, n, m, seed, reaction, case):
+    # solve_forward's slices are forward_slices' bit for bit, read any way
+    scheme, ndim, stencil2d = case
+    rng = np.random.default_rng(seed)
+    # r max A <= 1/4 and k C small, so no reaction diverges in m steps
+    grid = make_grid(n, 0.5, float(rng.uniform(0.001, 0.03)), bc, ndim)
+    C = {"none": no_reaction(), "fisher": fisher(0.8), "sigmoid": sigmoid_reaction(1.5),
+         "linear": linear(-0.4), "source": source(rng.uniform(-1.0, 1.0, grid.shape))}
+    B = rng.uniform(-1.0, 1.0, n) if scheme == "explicit" and ndim == 1 else None
+    coeffs = EllipticCoefficients(rng.uniform(0.0, 2.0, grid.shape), B, C[reaction])
+    u0 = rng.uniform(0.0, 1.0, grid.shape)
+    want = [_bits(s) for s in forward_slices(u0, coeffs, grid, m, scheme, stencil2d)]
+    traj = solve_forward(u0, coeffs, grid, m, scheme, stencil2d)
+    u0[...] = np.nan                   # the solve kept a copy
+    slices = traj.slices
+    assert traj.n_steps == m and len(slices) == m + 1
+    assert traj.final() is slices[-1] is slices[m] and slices[0] is slices[-m - 1]
+    for i in (m + 1, -m - 2):
+        with pytest.raises(IndexError):
+            slices[i]
+    np.testing.assert_array_equal(_bits(slices[0]), want[0])
+    np.testing.assert_array_equal(_bits(slices[-1]), want[-1])
+    listed = list(slices)              # iteration replays the middle once
+    assert len(listed) == m + 1 and listed[-1] is traj.final()
+    for i in range(-m - 1, m + 1):
+        assert slices[i] is listed[i]
+        np.testing.assert_array_equal(_bits(slices[i]), want[i])
+    for cut in (slice(1, -1), slice(None, None, -2)):
+        assert all(s is t for s, t in zip(slices[cut], listed[cut], strict=True))
+
+
+@pytest.mark.parametrize("scheme,ndim", [("explicit", 1), ("explicit", 2), ("implicit", 1)])
+def test_replay_ignores_writes_after_the_solve(scheme, ndim):
+    # the step reads no array the caller keeps: A is copied (the 2D step
+    # reads it every step) and a source field is the reaction's read-only copy
+    rng = np.random.default_rng(5)
+    grid = make_grid(8, 0.5, 0.01, periodic(), ndim)
+    A, forcing = rng.uniform(0.5, 1.5, grid.shape), rng.uniform(-1.0, 1.0, grid.shape)
+    coeffs = EllipticCoefficients(A, None, source(forcing))
+    u0 = rng.uniform(0.0, 1.0, grid.shape)
+    want = [_bits(s) for s in forward_slices(u0, coeffs, grid, 6, scheme)]
+    traj = solve_forward(u0, coeffs, grid, 6, scheme)
+    A *= 3.0
+    forcing[...] = 0.0
+    for got, expected in zip(traj.slices, want, strict=True):
+        np.testing.assert_array_equal(_bits(got), expected)
+    # a new solve reads the written A; nothing writes the reaction's field
+    assert not np.array_equal(solve_forward(u0, coeffs, grid, 6, scheme).final(),
+                              traj.final())
+    with pytest.raises(ValueError, match="read-only"):
+        coeffs.C.source[0] = 1.0
 
 
 def test_cfl_check_examples():
