@@ -49,8 +49,8 @@ bits; one multiply then scales both channels by k.
 Every solve validates once, builds its step once (_stepper or
 _two_component_stepper) and runs it through _march, the one time loop, a
 generator that computes a step only when the next slice is asked for.
-forward_slices streams it (`npde solve` to disk); solve_forward keeps the
-two ends and replays the march once when a middle slice is first read.
+forward_slices streams every slice (`npde solve` to disk); solve_forward
+keeps only the final one, the last slice of that stream.
 Divergence (non-finite values, or magnitudes beyond DIVERGENCE_FACTOR times
 the initial scale) is reported there with the failing step index, never
 clamped. A single step is a one-step solve.
@@ -63,9 +63,9 @@ A >= 0: the 5-point limit, conservative under 9pt, which is monotone up to
 
 from __future__ import annotations
 
-import collections.abc
+import collections
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,42 +120,16 @@ def _march(u: np.ndarray, advance, n_steps: int, label: str):
         yield u
 
 
-class _Replay(collections.abc.Sequence):
-    """A solve's n_steps+1 slices, only the two ends kept (Trajectory). Any other
-    read (an index, a slice, iteration) replays the march and keeps the list."""
-
-    def __init__(self, first: np.ndarray, last: np.ndarray, n_steps: int, replay):
-        self._ends, self._n, self._replay, self._all = (first, last), n_steps, replay, None
-
-    def __len__(self) -> int:
-        return self._n + 1
-
-    def __getitem__(self, i):
-        if not isinstance(i, slice):
-            i = range(self._n + 1)[i]    # IndexError out of range, TypeError on a non-integer
-            if i in (0, self._n):
-                return self._ends[i > 0]
-        if self._all is None:
-            middle = itertools.islice(self._replay(), self._n - 1)
-            self._all = [self._ends[0], *middle, self._ends[1]]
-        return self._all[i]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Ordered time slices of a forward solve; slices[0] is the initial state.
-    solve_forward keeps only the two ends; the first read of a middle slice
-    replays the march once, bit for bit (_Replay). forward_slices streams."""
+    """A forward solve's outcome: its grid and its final slice (solve_forward).
+    forward_slices streams every slice, the initial state first."""
 
     grid: GridSpec
-    slices: collections.abc.Sequence[np.ndarray] = field(default_factory=list)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.slices) - 1
+    last: np.ndarray
 
     def final(self) -> np.ndarray:
-        return self.slices[-1]
+        return self.last
 
 
 @dataclass(frozen=True)
@@ -348,7 +322,8 @@ def _stepper(initial: np.ndarray, coeffs: EllipticCoefficients, grid: GridSpec,
              scheme: str, stencil2d: str = "5pt"):
     """Validate a solve once; return a copy of its initial state and the step
     u -> u' each of its steps applies, which reads no array the caller can
-    write later (A is copied, a source field is read-only): a replay repeats it.
+    write later (A is copied, a source field is read-only): a stream read
+    after the caller writes them still marches the solve it was built for.
 
     Explicit 2D pads A once; each step refills one ghost buffer, scales it
     by A in place and runs elliptic_apply's sequence, so it equals
@@ -474,12 +449,11 @@ def forward_slices(initial: np.ndarray, coeffs: EllipticCoefficients,
 def solve_forward(initial: np.ndarray, coeffs: EllipticCoefficients,
                   grid: GridSpec, n_steps: int, scheme: str = "explicit",
                   stencil2d: str = "5pt") -> Trajectory:
-    """March ``n_steps`` steps now, keeping the two ends in O(n) memory; a
-    middle slice is replayed when first read (Trajectory). n_steps < 1 and
-    divergence (DivergenceError carrying the step) raise here."""
-    u, step = _stepper(initial, coeffs, grid, scheme, stencil2d)
-    final = collections.deque(_march(u, step, n_steps, scheme), maxlen=1).pop()
-    return Trajectory(grid, _Replay(u, final, n_steps, lambda: _march(u, step, n_steps, scheme)))
+    """March ``n_steps`` steps now and keep only the final slice, the last of
+    forward_slices, in O(n) memory. n_steps < 1 and divergence
+    (DivergenceError carrying the step) raise here."""
+    stream = forward_slices(initial, coeffs, grid, n_steps, scheme, stencil2d)
+    return Trajectory(grid, collections.deque(stream, maxlen=1).pop())
 
 
 def solve_two_component(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
@@ -488,9 +462,12 @@ def solve_two_component(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
     """Run the two-component system; optionally record V frames.
 
     Returns (U, V, frames) where frames is a list of V copies sampled every
-    ``record_every`` steps (empty when record_every == 0). U0 and V0 are not
-    written. Divergence raises DivergenceError carrying the step index (_march).
+    ``record_every`` steps (empty when record_every == 0; a negative one
+    raises ValueError). U0 and V0 are not written. Divergence raises
+    DivergenceError carrying the step index (_march).
     """
+    if record_every < 0:
+        raise ValueError("record_every must be >= 0")
     W, advance = _two_component_stepper(U0, V0, Du, Dv, rxn, grid)
     frames: list[np.ndarray] = []
     for step, W in enumerate(_march(W, advance, n_steps, "two-component"), start=1):

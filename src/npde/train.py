@@ -320,6 +320,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in ("sgd", "adam", "lbfgs", "gauss_newton"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
+        if not self.eta > 0:
+            raise ValueError("step size eta must be positive")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from npde.fieldio import (block_from_dict, field_to_pgm, fmt, load_block,
                           save_trajectory_csv)
 from npde.grid import extend, make_grid, periodic
 from npde.reactions import fisher
-from npde.solver import solve_forward
+from npde.solver import forward_slices, solve_forward
 from npde.stencil import EllipticCoefficients
 
 
@@ -89,14 +89,14 @@ def test_2d_heat_frames_and_trajectory_match_the_library(tmp_path):
            "io": {"out_dir": str(tmp_path / "out")}}
     with contextlib.redirect_stdout(io.StringIO()):
         assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 0
-    traj = solve_forward(u0, EllipticCoefficients.constant(grid, 1.0), grid, 7)
-    save_trajectory_csv(tmp_path / "library.csv", traj.slices)
+    slices = list(forward_slices(u0, EllipticCoefficients.constant(grid, 1.0), grid, 7))
+    save_trajectory_csv(tmp_path / "library.csv", slices)
     out = tmp_path / "out"
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
     assert sorted(p.name for p in out.iterdir()) == \
         ["trajectory.csv", "u_00003.pgm", "u_00006.pgm"]
     for step in (3, 6):
-        assert (out / f"u_{step:05d}.pgm").read_bytes() == field_to_pgm(traj.slices[step])
+        assert (out / f"u_{step:05d}.pgm").read_bytes() == field_to_pgm(slices[step])
 
 
 def _solve_peak_bytes(tmp_path, n_steps):
@@ -754,6 +754,12 @@ def _conv2d(**block):
                                                  initial={"kind": "uniform", "value": 1.0}))),
     ("train-dense", _set(("optimizer",), {"kind": "lbfgs", "memory": 0})),
     ("train-dense", _set(("optimizer",), {"kind": "sgd", "eta": -1})),
+    ("train-dense", _set(("optimizer",), {"kind": "adam", "eta": 0})),
+    ("train-dense", _set(("optimizer",), {"kind": "adam", "eta": -0.5})),
+    ("train-dense", _set(("optimizer",), {"kind": "lbfgs", "eta": 0})),
+    ("train-dense", _set(("optimizer",), {"kind": "lbfgs", "eta": -0.5})),
+    ("train-dense", _set(("optimizer",), {"kind": "gauss_newton", "eta": 0})),
+    ("train-dense", _set(("optimizer",), {"kind": "gauss_newton", "eta": -0.5})),
     ("train-dense", _set(("optimizer",), {"kind": "adam", "beta1": 1.5})),
     ("train-dense", _set(("train", "max_epochs"), -1)),
     ("train-dense", _underdetermined),
@@ -762,6 +768,8 @@ def _conv2d(**block):
     ("gen-conv1d", _conv2d(stencil="7pt")),
     ("gen-dense", _set(("block", "activation"), "relu")),
 ], ids=["implicit-with-B", "implicit-2d", "lbfgs-memory-0", "sgd-negative-eta",
+        "adam-zero-eta", "adam-negative-eta", "lbfgs-zero-eta", "lbfgs-negative-eta",
+        "gauss-newton-zero-eta", "gauss-newton-negative-eta",
         "adam-beta1-1.5", "negative-max-epochs", "gauss-newton-underdetermined",
         "conv1d-on-2d-grid", "dense-bias-mismatch",
         "stencil-7pt", "relu-activation"])

@@ -20,7 +20,7 @@ from npde.fieldio import (_CHUNK, _write_field, block_from_dict, block_to_bytes,
                           save_pipeline, save_trajectory_csv)
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
 from npde.reactions import ReactionSpec, fisher, linear, no_reaction, sigmoid_reaction
-from npde.solver import Trajectory, solve_forward
+from npde.solver import forward_slices
 from npde.stencil import EllipticCoefficients, laplacian_2d_9pt
 
 
@@ -54,19 +54,19 @@ def test_field_csv_round_trip(tmp_path):
 
 def test_trajectory_csv_has_slice_index(tmp_path):
     grid = make_grid(4, 1.0, 0.1, periodic())
-    traj = solve_forward(np.ones(4), EllipticCoefficients.constant(grid, 0.0),
-                         grid, 3)
-    save_trajectory_csv(tmp_path / "t.csv", traj.slices)
+    slices = list(forward_slices(np.ones(4), EllipticCoefficients.constant(grid, 0.0),
+                                 grid, 3))
+    save_trajectory_csv(tmp_path / "t.csv", slices)
     lines = (tmp_path / "t.csv").read_text().splitlines()
     assert len(lines) == 4
     assert lines[0].split(",")[0] == "0"
     assert lines[-1].split(",")[0] == "3"
 
 
-def _join_trajectory_csv(traj):
+def _join_trajectory_csv(slices):
     """The writer save_trajectory_csv streams: the whole file as one string."""
     lines = []
-    for i, s in enumerate(traj.slices):
+    for i, s in enumerate(slices):
         lines.append(",".join([str(i)] + [fmt(x) for x in np.ravel(s)]) + "\n")
     return "".join(lines)
 
@@ -80,9 +80,8 @@ def test_trajectory_csv_bytes_match_join_writer(ndim, tmp_path):
     grid = make_grid(n, 0.5, 0.1, periodic(), ndim=ndim)
     pool = np.concatenate([special, rng.standard_normal(40) * 10.0**rng.integers(-300, 301, 40)])
     slices = [rng.permutation(pool)[:grid.n_points**ndim].reshape(grid.shape) for _ in range(12)]
-    traj = Trajectory(grid, slices)
-    save_trajectory_csv(tmp_path / "t.csv", traj.slices)
-    assert (tmp_path / "t.csv").read_bytes() == _join_trajectory_csv(traj).encode()
+    save_trajectory_csv(tmp_path / "t.csv", slices)
+    assert (tmp_path / "t.csv").read_bytes() == _join_trajectory_csv(slices).encode()
 
 
 _WRITE_TWICE = """
@@ -91,15 +90,15 @@ import numpy as np
 from npde.fieldio import save_trajectory_csv
 from npde.grid import make_grid, periodic
 from npde.reference import GaussianProfile
-from npde.solver import solve_forward
+from npde.solver import forward_slices
 from npde.stencil import EllipticCoefficients
 
 grid = make_grid(400, 0.05, 0.000625, periodic())      # the README config
-traj = solve_forward(GaussianProfile(1.0, 10.0, 1.0).sample(grid.h * np.arange(400)),
-                     EllipticCoefficients.constant(grid, 1.0), grid, 800)
+slices = list(forward_slices(GaussianProfile(1.0, 10.0, 1.0).sample(grid.h * np.arange(400)),
+                             EllipticCoefficients.constant(grid, 1.0), grid, 800))
 for _ in range(2):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    save_trajectory_csv(sys.argv[1], traj.slices)
+    save_trajectory_csv(sys.argv[1], slices)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

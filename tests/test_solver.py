@@ -211,7 +211,7 @@ def test_periodic_implicit_matches_dense_cyclic_solve(n, seed):
        case=st.sampled_from([("implicit", 1, "5pt"), ("explicit", 1, "5pt"),
                              ("explicit", 2, "5pt"), ("explicit", 2, "9pt")]))
 def test_implicit_solve_equals_chained_steps(bc, n, m, seed, reaction, case):
-    # every scheme: solve_forward's slices are chained step_* calls, bit for bit
+    # every scheme: forward_slices' slices are chained step_* calls, bit for bit
     scheme, ndim, stencil2d = case
     rng = np.random.default_rng(seed)
     # explicit: r max A <= 1/4, so nothing diverges
@@ -220,8 +220,8 @@ def test_implicit_solve_equals_chained_steps(bc, n, m, seed, reaction, case):
     B = rng.uniform(-1.0, 1.0, n) if scheme == "explicit" and ndim == 1 else None
     coeffs = EllipticCoefficients(rng.uniform(0.0, 2.0, grid.shape), B, reaction)
     u = rng.uniform(0.0, 1.0, grid.shape)
-    traj = solve_forward(u, coeffs, grid, m, scheme=scheme, stencil2d=stencil2d)
-    for s in traj.slices[1:]:
+    slices = list(forward_slices(u, coeffs, grid, m, scheme=scheme, stencil2d=stencil2d))
+    for s in slices[1:]:
         u = (step_implicit(u, coeffs, grid) if scheme == "implicit"
              else step_explicit(u, coeffs, grid, stencil2d))
         np.testing.assert_array_equal(s, u)
@@ -312,10 +312,11 @@ def test_solve_forward_frozen_dynamics():
     grid = make_grid(5, 1.0, 0.1, periodic())
     coeffs = EllipticCoefficients.constant(grid, 0.0)
     u0 = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    traj = solve_forward(u0, coeffs, grid, 10)
-    assert traj.n_steps == 10 and len(traj.slices) == 11
-    for s in traj.slices:
+    slices = list(forward_slices(u0, coeffs, grid, 10))
+    assert len(slices) == 11
+    for s in slices:
         np.testing.assert_array_equal(s, u0)
+    np.testing.assert_array_equal(solve_forward(u0, coeffs, grid, 10).final(), u0)
 
 
 def _bits(a):
@@ -327,8 +328,8 @@ def _bits(a):
        reaction=st.sampled_from(["none", "fisher", "sigmoid", "linear", "source"]),
        case=st.sampled_from([("explicit", 1, "5pt"), ("explicit", 2, "5pt"),
                              ("explicit", 2, "9pt"), ("implicit", 1, "5pt")]))
-def test_solve_keeps_its_ends_and_replays_the_rest(bc, n, m, seed, reaction, case):
-    # solve_forward's slices are forward_slices' bit for bit, read any way
+def test_solve_is_the_last_slice_of_its_stream(bc, n, m, seed, reaction, case):
+    # solve_forward keeps forward_slices' last slice, bit for bit
     scheme, ndim, stencil2d = case
     rng = np.random.default_rng(seed)
     # r max A <= 1/4 and k C small, so no reaction diverges in m steps
@@ -338,28 +339,17 @@ def test_solve_keeps_its_ends_and_replays_the_rest(bc, n, m, seed, reaction, cas
     B = rng.uniform(-1.0, 1.0, n) if scheme == "explicit" and ndim == 1 else None
     coeffs = EllipticCoefficients(rng.uniform(0.0, 2.0, grid.shape), B, C[reaction])
     u0 = rng.uniform(0.0, 1.0, grid.shape)
-    want = [_bits(s) for s in forward_slices(u0, coeffs, grid, m, scheme, stencil2d)]
+    want = list(forward_slices(u0, coeffs, grid, m, scheme, stencil2d))
+    assert len(want) == m + 1
+    before = _bits(u0).copy()
     traj = solve_forward(u0, coeffs, grid, m, scheme, stencil2d)
-    u0[...] = np.nan                   # the solve kept a copy
-    slices = traj.slices
-    assert traj.n_steps == m and len(slices) == m + 1
-    assert traj.final() is slices[-1] is slices[m] and slices[0] is slices[-m - 1]
-    for i in (m + 1, -m - 2):
-        with pytest.raises(IndexError):
-            slices[i]
-    np.testing.assert_array_equal(_bits(slices[0]), want[0])
-    np.testing.assert_array_equal(_bits(slices[-1]), want[-1])
-    listed = list(slices)              # iteration replays the middle once
-    assert len(listed) == m + 1 and listed[-1] is traj.final()
-    for i in range(-m - 1, m + 1):
-        assert slices[i] is listed[i]
-        np.testing.assert_array_equal(_bits(slices[i]), want[i])
-    for cut in (slice(1, -1), slice(None, None, -2)):
-        assert all(s is t for s, t in zip(slices[cut], listed[cut], strict=True))
+    assert traj.grid is grid
+    np.testing.assert_array_equal(_bits(traj.final()), _bits(want[-1]))
+    np.testing.assert_array_equal(_bits(u0), before)
 
 
 @pytest.mark.parametrize("scheme,ndim", [("explicit", 1), ("explicit", 2), ("implicit", 1)])
-def test_replay_ignores_writes_after_the_solve(scheme, ndim):
+def test_stream_ignores_writes_after_it_is_built(scheme, ndim):
     # the step reads no array the caller keeps: A is copied (the 2D step
     # reads it every step) and a source field is the reaction's read-only copy
     rng = np.random.default_rng(5)
@@ -368,14 +358,14 @@ def test_replay_ignores_writes_after_the_solve(scheme, ndim):
     coeffs = EllipticCoefficients(A, None, source(forcing))
     u0 = rng.uniform(0.0, 1.0, grid.shape)
     want = [_bits(s) for s in forward_slices(u0, coeffs, grid, 6, scheme)]
-    traj = solve_forward(u0, coeffs, grid, 6, scheme)
+    stream = forward_slices(u0, coeffs, grid, 6, scheme)
     A *= 3.0
     forcing[...] = 0.0
-    for got, expected in zip(traj.slices, want, strict=True):
+    for got, expected in zip(stream, want, strict=True):
         np.testing.assert_array_equal(_bits(got), expected)
     # a new solve reads the written A; nothing writes the reaction's field
     assert not np.array_equal(solve_forward(u0, coeffs, grid, 6, scheme).final(),
-                              traj.final())
+                              want[-1].view(float))
     with pytest.raises(ValueError, match="read-only"):
         coeffs.C.source[0] = 1.0
 
@@ -480,8 +470,8 @@ def test_implicit_unconditionally_stable_at_r5():
     coeffs = EllipticCoefficients.constant(grid, 1.0)
     rng = np.random.default_rng(15)
     u0 = rng.uniform(0.0, 1.0, 32)
-    traj = solve_forward(u0, coeffs, grid, 100, scheme="implicit")
-    assert max(np.max(np.abs(s)) for s in traj.slices) <= np.max(np.abs(u0)) + 1e-12
+    slices = list(forward_slices(u0, coeffs, grid, 100, scheme="implicit"))
+    assert max(np.max(np.abs(s)) for s in slices) <= np.max(np.abs(u0)) + 1e-12
 
 
 def test_divergence_reports_step_index():

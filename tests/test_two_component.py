@@ -118,6 +118,13 @@ def test_recorded_frames_are_copies():
     np.testing.assert_array_equal(frames[-1], V_final)
 
 
+def test_negative_record_every_is_refused():
+    # step % -2 == 0 would record every 2nd step as if the sign were not there
+    grid, U, V, Du, Dv, rxn = _case(4, 8, periodic())
+    with pytest.raises(ValueError, match="record_every"):
+        solve_two_component(U, V, Du, Dv, rxn, grid, 4, record_every=-2)
+
+
 def _uniform_growth(f):
     """U = 1, V = 0, no diffusion: U is multiplied by 10 per step while f = 9 U."""
     grid = make_grid(6, 1.0, 1.0, periodic(), ndim=2)
