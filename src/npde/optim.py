@@ -103,6 +103,8 @@ class AdamState:
             raise ValueError("decay rates must lie in [0, 1)")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        if not 0 < self.eta < np.inf:
+            raise ValueError("step size eta must be positive and finite")
         if self.t < 0:
             raise ValueError("step counter must be >= 0")
         if self.m.shape != self.v.shape:
@@ -146,6 +148,8 @@ def newton_pinv_step(theta, g: np.ndarray, H: np.ndarray, eta: float) -> ThetaVe
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] != th.values.size:
         raise ValueError("H must be square and sized to theta")
+    if eta <= 0:
+        raise ValueError("step size eta must be positive")
     step = np.linalg.lstsq(H, g, rcond=None)[0]
     return th.with_values(th.values - eta * step)
 
@@ -161,6 +165,8 @@ def gauss_newton_step(theta, residuals: np.ndarray, J: np.ndarray,
         raise ValueError("J must be (len(residuals), len(theta))")
     if J.shape[0] < J.shape[1]:
         raise ValueError("Gauss-Newton needs at least as many residuals as parameters")
+    if eta <= 0:
+        raise ValueError("step size eta must be positive")
     step = np.linalg.lstsq(J, r, rcond=None)[0]
     return th.with_values(th.values - eta * step)
 

@@ -88,6 +88,12 @@ def test_adam_state_validation():
         AdamState(np.zeros(2), -np.ones(2))
 
 
+@pytest.mark.parametrize("eta", [0.0, -0.5, np.inf, np.nan])
+def test_adam_state_refuses_a_step_size_that_is_not_positive_and_finite(eta):
+    with pytest.raises(ValueError, match="step size eta must be positive"):
+        AdamState.fresh(2, eta=eta)
+
+
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
@@ -185,6 +191,18 @@ def test_gauss_newton_identity_jacobian_is_sgd_on_residual():
     r = np.array([1.0, -2.0, 0.5])
     th = gauss_newton_step(np.zeros(3), r, np.eye(3), 0.7)
     np.testing.assert_allclose(th.values, -0.7 * r, atol=1e-12)
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0])
+def test_newton_refuses_a_step_size_that_is_not_positive(eta):
+    with pytest.raises(ValueError, match="step size eta must be positive"):
+        newton_pinv_step(np.zeros(2), np.ones(2), np.eye(2), eta)
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0])
+def test_gauss_newton_refuses_a_step_size_that_is_not_positive(eta):
+    with pytest.raises(ValueError, match="step size eta must be positive"):
+        gauss_newton_step(np.zeros(2), np.array([1.0, 2.0]), np.eye(2), eta)
 
 
 def test_gauss_newton_needs_enough_residuals():

@@ -4,20 +4,27 @@ The ghost fill pads like np.pad and the ghost scatter is its adjoint; the
 taps step equals the divergence-form step u + k * elliptic_apply(u) to
 rounding; the step that runs (reaction folded, scalar taps for a uniform
 medium) is the unfolded row step to rounding, and bit for bit when nothing
-folds; the dense band is the step's matrix; the implicit bands solve the
-backward step; the step's VJPs are the adjoints of the step and of its taps.
+folds; a uniform, symmetric folding step runs the pair form, and the steps
+that keep the tap form keep their bytes; the dense band is the step's matrix;
+the implicit bands solve the backward step; the step's VJPs are the adjoints
+of the step and of its taps.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import npde.reactions
 from npde.blocks import _laplacian_matrix, gen_conv1d, gen_rbm
+from npde.cli import main
 from npde.grid import (_ghost_fill, _ghost_scatter, dirichlet, extend, make_grid,
                        mirror, periodic)
 from npde.reactions import ReactionSpec, fisher, linear, no_reaction, sigmoid_reaction
-from npde.solver import (DivergenceError, cfl_check, forward_slices, step_explicit,
-                         step_implicit)
+from npde.solver import (DivergenceError, cfl_check, forward_slices, solve_forward,
+                         step_explicit, step_implicit)
 from npde.stencil import (EllipticCoefficients, _apply_taps, _band_matrix, _Step1D,
                           _step_taps, _step_taps_vjp, _tap_step_vjp, diffusion_term,
                           elliptic_apply, laplacian_1d)
@@ -113,6 +120,88 @@ def test_block_and_solver_share_one_kernel(seed, bc, with_b, n_steps, uniform, r
         c = float(np.max(np.abs(reaction(u))))
         tol = 4.0 * EPS * (weight * float(np.max(np.abs(P))) + grid.k * c)
         assert float(np.max(np.abs(ran - unfolded))) <= tol
+
+
+@settings(max_examples=200)
+@given(seed=SEEDS, bc=BCS, batch=st.integers(1, 3), kind=st.sampled_from(["fisher", "linear"]),
+       draw=st.sampled_from(["unit", "normal", "log-uniform"]))
+def test_pair_form_is_within_the_unfolded_bound(seed, bc, batch, kind, draw):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 40))
+    grid = make_grid(n, float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.001, 0.1)), bc)
+    taps = _step_taps(np.full(n, rng.uniform(0.0, 0.5) / grid.r), None, grid)   # r A <= 1/2
+    reaction = ReactionSpec(kind, float(rng.uniform(-5.0, 5.0)))
+    shape = (batch, n)
+    # log-uniform down to 1e-320 covers the subnormal band ahead of a front
+    u = {"unit": lambda: rng.uniform(0.0, 1.0, shape),
+         "normal": lambda: rng.standard_normal(shape),
+         "log-uniform": lambda: 10.0 ** rng.uniform(-320.0, 0.0, shape)}[draw]()
+    step = _Step1D(taps, grid, reaction)
+    assert step.pair
+    P = np.empty((batch, n + 2))
+    ran = step(u, P)
+    unfolded = _apply_taps(taps, P) + grid.k * reaction(u)
+    # test_block_and_solver_share_one_kernel's bound, plus the absolute error
+    # that gradual underflow adds to each of the at most ten products the two
+    # sides make, half the smallest subnormal each (Higham, Accuracy and
+    # Stability, sec. 2.1); without it an all-subnormal row can miss the bound
+    weight = float(np.max(np.abs(taps).sum(axis=0))) + abs(reaction.split(grid.k)[0])
+    c = float(np.max(np.abs(reaction(u))))
+    tol = 4.0 * EPS * (weight * float(np.max(np.abs(P))) + grid.k * c)
+    tol += 5.0 * np.finfo(float).smallest_subnormal
+    assert float(np.max(np.abs(ran - unfolded))) <= tol
+
+
+@pytest.mark.parametrize("bc", [periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(-1.3)])
+def test_criterion_3_steps_in_the_pair_form(monkeypatch, bc):
+    # criterion 3's medium (h = 0.1, k = 0.004, A = 1, fisher(1)) on a short grid
+    grid = make_grid(64, 0.1, 0.004, bc)
+    coeffs = EllipticCoefficients.constant(grid, 1.0, reaction=fisher(1.0))
+    A = coeffs.A
+    u = np.random.default_rng(3).uniform(0.0, 1.0, 64)
+
+    def run():
+        block = gen_conv1d(coeffs, grid)
+        layer_out, _ = DiffusionLayer(grid, 5, fisher(1.0)).forward({"A": A}, u[None])
+        return [*forward_slices(u, coeffs, grid, 5), block.forward(u), layer_out[0]]
+
+    before = run()
+
+    def refuse(rate, v):
+        raise AssertionError("a pair-form step evaluated fisher's R")
+
+    _, _, slope, q = npde.reactions._RATE_KINDS["fisher"]
+    monkeypatch.setitem(npde.reactions._RATE_KINDS, "fisher", (True, refuse, slope, q))
+    for got, want in zip(run(), before, strict=True):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    rows = EllipticCoefficients(np.linspace(0.5, 1.0, 64), None, fisher(1.0))
+    with pytest.raises(AssertionError, match="evaluated fisher's R"):
+        gen_conv1d(rows, grid).forward(u)
+
+
+def test_tap_form_steps_keep_their_bytes(tmp_path):
+    # SHA-256 digests of outputs of the tap form (heat through `npde solve`,
+    # a uniform sigmoid solve), taken before the pair form was added
+    config = {
+        "grid": {"n_points": 64, "h": 0.05, "k": 0.000625, "bc": "periodic"},
+        "model": {"kind": "heat", "A": 1.0},
+        "run": {"n_steps": 40, "scheme": "explicit", "seed": 0,
+                "initial": {"kind": "gaussian", "amplitude": 1.0, "center": 1.6,
+                            "sigma2": 0.1}},
+    }
+    path = tmp_path / "heat.json"
+    path.write_text(json.dumps(config))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    csv = (tmp_path / "out" / "trajectory.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == (
+        "5ae5e7ec3e6a728d7ecbe94f3948c18eff5c5b9418cc4eb38205328e35d739d1")
+
+    grid = make_grid(64, 0.1, 0.004, extend())
+    u = np.random.default_rng(7).uniform(-1.0, 1.0, 64)
+    coeffs = EllipticCoefficients.constant(grid, 0.9, reaction=sigmoid_reaction(1.5))
+    final = solve_forward(u, coeffs, grid, 50).final()
+    assert hashlib.sha256(final.tobytes()).hexdigest() == (
+        "0ca457db0a4ff8ff67e84b541e43376eb0a246a518b738a215897b09ae4af44c")
 
 
 @settings(max_examples=60)
