@@ -3,10 +3,10 @@
 The reaction term doubles as the activation nonlinearity of generated blocks:
 fisher is the logistic growth r*u*(1-u), sigmoid is the logistic function
 1/(1+exp(-r*u)), linear is r*u. One table gives these rate kinds, and none,
-C's linear part l (the rate, or 0) and the rest R = C - l u: C and dC/du are
-built from them (fisher's C rounds as r*u - r*u**2), and an explicit 1D step
-folds l, and in a uniform medium q = R/u, into its centre tap. source adds a
-fixed forcing field, a read-only copy (the absorbed-intensity term). A two-component pair
+C's linear part l (the rate, or 0) and the rest R = C - l u (q = R/u where l
+folds): C and dC/du are built from them (fisher's C rounds as r*u - r*u**2),
+and an explicit 1D step folds l, and in a uniform medium q, into its centre
+tap. source adds a fixed forcing field, a read-only copy. A two-component pair
 fills a solver's (2, n, n) buffer through its fused evaluator (gray_scott
 computes U V^2 once), or else by copying f(U, V) and g(U, V), bit for bit alike.
 """
@@ -35,14 +35,13 @@ def _sigmoid_slope(rate, s):
     return rate * s * (1.0 - s)
 
 
-# kind -> (folds, R, dR/du, q), functions of (rate, u) or None for 0: C = l u + R,
-# l = rate if the kind folds (then R = q u) else 0; "source", a fixed field, has no rate
+# kind -> (folds, q or R, dR/du), functions of (rate, u), None for 0: C = l u + R,
+# l = rate and R = q u if the kind folds, else l = 0; "source" is a fixed field
 _RATE_KINDS = {
-    "none": (False, None, None, None),
-    "fisher": (True, lambda r, u: -r * u * u, lambda r, u: -2.0 * r * u, lambda r, u: -r * u),
-    "sigmoid": (False, lambda r, u: sigmoid(r * u), lambda r, u: _sigmoid_slope(r, sigmoid(r * u)),
-                None),
-    "linear": (True, None, None, None),
+    "none": (False, None, None),
+    "fisher": (True, lambda r, u: -r * u, lambda r, u: -2.0 * r * u),
+    "sigmoid": (False, lambda r, u: sigmoid(r * u), lambda r, u: _sigmoid_slope(r, sigmoid(r * u))),
+    "linear": (True, None, None),
 }
 
 
@@ -77,31 +76,32 @@ class ReactionSpec:
             if self.source.shape != u.shape:
                 raise ValueError("source field shape does not match the field")
             return self.source.copy()
-        folds, rest, _, _ = _RATE_KINDS[self.kind]
-        if rest is None:
+        folds, f, _ = _RATE_KINDS[self.kind]
+        if f is None:
             return self.rate * u if folds else np.zeros_like(u)
-        return self.rate * u + rest(self.rate, u) if folds else rest(self.rate, u)
+        return self.rate * u + f(self.rate, u) * u if folds else f(self.rate, u)
 
     def deriv(self, u):
         """d/du of the reaction, l + dR/du, used by reverse-mode gradients."""
         u = np.asarray(u, dtype=float)
-        folds, _, slope, _ = _RATE_KINDS.get(self.kind, (False, None, None, None))
+        folds, _, slope = _RATE_KINDS.get(self.kind, (False, None, None))
         if slope is None:
             return np.full_like(u, self.rate if folds else 0.0)
         return self.rate + slope(self.rate, u) if folds else slope(self.rate, u)
 
     def split(self, k: float):
         """(k l, k R, k dR/du, k q) for C(u) = l u + R(u): l is C's part linear in
-        u, which an explicit 1D step of time step k folds into its centre tap;
-        the rest are functions of u, None where they vanish (k q also where l
-        does not fold). A kind that folds is its rate times a function of u,
-        R = q u, so there each is itself at rate k r."""
+        u, which an explicit 1D step of time step k folds into its centre tap; the
+        rest are functions of u, None where they vanish (k q where l does not fold).
+        A kind that folds is its rate times a function of u: R = q u at rate k r."""
         if self.kind == "source":
             return 0.0, lambda u: k * self(u), None, None
-        folds, rest, slope, q = _RATE_KINDS[self.kind]
+        folds, f, slope = _RATE_KINDS[self.kind]
         if folds:
-            return k * self.rate, *(f and partial(f, k * self.rate) for f in (rest, slope, q))
-        return 0.0, *(f and (lambda u, f=f: k * f(self.rate, u)) for f in (rest, slope)), None
+            kr = k * self.rate
+            q = f and partial(f, kr)
+            return kr, q and (lambda u: q(u) * u), slope and partial(slope, kr), q
+        return 0.0, *(g and (lambda u, g=g: k * g(self.rate, u)) for g in (f, slope)), None
 
     def activate(self, z):
         """Composed-activation semantics: ``none`` is the identity map.

@@ -6,9 +6,9 @@ Explicit (forward Euler) step, with r = k/h**2:
            + k * (B-term + C-term)
 
 In 1D these are stencil._step_taps, stored and judged for stability. The
-step that runs, stencil._Step1D, folds k l, C's linear part, into the centre
-tap (and k q(u), R = q u, for a uniform, symmetric medium), within 4 eps ((max
-sum|taps| + k|l|) max|P| + k max|C(u)|) of taps(P) + k C(u) (see stencil).
+step that runs, stencil._Step1D, folds k l, C's linear part (and k q(u) for a
+uniform fisher medium), into the centre tap, within 4 eps ((max sum|taps| +
+k|l|) max|P| + k max|C(u)|) + 5 eta (smallest subnormal) of taps(P) + k C(u).
 A 2D step runs stencil._laplacian_2d on A*u in a buffer the solve
 allocates once; diffusion_term runs the same sequence, so the step is
 u + k * elliptic_apply(u) bit for bit.

@@ -27,14 +27,14 @@ so B is the effective convection coefficient.
 The 1D explicit step has one definition. _step_taps builds the per-node taps
 that gen_conv1d's blocks store, cfl_check judges and the RBM/RNN matrices
 (_band_matrix) and implicit bands read. _Step1D builds the step that solver,
-blocks and DiffusionLayer run, so they agree bit for bit: k l, C's linear
-part, in the centre tap, scalar taps for a uniform medium, and if that is
-symmetric and C folds, a (left + right) + (b + k q(u)) u with R = q u. It is
-within 4 eps ((max_j sum_d |taps[d, j]| + k |l|) max|P| + k max|C(u)|) of
-the unfolded taps(P) + k C(u), bit for bit when nothing folds. Adjoint:
-_tap_step_vjp takes an output cotangent to u and the tap rows, _step_taps_vjp
-the rows to A. elliptic_apply keeps the divergence form, (1/h**2)
-stencil(A*u), in 1D the reference for the unfolded taps.
+blocks and DiffusionLayer run, so they agree bit for bit: k l, C's linear part,
+in the centre tap, scalar taps for a uniform medium, and if those are symmetric
+and R = q u (fisher), a (left + right) + (b + k q(u)) u. It is within 4 eps
+((max_j sum_d |taps[d, j]| + k |l|) max|P| + k max|C(u)|) + 5 eta (eta the
+smallest subnormal) of the unfolded taps(P) + k C(u), bit for bit when nothing
+folds. _tap_step_vjp takes an output cotangent to u and the tap rows,
+_step_taps_vjp the rows to A. elliptic_apply keeps the divergence form,
+(1/h**2) stencil(A*u), in 1D the reference for the unfolded taps.
 Every 2D step, diffusion_term's included, runs one separable Laplacian,
 _laplacian_2d; the general 3x3 correlation serves arbitrary kernels only.
 """
@@ -126,8 +126,8 @@ class _Step1D:
     """The 1D explicit step that runs, built once from _step_taps' (3, n) taps:
     k l (ReactionSpec.split) added to the centre row, constant rows as three
     floats, whose products are the rows' bit for bit. A call pads u's last axis
-    (into P when given), applies the taps and adds k R(u); a uniform, symmetric,
-    folding step runs a (left + right) + (b + k q(u)) u instead, in six passes.
+    (into P when given), applies the taps and adds k R(u), or, for symmetric
+    scalar taps and R = q u (fisher), runs a (left + right) + (b + k q(u)) u.
     """
 
     def __init__(self, taps: np.ndarray, grid: GridSpec,
@@ -138,7 +138,7 @@ class _Step1D:
         if np.all(taps == taps[:, :1]):
             taps = tuple(float(row[0]) for row in taps)
         self.taps, self.grid = taps, grid
-        self.pair = bool(isinstance(taps, tuple) and taps[0] == taps[2] and (linear or self.q))
+        self.pair = isinstance(taps, tuple) and taps[0] == taps[2] and self.q is not None
 
     def __call__(self, u: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
         if P is None:
@@ -148,10 +148,9 @@ class _Step1D:
         if self.pair:
             out = np.add(P[..., :-2], P[..., 2:])
             out *= self.taps[0]
-            centre = self.taps[1] * u if self.q is None else self.q(u)
-            if self.q is not None:
-                centre += self.taps[1]
-                centre *= u
+            centre = self.q(u)
+            centre += self.taps[1]
+            centre *= u
             out += centre
             return out
         out = _apply_taps(self.taps, P)

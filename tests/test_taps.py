@@ -4,7 +4,7 @@ The ghost fill pads like np.pad and the ghost scatter is its adjoint; the
 taps step equals the divergence-form step u + k * elliptic_apply(u) to
 rounding; the step that runs (reaction folded, scalar taps for a uniform
 medium) is the unfolded row step to rounding, and bit for bit when nothing
-folds; a uniform, symmetric folding step runs the pair form, and the steps
+folds; a uniform, symmetric fisher step runs the pair form, and the steps
 that keep the tap form keep their bytes; the dense band is the step's matrix;
 the implicit bands solve the backward step; the step's VJPs are the adjoints
 of the step and of its taps.
@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import npde.reactions
 from npde.blocks import _laplacian_matrix, gen_conv1d, gen_rbm
 from npde.cli import main
 from npde.grid import (_ghost_fill, _ghost_scatter, dirichlet, extend, make_grid,
                        mirror, periodic)
-from npde.reactions import ReactionSpec, fisher, linear, no_reaction, sigmoid_reaction
+from npde.reactions import (ReactionSpec, fisher, linear, no_reaction, sigmoid,
+                            sigmoid_reaction)
 from npde.solver import (DivergenceError, cfl_check, forward_slices, solve_forward,
                          step_explicit, step_implicit)
 from npde.stencil import (EllipticCoefficients, _apply_taps, _band_matrix, _Step1D,
@@ -137,14 +137,15 @@ def test_pair_form_is_within_the_unfolded_bound(seed, bc, batch, kind, draw):
          "normal": lambda: rng.standard_normal(shape),
          "log-uniform": lambda: 10.0 ** rng.uniform(-320.0, 0.0, shape)}[draw]()
     step = _Step1D(taps, grid, reaction)
-    assert step.pair
+    assert step.pair is (kind == "fisher")   # linear has no q and keeps the tap form
     P = np.empty((batch, n + 2))
     ran = step(u, P)
     unfolded = _apply_taps(taps, P) + grid.k * reaction(u)
-    # test_block_and_solver_share_one_kernel's bound, plus the absolute error
-    # that gradual underflow adds to each of the at most ten products the two
-    # sides make, half the smallest subnormal each (Higham, Accuracy and
-    # Stability, sec. 2.1); without it an all-subnormal row can miss the bound
+    # the documented bound: test_block_and_solver_share_one_kernel's, plus the
+    # absolute error that gradual underflow adds to each of the at most ten
+    # products the two sides make, half the smallest subnormal each (Higham,
+    # Accuracy and Stability, sec. 2.1); without it an all-subnormal row can
+    # miss the bound
     weight = float(np.max(np.abs(taps).sum(axis=0))) + abs(reaction.split(grid.k)[0])
     c = float(np.max(np.abs(reaction(u))))
     tol = 4.0 * EPS * (weight * float(np.max(np.abs(P))) + grid.k * c)
@@ -167,11 +168,17 @@ def test_criterion_3_steps_in_the_pair_form(monkeypatch, bc):
 
     before = run()
 
-    def refuse(rate, v):
+    def refuse(v):
         raise AssertionError("a pair-form step evaluated fisher's R")
 
-    _, _, slope, q = npde.reactions._RATE_KINDS["fisher"]
-    monkeypatch.setitem(npde.reactions._RATE_KINDS, "fisher", (True, refuse, slope, q))
+    split = ReactionSpec.split
+
+    def split_refusing_rest(self, k):
+        linear, _, slope, q = split(self, k)
+        return linear, refuse, slope, q
+
+    # every step takes its k R(u) from split; the pair form must not call it
+    monkeypatch.setattr(ReactionSpec, "split", split_refusing_rest)
     for got, want in zip(run(), before, strict=True):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     rows = EllipticCoefficients(np.linspace(0.5, 1.0, 64), None, fisher(1.0))
@@ -180,8 +187,8 @@ def test_criterion_3_steps_in_the_pair_form(monkeypatch, bc):
 
 
 def test_tap_form_steps_keep_their_bytes(tmp_path):
-    # SHA-256 digests of outputs of the tap form (heat through `npde solve`,
-    # a uniform sigmoid solve), taken before the pair form was added
+    # heat through `npde solve`: the SHA-256 of its trajectory, taken before
+    # the pair form was added (adds and multiplies only, so it is portable)
     config = {
         "grid": {"n_points": 64, "h": 0.05, "k": 0.000625, "bc": "periodic"},
         "model": {"kind": "heat", "A": 1.0},
@@ -196,12 +203,19 @@ def test_tap_form_steps_keep_their_bytes(tmp_path):
     assert hashlib.sha256(csv).hexdigest() == (
         "5ae5e7ec3e6a728d7ecbe94f3948c18eff5c5b9418cc4eb38205328e35d739d1")
 
+    # a uniform sigmoid solve against the tap form run step by step: scalar
+    # taps applied to the padded field, plus k sigmoid(r u) (np.exp's last bit
+    # may vary across CPUs, so no digest)
     grid = make_grid(64, 0.1, 0.004, extend())
     u = np.random.default_rng(7).uniform(-1.0, 1.0, 64)
     coeffs = EllipticCoefficients.constant(grid, 0.9, reaction=sigmoid_reaction(1.5))
     final = solve_forward(u, coeffs, grid, 50).final()
-    assert hashlib.sha256(final.tobytes()).hexdigest() == (
-        "0ca457db0a4ff8ff67e84b541e43376eb0a246a518b738a215897b09ae4af44c")
+    taps = tuple(float(row[0]) for row in _step_taps(coeffs.A, None, grid))
+    P = np.empty(66)
+    for _ in range(50):
+        P[1:-1] = u
+        u = _apply_taps(taps, _ghost_fill(P, grid.bc)) + grid.k * sigmoid(1.5 * u)
+    np.testing.assert_array_equal(final.view(np.int64), u.view(np.int64))
 
 
 @settings(max_examples=60)
