@@ -39,7 +39,9 @@ transverse Laplacian:
     U' = U + k (Du lap U + f(U, V)),  V' = V + k (Dv lap V + g(U, V)).
 
 U and V are stacked into one (2, n, n) state that a solve advances in place,
-reusing one padded buffer and one scratch buffer for every step. Both
+reusing one padded buffer and one scratch buffer for every step. Each pass
+stores from a 64-byte boundary (_aligned): a misaligned vector store splits
+across two cache lines, up to twice the cost, and placement moves no bit. Both
 channels ride along one separable 9-point _laplacian_2d, whose rounding
 differs from the 9-tap sum by a few ulps. The kinetics fill one stacked
 (2, n, n) buffer through the reaction's fused evaluator (gray_scott's
@@ -382,6 +384,13 @@ def step_implicit(field: np.ndarray, coeffs: EllipticCoefficients,
     return solve_forward(field, coeffs, grid, 1, "implicit").final()
 
 
+def _aligned(size: int, lead: int = 0) -> np.ndarray:
+    """A zeroed flat float buffer of ``size`` cells, element ``lead`` 64-byte aligned."""
+    raw = np.zeros(size + 8)
+    skip = -(raw.ctypes.data // 8 + lead) % 8
+    return raw[skip:skip + size]
+
+
 def _two_component_stepper(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
                            rxn: TwoComponentReaction, grid: GridSpec):
     """Validate a two-component solve once; return its stacked state W = [U, V]
@@ -389,24 +398,28 @@ def _two_component_stepper(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
 
     The padded buffer P, the scratch S and the kinetics' plane are allocated
     once per solve. The 9-point _laplacian_2d runs over P with both channels
-    riding along and writes into T, the head of S. The reaction then fills
-    the head of P as a (2, n, n) region.
+    riding along and writes into T = S[1:1 + W.size], where its x pass began.
+    The reaction then fills p[m:m + W.size], where the y pass began, as a
+    (2, n, n) region.
     """
     if grid.ndim != 2:
         raise ValueError("two-component stepping expects a 2D grid")
     U0, V0 = np.asarray(U0, dtype=float), np.asarray(V0, dtype=float)
     if U0.shape != grid.shape or V0.shape != grid.shape:
         raise ValueError("U and V must both be shaped to the grid")
-    W = np.stack([U0, V0])
+    W = _aligned(2 * U0.size).reshape(2, *grid.shape)
+    W[0], W[1] = U0, V0
     if not np.all(np.isfinite(W)):
         raise ValueError("U and V must be finite")
+    if not (np.isfinite(Du) and np.isfinite(Dv)):
+        raise ValueError(f"Du and Dv must be finite, got {Du} and {Dv}")
     # k * D / h**2 per channel
     scale = (grid.k / grid.h**2) * np.array([Du, Dv], dtype=float).reshape(2, 1, 1)
     m = grid.n_points + 2
-    P, S = np.empty((2, m, m)), np.zeros(2 * m * m)
-    lap, plane = _laplacian_2d(P, S, "9pt"), np.empty(grid.shape)
+    P, S = _aligned(2 * m * m, m).reshape(2, m, m), _aligned(2 * m * m, 1)
+    lap, plane = _laplacian_2d(P, S, "9pt"), _aligned(U0.size).reshape(grid.shape)
     interior, p = P[:, 1:-1, 1:-1], P.reshape(-1)
-    T, reaction = S[:W.size].reshape(W.shape), p[:W.size].reshape(W.shape)
+    T, reaction = S[1:1 + W.size].reshape(W.shape), p[m:m + W.size].reshape(W.shape)
     bc, k = grid.bc, grid.k
 
     def step(W: np.ndarray) -> np.ndarray:

@@ -207,9 +207,11 @@ def _laplacian_2d(P: np.ndarray, S: np.ndarray, stencil2d: str = "5pt"):
     contiguous shifted adds over the flattened buffers, sliced here once;
     what lands in ghost cells is discarded. 9pt, outer([1/2, 1, 1/2],
     [1/2, 1, 1/2]) - 4 delta, is a pass along x into S and one along y back
-    into P; 5pt sums the four edge neighbours into S. Returns lap(centre,
-    out=None), which runs the passes and only then writes out = -4 centre
-    + neighbours, so under 9pt out may alias S.
+    into P; 5pt sums the four edge neighbours into S. The first cell a pass
+    stores to is S[1] for the x pass, and p[m] (9pt) or S[m] (5pt) for the y
+    pass, with p the flat P and m its row length: a caller aligns these.
+    Returns lap(centre, out=None), which runs the passes and only then writes
+    out = -4 centre + neighbours, so under 9pt out may alias S.
     """
     stencil_2d(stencil2d)    # refuses an unknown name
     m, p = P.shape[-1], P.reshape(-1)
