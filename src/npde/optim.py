@@ -4,15 +4,15 @@ First order: plain gradient descent theta <- theta - eta * g, and Adam with
 bias-corrected moments
 
     m <- b1 m + (1-b1) g          mhat = m / (1 - b1^(t+1))
-    v <- b2 v + (1-b2) g^2        vhat = v / (1 - b2^(t+1))
+    v <- b2 v + (1-b2) g g        vhat = v / (1 - b2^(t+1))
     theta <- theta - eta * mhat / (sqrt(vhat) + eps)
 
-(defaults b1=0.9, b2=0.999, eps=1e-8; elementwise squaring and rooting).
-An AdamState is validated once, when built from outside; adam_step checks
-only the shapes it is handed and builds its result unchecked, since the
-hyper-parameters are copied from a validated state and v >= 0 holds by
-construction. A ThetaVector is only the flat values; the pipeline that reads
-them (train.Pipeline.params) owns their layout.
+(defaults b1=0.9, b2=0.999, eps=1e-8; elementwise products and roots).
+adam_step evaluates these operations as written, left to right, so its bits
+are the formula's; it checks only the shapes it is handed and builds its result
+unchecked, since an AdamState is validated once, when built from outside, and
+v >= 0 holds by construction. A ThetaVector is only the flat values; the
+pipeline that reads them (train.Pipeline.params) owns their layout.
 
 Second order: Newton steps theta - eta H^+ grad and Gauss-Newton steps
 theta - eta J^+ r for least squares, each the minimum-norm least-squares
@@ -73,15 +73,20 @@ class LossSpec:
             raise ValueError("nu must be >= 0")
 
 
+def _descend(th: ThetaVector, eta: float, step) -> ThetaVector:
+    """th - eta * step(), refusing eta <= 0 before the step is computed."""
+    if eta <= 0:
+        raise ValueError("step size eta must be positive")
+    return th.with_values(th.values - eta * step())
+
+
 def sgd_step(theta, g: np.ndarray, eta: float) -> ThetaVector:
     """Plain gradient descent theta - eta * g."""
     th = _as_theta(theta)
     g = np.asarray(g, dtype=float)
     if g.shape != th.values.shape:
         raise ValueError("gradient size does not match theta")
-    if eta <= 0:
-        raise ValueError("step size eta must be positive")
-    return th.with_values(th.values - eta * g)
+    return _descend(th, eta, lambda: g)
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,9 @@ class AdamState:
             raise ValueError("moment vectors must share a shape")
         if np.any(self.v < 0):
             raise ValueError("second moments must be >= 0")
+        # b1, 1 - b1, b2, 1 - b2, eps, eta as 0-d arrays, faster operands (reactions._ONE)
+        object.__setattr__(self, "_operands", tuple(np.array(c) for c in (
+            self.beta1, 1.0 - self.beta1, self.beta2, 1.0 - self.beta2, self.eps, self.eta)))
 
     @classmethod
     def fresh(cls, n: int, beta1: float = 0.9, beta2: float = 0.999,
@@ -124,17 +132,16 @@ def adam_step(state: AdamState, theta, g: np.ndarray) -> tuple[AdamState, ThetaV
     g = np.asarray(g, dtype=float)
     if g.shape != th.values.shape or g.shape != state.m.shape:
         raise ValueError("gradient size does not match theta/state")
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+    b1, a1, b2, a2, eps, eta = state._operands
+    m = b1 * state.m + a1 * g
+    v = b2 * state.v + a2 * g * g
     t1 = state.t + 1
     mhat = m / (1.0 - state.beta1**t1)
     vhat = v / (1.0 - state.beta2**t1)
-    new_values = th.values - state.eta * mhat / (np.sqrt(vhat) + state.eps)
-    # m and v keep the checked shape, v >= 0 holds by construction and the
-    # hyper-parameters come from a validated state, so nothing is re-checked
+    new_values = th.values - eta * mhat / (np.sqrt(vhat) + eps)
     advanced = _unchecked(AdamState, m=m, v=v, beta1=state.beta1, beta2=state.beta2,
-                          eps=state.eps, eta=state.eta, t=t1)
-    return advanced, th.with_values(new_values)
+                          eps=state.eps, eta=state.eta, t=t1, _operands=state._operands)
+    return advanced, _unchecked(ThetaVector, values=new_values)
 
 
 def newton_pinv_step(theta, g: np.ndarray, H: np.ndarray, eta: float) -> ThetaVector:
@@ -148,10 +155,7 @@ def newton_pinv_step(theta, g: np.ndarray, H: np.ndarray, eta: float) -> ThetaVe
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] != th.values.size:
         raise ValueError("H must be square and sized to theta")
-    if eta <= 0:
-        raise ValueError("step size eta must be positive")
-    step = np.linalg.lstsq(H, g, rcond=None)[0]
-    return th.with_values(th.values - eta * step)
+    return _descend(th, eta, lambda: np.linalg.lstsq(H, g, rcond=None)[0])
 
 
 def gauss_newton_step(theta, residuals: np.ndarray, J: np.ndarray,
@@ -165,10 +169,7 @@ def gauss_newton_step(theta, residuals: np.ndarray, J: np.ndarray,
         raise ValueError("J must be (len(residuals), len(theta))")
     if J.shape[0] < J.shape[1]:
         raise ValueError("Gauss-Newton needs at least as many residuals as parameters")
-    if eta <= 0:
-        raise ValueError("step size eta must be positive")
-    step = np.linalg.lstsq(J, r, rcond=None)[0]
-    return th.with_values(th.values - eta * step)
+    return _descend(th, eta, lambda: np.linalg.lstsq(J, r, rcond=None)[0])
 
 
 @dataclass(frozen=True)
@@ -235,8 +236,7 @@ def grad_fd(loss_fn, theta, eps: float) -> np.ndarray:
         raise ValueError("eps must be positive")
     th = _as_theta(theta)
     base = th.values
-    wrap = (lambda v: loss_fn(th.with_values(v))) if isinstance(theta, ThetaVector) \
-        else (lambda v: loss_fn(v))
+    wrap = (lambda v: loss_fn(th.with_values(v))) if isinstance(theta, ThetaVector) else loss_fn
     grad = np.empty(base.size)
     for i in range(base.size):
         vp = base.copy()

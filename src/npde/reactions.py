@@ -19,20 +19,21 @@ from typing import Callable
 
 import numpy as np
 
+# numpy takes a 0-d operand faster than a Python float, with the same bits
+_ZERO, _ONE = np.zeros(()), np.ones(())
+
 
 def sigmoid(x):
-    """Numerically stable logistic function."""
+    """Logistic function as exp(min(x, 0)) / (1 + exp(-|x|)): each sign's own branch,
+    1 / (1 + exp(-x)) or exp(x) / (1 + exp(x)), operation for operation, so its bits
+    (a NaN keeps its sign); no exp overflows. A 0-d input gives an np.float64."""
     x = np.asarray(x, dtype=float)
-    pos = x >= 0
-    # exp(-|x|) cannot overflow; a NaN keeps its sign bit, as with one branch per sign
-    e = np.exp(np.where(pos, -x, x))
-    d = 1.0 + e
-    return np.where(pos, 1.0 / d, e / d)
+    return np.exp(np.minimum(x, _ZERO)) / (_ONE + np.exp(np.copysign(x, -1.0)))  # -|x|
 
 
 def _sigmoid_slope(rate, s):
     """d/du sigmoid(rate * u) = rate * s * (1 - s), read off s = sigmoid(rate * u)."""
-    return rate * s * (1.0 - s)
+    return rate * s * (_ONE - s)
 
 
 # kind -> (folds, q or R, dR/du), functions of (rate, u), None for 0: C = l u + R,
@@ -109,27 +110,25 @@ class ReactionSpec:
         Additive reaction semantics (__call__) treat ``none`` as zero; a dense
         layer composing y = act(W x + b) needs identity instead.
         """
-        z = np.asarray(z, dtype=float)
-        if self.kind == "none":
-            return z.copy()
-        if self.kind == "source":
-            raise ValueError("source term cannot be used as a composed activation")
-        return self(z)
+        return self._activation()[0](np.asarray(z, dtype=float))
 
     def activate_deriv(self, z):
         """d activate / dz, for reverse-mode passes through dense layers."""
+        act, slope, of_output = self._activation()
         z = np.asarray(z, dtype=float)
-        if self.kind == "none":
-            return np.ones_like(z)
+        return slope(act(z) if of_output else z)
+
+    def _activation(self):
+        """(act, slope, of_output) for a dense layer: act(z) is activate(z), and slope
+        gives a fresh activate_deriv(z), read off act(z) if of_output, else off z."""
         if self.kind == "source":
             raise ValueError("source term cannot be used as a composed activation")
-        return self.deriv(z)
-
-    def _activate_deriv_from(self, z, a):
-        """activate_deriv(z), reading a sigmoid's slope off a = activate(z)."""
+        if self.kind == "none":
+            return np.ndarray.copy, np.ones_like, False
         if self.kind == "sigmoid":
-            return _sigmoid_slope(self.rate, a)
-        return self.activate_deriv(z)
+            rate = np.array(self.rate)      # a 0-d operand, as _ONE
+            return partial(_RATE_KINDS["sigmoid"][1], rate), partial(_sigmoid_slope, rate), True
+        return self, self.deriv, False
 
     @property
     def differentiable(self) -> bool:

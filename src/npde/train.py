@@ -59,6 +59,7 @@ class DenseLayer:
         self.n_in = n_in
         self.n_out = n_out
         self.activation = activation
+        self._act, self._slope, self._slope_of_output = activation._activation()
 
     def param_shapes(self):
         return [("W", (self.n_out, self.n_in)), ("b", (self.n_out,))]
@@ -71,13 +72,13 @@ class DenseLayer:
     def forward(self, params, x):
         """x is (n_samples, n_in); returns act(x W^T + b), (n_samples, n_out)."""
         z = x @ params["W"].T + params["b"]
-        a = self.activation.activate(z)
-        return a, (x, z, a)
+        a = self._act(z)
+        return a, (x, a if self._slope_of_output else z)
 
     def backward(self, params, cache, gy):
-        x, z, a = cache
-        gz = gy * self.activation._activate_deriv_from(z, a)
-        return gz @ params["W"], {"W": gz.T @ x, "b": gz.sum(axis=0)}
+        x, slope_at = cache
+        gz = gy * self._slope(slope_at)
+        return gz @ params["W"], {"W": gz.T @ x, "b": np.add.reduce(gz, axis=0)}
 
     def blocks(self, params):
         """The trained layer as the one DenseBlock it is."""
@@ -392,7 +393,7 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
                 new_theta = theta.with_values(theta.values + opt.eta * direction)
                 prev_theta_g = (theta.values.copy(), g.copy())
         new_loss, new_residual, new_caches = _evaluate(model, new_theta, X, T, loss)
-        if not np.isfinite(new_loss) or new_loss > DIVERGENCE_LOSS:
+        if not new_loss <= DIVERGENCE_LOSS:     # NaN and inf included
             stop_reason = "divergence"
             break
         theta, residual, caches = new_theta, new_residual, new_caches

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -885,3 +888,23 @@ def test_non_numeric_dataset_cell_names_file_and_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "linreg.csv line 3" in err
     assert not (tmp_path / "fit").exists()
+
+
+def test_python_dash_m_npde_runs_the_cli(tmp_path):
+    # an uninstalled checkout runs the CLI as PYTHONPATH=src python -m npde ...
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def npde(*args):
+        return subprocess.run([sys.executable, "-m", "npde", *map(str, args)], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+
+    shown = npde("--help")
+    assert shown.returncode == 0 and "usage: npde" in shown.stdout
+    assert npde().returncode == 1
+    cfg = frozen_heat_config(tmp_path / "out")
+    cfg["run"]["shceme"] = "implicit"
+    refused = npde("solve", "--config", write_config(tmp_path, cfg))
+    assert refused.returncode == 1
+    assert "unknown config key run.shceme" in refused.stderr
+    assert not (tmp_path / "out").exists()

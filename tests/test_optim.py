@@ -133,6 +133,44 @@ def test_adam_step_is_the_documented_update(data, n, t, beta1, beta2, eps, eta):
     assert state.t == t
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), n=st.integers(1, 6), t=st.integers(0, 10**6),
+       beta1=st.floats(0.0, 1.0, exclude_max=True), beta2=st.floats(0.0, 1.0, exclude_max=True),
+       eps=st.floats(1e-300, 1.0), eta=st.floats(1e-9, 1e3),
+       alias=st.sampled_from(["none", "g is m", "g is theta"]))
+def test_adam_steps_are_the_formula_and_write_no_input(data, n, t, beta1, beta2, eps, eta,
+                                                       alias):
+    def vector(elements):
+        return np.array(data.draw(st.lists(elements, min_size=n, max_size=n)))
+
+    m, v, g, values = vector(FINITE), np.abs(vector(FINITE)), vector(FINITE), vector(FINITE)
+    g = {"none": g, "g is m": m, "g is theta": values}[alias]
+    for a in (m, v, g, values):
+        a.flags.writeable = False           # a write into a caller's array raises
+    state, theta = AdamState(m, v, beta1, beta2, eps, eta, t), ThetaVector(values)
+    with np.errstate(all="ignore"):         # g g may overflow; both sides round alike
+        s1, th1 = adam_step(state, theta, g)
+        s2, th2 = adam_step(s1, th1, g)     # the next step reads the advanced state
+        want_m, want_v, want = m, v, values
+        for step in (t + 1, t + 2):
+            # the module docstring's update, evaluated as written, left to right
+            want_m = beta1 * want_m + (1 - beta1) * g
+            want_v = beta2 * want_v + (1 - beta2) * g * g
+            mhat = want_m / (1 - beta1 ** step)
+            vhat = want_v / (1 - beta2 ** step)
+            want = want - eta * mhat / (np.sqrt(vhat) + eps)
+            if step == t + 1:
+                np.testing.assert_array_equal(_bits(th1.values), _bits(want))
+    for got, expected in ((th2.values, want), (s2.m, want_m), (s2.v, want_v)):
+        np.testing.assert_array_equal(_bits(got), _bits(expected))
+    assert (s2.t, state.t) == (t + 2, t)
+    assert not any(np.shares_memory(out, a) for out in (s1.m, s1.v, th1.values)
+                   for a in (m, v, g, values))
+
+
 def test_with_values_keeps_layout_and_checks_size():
     # the layout is the pipeline's; a same-size vector reads back through it
     pipe = Pipeline.dense([1, 2], [no_reaction()])

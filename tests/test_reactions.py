@@ -38,6 +38,36 @@ def test_sigmoid_bits_match_per_sign_reference():
     assert got[0] == 1.0 and got[1] == 0.0 and got[2] == 0.5 and np.isnan(got[4])
 
 
+_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+          -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308, 709.8, -745.2]
+ANY_FLOAT = st.one_of(st.sampled_from(_EDGES),
+                      st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@settings(max_examples=300)
+@given(x=st.one_of(ANY_FLOAT.map(np.array),
+                   arrays(np.float64, st.integers(0, 9), elements=ANY_FLOAT),
+                   arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                          elements=ANY_FLOAT)))
+def test_sigmoid_is_the_per_sign_branches_bit_for_bit(x):
+    # exp(-|x|) underflows to 0 or a subnormal for |x| beyond about 708, a flag the
+    # per-sign branches raise too; neither exp can overflow, divide by 0 or go invalid
+    with np.errstate(all="raise", under="ignore"):
+        got = sigmoid(x)
+    with np.errstate(all="ignore"):
+        want = _sigmoid_per_sign(x)
+    assert np.shape(got) == x.shape
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64), want.view(np.int64))
+    if x.ndim == 0:
+        assert type(got) is np.float64          # as a numpy ufunc returns a 0-d result
+
+
+def test_sigmoid_of_a_scalar_is_a_float64():
+    for x in (0.3, np.float64(-2.0), np.array(710.0), 3):
+        assert type(sigmoid(x)) is np.float64
+    assert sigmoid(np.array(-40.0)) == np.exp(-40.0) / (1.0 + np.exp(-40.0))
+
+
 def test_sigmoid_derivative_bits_are_the_closed_form():
     u = np.concatenate([[800.0, -800.0, 0.0, -0.0, 1e300, -1e300],
                         30.0 * np.random.default_rng(3).standard_normal(500)])

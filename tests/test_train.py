@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import tracemalloc
 import warnings
@@ -325,3 +326,41 @@ def test_pipeline_blocks_replay_forward_bit_for_bit(n_steps):
             out = block.forward(out)
         np.testing.assert_array_equal(out.view(np.int64),
                                       model.forward(theta, x).view(np.int64))
+
+
+def _digest(report):
+    return hashlib.sha256(report.loss_curve.tobytes()
+                          + report.final_theta.values.tobytes()).hexdigest()
+
+
+# sha256 of loss_curve.tobytes() + final_theta.values.tobytes(). The XOR digests go
+# through np.exp, so they hold where numpy's exp rounds as numpy 2.4 does on
+# AVX-512 x86-64.
+_XOR_ADAM_DIGESTS = {
+    0: "1127aeaa1c172e0224140848978cd6323b4744344a1faf55f7c369266a5c0540",
+    1: "fe76bcdcf598c125fe85052c6df5615560191005ea92ca25961dfe85edb321bc",
+    2: "42a6b3ac54f482422fb0cdf69bad234d067aa5d7691d62e897d3e32953b17bc1",
+    3: "d07fffaa3f5b6d542ff87d4b19773541beba60b3dd00460ff08254b0b7a545af",
+    4: "18adf9431c87d562b323fca0c3cf3634b61ef23cb7c2dbda44fbd45268362db6",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_XOR_ADAM_DIGESTS))
+def test_xor_adam_training_keeps_its_pinned_bytes(seed):
+    # criterion 7's 2-4-1 sigmoid net, 300 Adam epochs
+    model = Pipeline.dense([2, 4, 1], [sigmoid_reaction(1.0), sigmoid_reaction(1.0)])
+    report = train_supervised(model, _xor_data(), LossSpec(), OptimizerConfig("adam"),
+                              seed=seed, max_epochs=300, target_loss=0.0)
+    assert report.epochs == 300 and _digest(report) == _XOR_ADAM_DIGESTS[seed]
+
+
+def test_diffusion_adam_fit_keeps_its_pinned_bytes():
+    # the adam_step path that medium-1d's fit runs, through a fisher DiffusionLayer
+    grid = make_grid(64, 1.0, 0.2, mirror())
+    rng = np.random.default_rng(64)
+    data = Dataset([(x, t) for x, t in rng.uniform(0.0, 1.0, (3, 2, 64))])
+    model = Pipeline([DiffusionLayer(grid, 10, fisher(1.0))])
+    report = train_supervised(model, data, LossSpec(), OptimizerConfig("adam", eta=0.01),
+                              seed=5, max_epochs=5, target_loss=0.0)
+    assert report.epochs == 5
+    assert _digest(report) == "7c10f8b6a59912d54bac44596676b9bf38071612431412acaead2f25a30df61a"
