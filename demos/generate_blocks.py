@@ -3,9 +3,10 @@
 
 One explicit step of the discretized equation IS one network layer: the
 3-tap variable stencil scaled by k with the Euler identity folded in is a 1D
-conv kernel, a 3x3 stencil is a 2D conv kernel, the one-step matrix is an RBM
-coupling, and the traveling-wave substitution yields an RNN cell. Each block
-is checked against the solver path it came from, then serialized to JSON.
+conv kernel, a per-node diffusion field under the 9-point stencil is a 2D conv
+layer, the one-step matrix is an RBM coupling, and the traveling-wave
+substitution yields an RNN cell. Each block is checked against the solver path
+it came from, then serialized to JSON.
 """
 
 from pathlib import Path
@@ -13,9 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from npde import (EllipticCoefficients, fisher, gen_conv1d, gen_conv2d,
-                  gen_dense, gen_rbm, gen_rnn_cell, laplacian_2d_9pt,
-                  make_grid, periodic, rbm_free_energy, rnn_forward,
-                  step_explicit)
+                  gen_dense, gen_rbm, gen_rnn_cell, make_grid, periodic,
+                  rbm_free_energy, rnn_forward, step_explicit)
 from npde.fieldio import save_block
 
 OUT = Path("blocks_out")
@@ -34,9 +34,12 @@ if __name__ == "__main__":
           f"(max gap {gap:.2e})")
 
     grid2 = make_grid(64, 0.5, 0.02, periodic(), ndim=2)
-    conv2d = gen_conv2d(grid2.k * 0.8 / grid2.h**2 * laplacian_2d_9pt(), grid2)
-    print(f"conv2d: shared 3x3 kernel initialized from the 9-point stencil, "
-          f"tap sum {conv2d.kernel.sum():.2e}")
+    medium2 = EllipticCoefficients(rng.uniform(0.2, 1.0, grid2.shape), None, fisher(0.5))
+    conv2d = gen_conv2d(medium2, grid2, "9pt")
+    u2 = rng.uniform(0.0, 1.0, grid2.shape)
+    gap = np.max(np.abs(conv2d.forward(u2) - step_explicit(u2, medium2, grid2, "9pt")))
+    print(f"conv2d: per-node A under the 9-point stencil, forward == solver step "
+          f"(max gap {gap:.2e})")
 
     dense = gen_dense(rng.standard_normal((4, n)), np.zeros(4))
     print(f"dense: {dense.W.shape[1]} inputs -> {dense.W.shape[0]} channels, "

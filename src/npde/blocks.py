@@ -2,21 +2,22 @@
 
 One explicit solver step is one layer. The per-node 3-tap diffusion stencil,
 scaled by the time step and with the Euler identity folded into the center
-tap, is a 1D convolution kernel; a shared 3x3 stencil is a 2D convolution
-kernel; a full-size kernel with one channel per output neuron is a dense
-layer; the traveling-wave substitution tau = z - v t turns depth propagation
-into a two-tap recurrence, i.e. an RNN cell; the explicit one-step matrix
-assembled from the variable-coefficient stencil supplies the coupling weights
-of an RBM energy.
+tap, is a 1D convolution kernel; a per-node diffusion field under a named 3x3
+Laplacian stencil is a 2D convolution layer; a full-size kernel with one
+channel per output neuron is a dense layer; the traveling-wave substitution
+tau = z - v t turns depth propagation into a two-tap recurrence, i.e. an RNN
+cell; the explicit one-step matrix assembled from the variable-coefficient
+stencil supplies the coupling weights of an RBM energy.
 
 The central contract is generator/solver equivalence: a generated block's
-forward pass reproduces the corresponding solver step to rounding. In 1D it
+forward pass reproduces the corresponding solver step. For conv blocks it
 holds by construction: gen_conv1d's kernels are stencil._step_taps, and a
-block runs the solver's step built from them, stencil._Step1D. The RBM and
-RNN matrices lay taps out densely in O(n). Reaction terms enter conv blocks
-with weight k, evaluated on the input slice (diffuse first, react on the
-pre-update slice); dense layers
-compose their activation in the usual y = act(W x + b) sense.
+block runs the solver's step built from them, stencil._Step1D; a gen_conv2d
+block runs the solver's 2D step, stencil._Step2D, on its A. The RBM and RNN
+matrices lay taps out densely in O(n). Reaction terms enter conv blocks with
+weight k, evaluated on the input slice (diffuse first, react on the
+pre-update slice); dense layers compose their activation in the usual
+y = act(W x + b) sense.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# pad stays part of this module's namespace (npde.blocks.pad); no block here calls it
-from .grid import GridSpec, _fill_ghosts, pad  # noqa: F401
+from .grid import GridSpec
+from .grid import pad  # noqa: F401 (npde.blocks.pad stays bound; no block calls it)
 from .reactions import ReactionSpec, no_reaction
-from .stencil import (EllipticCoefficients, _band_matrix, _correlate_2d, _Step1D, _step_taps,
+from .stencil import (EllipticCoefficients, _band_matrix, _Step1D, _Step2D, _step_taps,
                       laplacian_1d)
 
 
@@ -73,32 +74,29 @@ class Conv1DBlock:
 
 @dataclass(frozen=True)
 class Conv2DBlock:
-    """Shared learnable 3x3 kernel plus the Euler identity.
+    """Per-node diffusion field A of one explicit 2D step and its named stencil.
 
-    The kernel absorbs k*D/h**2, so forward(u) = u + correlate(kernel, u).
-    A leading channel axis rides along: each channel is stepped alike.
+    ``forward`` is the solver's 2D step for the generating coefficients. A
+    leading channel axis rides along: each channel is stepped alike.
     """
 
-    kernel: np.ndarray            # (3, 3)
+    A: np.ndarray                 # (n, n)
     grid: GridSpec
+    stencil2d: str = "5pt"
     activation: ReactionSpec = no_reaction()
 
     def __post_init__(self):
-        kk = _finite("kernel", self.kernel)
-        if kk.shape != (3, 3) or self.grid.ndim != 2:
-            raise ValueError("a 2D conv block needs a 3x3 kernel and a 2D grid")
-        object.__setattr__(self, "kernel", kk)
+        A = _finite("A", self.A)
+        if self.grid.ndim != 2 or A.shape != self.grid.shape:
+            raise ValueError("a 2D conv block needs a 2D grid and an A shaped to it")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "_step", _Step2D(A, self.grid, self.stencil2d, self.activation))
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.ndim not in (2, 3) or u.shape[-2:] != self.grid.shape:
             raise ValueError(f"field shape {u.shape} does not match grid {self.grid.shape}")
-        P = np.empty(u.shape[:-2] + (self.grid.n_points + 2,) * 2)
-        P[..., 1:-1, 1:-1] = u
-        out = u + _correlate_2d(_fill_ghosts(P, self.grid.bc), self.kernel)
-        if self.activation.kind != "none":
-            out += self.grid.k * self.activation(u)
-        return out
+        return self._step(u)
 
     def forward_without_identity(self, u: np.ndarray) -> np.ndarray:
         return self.forward(u) - np.asarray(u, dtype=float)
@@ -155,14 +153,14 @@ def gen_conv1d(coeffs: EllipticCoefficients, grid: GridSpec) -> Conv1DBlock:
     return Conv1DBlock(_step_taps(coeffs.A, coeffs.B, grid).T, grid, coeffs.C)
 
 
-def gen_conv2d(kernel_init: np.ndarray, grid: GridSpec,
-               activation: ReactionSpec = no_reaction()) -> Conv2DBlock:
-    """Wrap a 3x3 stencil as a learnable conv layer with the Euler identity.
-
-    Initialize from e.g. (k*D/h**2) * laplacian_2d_9pt() to reproduce a
-    diffusion step.
+def gen_conv2d(coeffs: EllipticCoefficients, grid: GridSpec,
+               stencil2d: str = "5pt") -> Conv2DBlock:
+    """Generate the 2D conv layer of one explicit step: the per-node A, the
+    named stencil and the reaction C as its activation. forward() then equals
+    step_explicit for the same coefficients and stencil, bit for bit.
     """
-    return Conv2DBlock(np.asarray(kernel_init, dtype=float), grid, activation)
+    coeffs.validate_against(grid)
+    return Conv2DBlock(coeffs.A, grid, stencil2d, coeffs.C)
 
 
 def gen_dense(W: np.ndarray, bias: np.ndarray,

@@ -40,7 +40,7 @@ from .grid import BoundaryCondition, GridSpec, make_grid
 from .reactions import ReactionSpec, gray_scott
 from .reference import GaussianProfile
 from .solver import DivergenceError, forward_slices, solve_two_component
-from .stencil import EllipticCoefficients, stencil_2d
+from .stencil import EllipticCoefficients
 from .optim import LossSpec
 
 
@@ -455,11 +455,8 @@ def cmd_gen_block(cfg: _Section, args) -> int:
         block = blocks.gen_conv1d(_parse_coeffs(cfg.value("model", _object), grid), grid)
     elif kind == "conv2d":
         grid = _parse_grid(cfg)
-        if grid.ndim != 2:
-            raise ConfigError("conv2d generation needs a 2D grid")
-        D = b.value("D", _real)
-        taps = stencil_2d(b.value("stencil", _text(), "9pt"))
-        block = blocks.gen_conv2d(grid.k * D / grid.h**2 * taps, grid)
+        coeffs = EllipticCoefficients.constant(grid, b.value("D", _real))
+        block = blocks.gen_conv2d(coeffs, grid, b.value("stencil", _text("5pt", "9pt"), "9pt"))
     elif kind == "dense":
         act = _reaction(b, b.value("activation", _text(), "none"), 1.0)
         block = blocks.gen_dense(b.value("W", _reals), b.value("bias", _reals), act)

@@ -9,9 +9,9 @@ In 1D these are stencil._step_taps, stored and judged for stability. The
 step that runs, stencil._Step1D, folds k l, C's linear part (and k q(u) for a
 uniform fisher medium), into the centre tap, within 4 eps ((max sum|taps| +
 k|l|) max|P| + k max|C(u)|) + 5 eta (smallest subnormal) of taps(P) + k C(u).
-A 2D step runs stencil._laplacian_2d on A*u in a buffer the solve
-allocates once; diffusion_term runs the same sequence, so the step is
-u + k * elliptic_apply(u) bit for bit.
+A 2D step is stencil._Step2D, the step gen_conv2d's blocks run: it pads A
+once and runs stencil._laplacian_2d on A*u in one ghost buffer. Its diffusion
+is elliptic_apply's, so the step is u + k * elliptic_apply(u) bit for bit.
 
 Implicit (backward Euler) step solves the tridiagonal system
 
@@ -71,10 +71,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# pad stays part of this module's namespace (npde.solver.pad); no step here calls it
-from .grid import GridSpec, _fill_ghosts, _ghost_scatter, pad, pad_coefficient  # noqa: F401
+from .grid import GridSpec, _fill_ghosts, _ghost_scatter
+from .grid import pad  # noqa: F401 (npde.solver.pad stays bound; no step calls it)
 from .reactions import TwoComponentReaction
-from .stencil import EllipticCoefficients, _laplacian_2d, _Step1D, _step_taps, stencil_2d
+from .stencil import (EllipticCoefficients, _laplacian_2d, _Step1D, _Step2D, _step_taps,
+                      stencil_2d)
 
 # A step is declared divergent when max|u| exceeds this factor times the
 # initial scale, long before float64 overflow turns values non-finite.
@@ -326,10 +327,6 @@ def _stepper(initial: np.ndarray, coeffs: EllipticCoefficients, grid: GridSpec,
     u -> u' each of its steps applies, which reads no array the caller can
     write later (A is copied, a source field is read-only): a stream read
     after the caller writes them still marches the solve it was built for.
-
-    Explicit 2D pads A once; each step refills one ghost buffer, scales it
-    by A in place and runs elliptic_apply's sequence, so it equals
-    u + k * elliptic_apply(u).
     """
     u = np.array(initial, dtype=float)
     if u.shape != grid.shape:
@@ -340,31 +337,19 @@ def _stepper(initial: np.ndarray, coeffs: EllipticCoefficients, grid: GridSpec,
     if scheme != "explicit":
         raise ValueError(f"unknown scheme {scheme!r}")
     coeffs.validate_against(grid)
-    P = np.empty(tuple(m + 2 for m in grid.shape))
-    if grid.ndim == 1:
-        step = _Step1D(_step_taps(coeffs.A, coeffs.B, grid), grid, coeffs.C)
-        return u, lambda u: step(u, P)
-    A, Ap = coeffs.A.copy(), pad_coefficient(coeffs.A, grid.bc)
-    lap = _laplacian_2d(P, np.zeros(P.size), stencil2d)
-    reaction, k, h2 = coeffs.C, grid.k, grid.h**2
-
-    def step(u: np.ndarray) -> np.ndarray:
-        P[1:-1, 1:-1] = u
-        np.multiply(Ap, _fill_ghosts(P, grid.bc), out=P)
-        out = lap(A * u) / h2
-        if reaction.kind != "none":
-            out += reaction(u)
-        return u + k * out
-
-    return u, step
+    if grid.ndim == 2:
+        return u, _Step2D(coeffs.A, grid, stencil2d, coeffs.C)
+    P = np.empty(grid.n_points + 2)
+    step = _Step1D(_step_taps(coeffs.A, coeffs.B, grid), grid, coeffs.C)
+    return u, lambda u: step(u, P)
 
 
 def step_explicit(field: np.ndarray, coeffs: EllipticCoefficients,
                   grid: GridSpec, stencil2d: str = "5pt") -> np.ndarray:
     """One forward-Euler step u + k * O_L(u): a one-step solve_forward.
 
-    1D runs the step gen_conv1d's blocks run (stencil._Step1D), 2D the separable
-    Laplacian of A*u, which is u + k * elliptic_apply(u) bit for bit.
+    It runs the step gen_conv1d's or gen_conv2d's blocks run (stencil._Step1D
+    or _Step2D); a 2D step is u + k * elliptic_apply(u) bit for bit.
     Divergence raises DivergenceError with step 1, as in solve_forward.
     """
     return solve_forward(field, coeffs, grid, 1, "explicit", stencil2d).final()

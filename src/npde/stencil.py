@@ -35,8 +35,8 @@ smallest subnormal) of the unfolded taps(P) + k C(u), bit for bit when nothing
 folds. _tap_step_vjp takes an output cotangent to u and the tap rows,
 _step_taps_vjp the rows to A. elliptic_apply keeps the divergence form,
 (1/h**2) stencil(A*u), in 1D the reference for the unfolded taps.
-Every 2D step, diffusion_term's included, runs one separable Laplacian,
-_laplacian_2d; the general 3x3 correlation serves arbitrary kernels only.
+The 2D step has one definition, _Step2D, which the solver, gen_conv2d's blocks
+and diffusion_term run over the one separable 2D Laplacian, _laplacian_2d.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (BoundaryCondition, GridSpec, _coefficient_bc, _ghost_fill, _ghost_scatter,
-                   pad, pad_coefficient)
+from .grid import (BoundaryCondition, GridSpec, _coefficient_bc, _fill_ghosts, _ghost_fill,
+                   _ghost_scatter, pad, pad_coefficient)
 from .reactions import ReactionSpec, no_reaction
 
 STENCILS_2D = ("5pt", "9pt")
@@ -187,18 +187,6 @@ def _band_matrix(taps: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
     return _ghost_scatter(M, bc)
 
 
-def _correlate_2d(padded: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """3x3 correlation over padded's last two axes; leading axes ride along."""
-    n0, n1 = padded.shape[-2] - 2, padded.shape[-1] - 2
-    out = np.zeros(padded.shape[:-2] + (n0, n1))
-    for i in range(3):
-        for j in range(3):
-            w = taps[i, j]
-            if w != 0.0:
-                out += w * padded[..., i:i + n0, j:j + n1]
-    return out
-
-
 def _laplacian_2d(P: np.ndarray, S: np.ndarray, stencil2d: str = "5pt"):
     """The package's one 2D Laplacian (unscaled) over the padded, C-contiguous P.
 
@@ -246,6 +234,37 @@ def _laplacian_2d(P: np.ndarray, S: np.ndarray, stencil2d: str = "5pt"):
     return lap
 
 
+class _Step2D:
+    """The 2D explicit step that runs, _Step1D's counterpart: A copied and padded
+    once. A call fills one ghost buffer (rebuilt when u's leading axes change),
+    scales it by the padded A in place and runs _laplacian_2d on it; diffusion
+    divides that by h**2, and the step adds C(u) and returns u + k out.
+    """
+
+    def __init__(self, A: np.ndarray, grid: GridSpec, stencil2d: str,
+                 reaction: ReactionSpec = no_reaction()):
+        self.A, self.Ap = A.copy(), pad_coefficient(A, grid.bc)
+        self.grid, self.stencil2d, self.reaction = grid, stencil2d, reaction
+        self._buffer(np.empty(self.Ap.shape))
+
+    def _buffer(self, P: np.ndarray) -> None:
+        self.P, self.lap = P, _laplacian_2d(P, np.zeros(P.size), self.stencil2d)
+
+    def diffusion(self, u: np.ndarray) -> np.ndarray:
+        """(1/h**2) stencil(A*u), the divergence form."""
+        if self.P.shape[:-2] != u.shape[:-2]:
+            self._buffer(np.empty(u.shape[:-2] + self.Ap.shape))
+        self.P[..., 1:-1, 1:-1] = u
+        np.multiply(self.Ap, _fill_ghosts(self.P, self.grid.bc), out=self.P)
+        return self.lap(self.A * u) / self.grid.h**2
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        out = self.diffusion(u)
+        if self.reaction.kind != "none":
+            out += self.reaction(u)
+        return u + self.grid.k * out
+
+
 @dataclass(frozen=True)
 class EllipticCoefficients:
     """Learnable medium: diffusion field A, convection field B, reaction C.
@@ -285,14 +304,15 @@ def diffusion_term(u: np.ndarray, A: np.ndarray, grid: GridSpec,
                    stencil2d: str = "5pt") -> np.ndarray:
     """Second difference of the product A*u: (1/h**2) * stencil(A*u).
 
-    The divergence form. In 2D it runs _laplacian_2d in the 2D explicit
-    step's sequence, so the two agree bit for bit; in 1D it is the reference
-    the per-node step taps are checked against.
+    The divergence form. In 2D it is the explicit step's own diffusion,
+    _Step2D.diffusion; in 1D it is the reference the per-node step taps are
+    checked against. An unknown stencil name is refused on every grid.
     """
+    if grid.ndim == 2:
+        return _Step2D(A, grid, stencil2d).diffusion(u)
+    stencil_2d(stencil2d)    # refused on a 1D grid too, as by _laplacian_2d in 2D
     P = pad_coefficient(A, grid.bc) * pad(u, grid.bc)
-    if grid.ndim == 1:
-        return _apply_taps(np.array([1.0, -2.0, 1.0]), P) / grid.h**2
-    return _laplacian_2d(P, np.zeros(P.size), stencil2d)(A * u) / grid.h**2
+    return _apply_taps(np.array([1.0, -2.0, 1.0]), P) / grid.h**2
 
 
 def convection_term(u: np.ndarray, B: np.ndarray, grid: GridSpec) -> np.ndarray:

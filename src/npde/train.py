@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import gen_conv1d, gen_dense
-# pad stays part of this module's namespace (npde.train.pad); no layer here calls it
-from .grid import GridSpec, pad  # noqa: F401
+from .grid import GridSpec
+from .grid import pad  # noqa: F401 (npde.train.pad stays bound; no layer calls it)
 from .reactions import ReactionSpec, no_reaction
 from .solver import cfl_check
 from .stencil import EllipticCoefficients, _Step1D, _step_taps, _step_taps_vjp, _tap_step_vjp

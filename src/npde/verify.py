@@ -186,11 +186,9 @@ def check_equivalence() -> list[CheckResult]:
     # 2D conv block against the 2D explicit diffusion step
     n2 = 12
     grid2 = make_grid(n2, 0.5, 0.02, periodic(), ndim=2)
-    D = 0.8
-    kernel = (grid2.k * D / grid2.h**2) * laplacian_2d_9pt()
-    block2 = blocks.gen_conv2d(kernel, grid2)
+    coeffs2 = EllipticCoefficients.constant(grid2, 0.8)
+    block2 = blocks.gen_conv2d(coeffs2, grid2, "9pt")
     u2 = rng.standard_normal((n2, n2))
-    coeffs2 = EllipticCoefficients.constant(grid2, D)
     diff2 = float(np.max(np.abs(block2.forward(u2)
                                 - solver.step_explicit(u2, coeffs2, grid2, "9pt"))))
     out.append(CheckResult("conv2d-vs-explicit-step", diff2 <= 1e-12, diff2, 1e-12))

@@ -21,3 +21,22 @@ def np_pad():
         return np.pad(field, 1, mode=modes[bc.kind])
 
     return reference
+
+
+@pytest.fixture(scope="session")
+def correlate_2d():
+    """correlate_2d(padded, taps): the general 3x3 correlation over padded's last
+    two axes, leading axes riding along, the reference the package's one 2D
+    Laplacian, the separable _laplacian_2d, is checked against."""
+
+    def reference(padded, taps):
+        n0, n1 = padded.shape[-2] - 2, padded.shape[-1] - 2
+        out = np.zeros(padded.shape[:-2] + (n0, n1))
+        for i in range(3):
+            for j in range(3):
+                w = taps[i, j]
+                if w != 0.0:
+                    out += w * padded[..., i:i + n0, j:j + n1]
+        return out
+
+    return reference

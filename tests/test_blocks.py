@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from npde.blocks import (Conv1DBlock, RBMEnergy, gen_conv1d, gen_conv2d,
+from npde.blocks import (Conv1DBlock, Conv2DBlock, RBMEnergy, gen_conv1d, gen_conv2d,
                          gen_dense, gen_rbm, gen_rnn_cell, rbm_free_energy,
                          residual_step, rnn_forward)
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
-from npde.reactions import fisher, no_reaction, sigmoid_reaction, source
+from npde.reactions import fisher, linear, no_reaction, sigmoid_reaction, source
 from npde.solver import step_explicit, solve_forward
-from npde.stencil import EllipticCoefficients, _correlate_2d, laplacian_2d_9pt
+from npde.stencil import EllipticCoefficients
 
 
 def test_gen_conv1d_constant_a_rows():
@@ -61,56 +61,75 @@ def test_conv1d_folds_convection():
 
 def test_conv2d_identity_cases():
     grid = make_grid(8, 0.5, 0.1, periodic(), ndim=2)
-    block = gen_conv2d(0.02 * laplacian_2d_9pt(), grid)
+    block = gen_conv2d(EllipticCoefficients.constant(grid, 0.2), grid, "9pt")
     const = np.full((8, 8), 3.0)
     np.testing.assert_allclose(block.forward(const), const, atol=1e-14)
-    zero_block = gen_conv2d(np.zeros((3, 3)), grid)
+    zero_block = gen_conv2d(EllipticCoefficients.constant(grid, 0.0), grid)
     rng = np.random.default_rng(23)
     u = rng.standard_normal((8, 8))
     np.testing.assert_array_equal(zero_block.forward(u), u)
 
 
-def test_conv2d_equals_2d_diffusion_step():
-    rng = np.random.default_rng(24)
-    n = 10
-    grid = make_grid(n, 0.5, 0.02, periodic(), ndim=2)
-    D = 1.3
-    block = gen_conv2d(grid.k * D / grid.h**2 * laplacian_2d_9pt(), grid)
-    u = rng.standard_normal((n, n))
-    coeffs = EllipticCoefficients.constant(grid, D)
-    np.testing.assert_allclose(block.forward(u),
-                               step_explicit(u, coeffs, grid, "9pt"),
-                               rtol=0, atol=1e-12)
+_BCS_2D = st.sampled_from([periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(-1.3)])
+
+
+def _medium_2d(rng, n, bc, activation):
+    """A stable per-node 2D medium, with a source drawn to the grid."""
+    h = float(rng.uniform(0.1, 1.0))
+    grid = make_grid(n, h, float(rng.uniform(0.05, 0.25)) * h**2, bc, ndim=2)
+    if activation == "source":
+        activation = source(rng.standard_normal(grid.shape))
+    return grid, EllipticCoefficients(rng.uniform(0.0, 1.0, grid.shape), None, activation)
+
+
+@settings(max_examples=100)
+@given(bc=_BCS_2D, n=st.integers(3, 10), seed=st.integers(0, 2**32 - 1),
+       stencil2d=st.sampled_from(["5pt", "9pt"]),
+       activation=st.sampled_from([no_reaction(), fisher(0.7), sigmoid_reaction(1.5),
+                                   linear(-0.4), "source"]))
+def test_conv2d_equals_2d_diffusion_step(bc, n, seed, stencil2d, activation):
+    # the block runs the solver's 2D step, so the two agree bit for bit
+    rng = np.random.default_rng(seed)
+    grid, coeffs = _medium_2d(rng, n, bc, activation)
+    u = rng.uniform(-1.0, 1.0, grid.shape)
+    got = gen_conv2d(coeffs, grid, stencil2d).forward(u)
+    want = step_explicit(u, coeffs, grid, stencil2d)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=60)
-@given(bc=st.sampled_from([periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(-1.3)]),
-       n=st.integers(3, 10), c=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+@given(bc=_BCS_2D, n=st.integers(3, 10), c=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       stencil2d=st.sampled_from(["5pt", "9pt"]),
        activation=st.sampled_from([no_reaction(), fisher(0.7), sigmoid_reaction(1.5)]))
-def test_conv2d_stack_is_each_channel_stepped(np_pad, bc, n, c, seed, activation):
+def test_conv2d_stack_is_each_channel_stepped(bc, n, c, seed, stencil2d, activation):
     rng = np.random.default_rng(seed)
-    grid = make_grid(n, 0.5, 0.02, bc, ndim=2)
-    block = gen_conv2d(rng.standard_normal((3, 3)), grid, activation)
+    grid, coeffs = _medium_2d(rng, n, bc, activation)
+    block = gen_conv2d(coeffs, grid, stencil2d)
     stack = rng.standard_normal((c, n, n))
     out = block.forward(stack)
-    for ch, got in zip(stack, out):
-        expected = ch + _correlate_2d(np_pad(ch, bc), block.kernel)
-        if activation.kind != "none":
-            expected += grid.k * activation(ch)
-        np.testing.assert_array_equal(got, expected)
-        np.testing.assert_array_equal(block.forward(ch), got)
+    for ch, got in zip(stack, out, strict=True):
+        np.testing.assert_array_equal(block.forward(ch).view(np.int64), got.view(np.int64))
+    # the block's buffer follows the leading axes back and forth
+    np.testing.assert_array_equal(block.forward(stack).view(np.int64), out.view(np.int64))
 
 
-def test_conv2d_needs_a_3x3_kernel_on_a_2d_grid():
+def test_conv2d_needs_a_2d_grid_and_an_a_shaped_to_it():
+    grid1 = make_grid(8, 0.5, 0.02, periodic())
     with pytest.raises(ValueError):
-        gen_conv2d(laplacian_2d_9pt(), make_grid(8, 0.5, 0.02, periodic()))
-    with pytest.raises(ValueError):
-        gen_conv2d(np.zeros((3, 4)), make_grid(8, 0.5, 0.02, periodic(), ndim=2))
+        gen_conv2d(EllipticCoefficients.constant(grid1, 1.0), grid1)
+    grid = make_grid(8, 0.5, 0.02, periodic(), ndim=2)
+    with pytest.raises(ValueError, match="an A shaped to it"):
+        Conv2DBlock(np.ones((8, 7)), grid)
+    with pytest.raises(ValueError, match="non-finite"):
+        Conv2DBlock(np.full((8, 8), np.nan), grid)
+    with pytest.raises(ValueError, match="unknown 2D stencil '7pt'"):
+        gen_conv2d(EllipticCoefficients.constant(grid, 1.0), grid, "7pt")
 
 
 @pytest.mark.parametrize("shape", [(2, 5, 7), (5, 7), (8,), (2, 2, 8, 8), (1, 8, 9)])
 def test_conv2d_rejects_a_field_off_the_grid(shape):
-    block = gen_conv2d(laplacian_2d_9pt(), make_grid(8, 0.5, 0.02, periodic(), ndim=2))
+    grid = make_grid(8, 0.5, 0.02, periodic(), ndim=2)
+    block = gen_conv2d(EllipticCoefficients.constant(grid, 1.0), grid, "9pt")
     with pytest.raises(ValueError):
         block.forward(np.zeros(shape))
 

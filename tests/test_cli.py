@@ -520,6 +520,14 @@ def test_gray_scott_rejects_a_scheme_it_cannot_run(tmp_path, capsys, key, value)
     assert not out.exists()
 
 
+def test_conv2d_stencil_names_its_key(tmp_path, capsys):
+    command, cfg = _valid_configs(tmp_path)["gen-conv2d"]
+    cfg["block"]["stencil"] = "7pt"
+    assert run_cli([command, "--config", write_config(tmp_path, cfg)]) == 1
+    assert "config key block.stencil must be 5pt or 9pt, got '7pt'" in capsys.readouterr().err
+    assert not Path(cfg["io"]["out_dir"]).exists()
+
+
 def test_gray_scott_rejects_initial_data(tmp_path, capsys):
     out = tmp_path / "gs"
     cfg = _gray_scott_config(out)
@@ -769,13 +777,14 @@ def _conv2d(**block):
     ("gen-conv1d", _set(("grid",), _GRID_2D)),
     ("gen-dense", _set(("block", "bias"), [0.0, 1.0])),
     ("gen-conv1d", _conv2d(stencil="7pt")),
+    ("gen-conv2d", _set(("grid", "ndim"), 1)),
     ("gen-dense", _set(("block", "activation"), "relu")),
 ], ids=["implicit-with-B", "implicit-2d", "lbfgs-memory-0", "sgd-negative-eta",
         "adam-zero-eta", "adam-negative-eta", "lbfgs-zero-eta", "lbfgs-negative-eta",
         "gauss-newton-zero-eta", "gauss-newton-negative-eta",
         "adam-beta1-1.5", "negative-max-epochs", "gauss-newton-underdetermined",
         "conv1d-on-2d-grid", "dense-bias-mismatch",
-        "stencil-7pt", "relu-activation"])
+        "stencil-7pt", "conv2d-on-1d-grid", "relu-activation"])
 def test_value_the_library_refuses_is_a_config_error(tmp_path, capsys, name, mutate):
     command, cfg = _valid_configs(tmp_path)[name]
     mutate(cfg, tmp_path)

@@ -1,11 +1,15 @@
-"""Every demo imports: a demo that names a deleted export fails here, not when run."""
+"""Every demo imports and runs: a demo that names a deleted export or field fails here."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_are_found():
@@ -17,3 +21,13 @@ def test_demo_imports(path):
     # each demo does its work under `if __name__ == "__main__"`, so this only imports
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, tmp_path):
+    # demos write their output folders into the working directory
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -21,7 +21,7 @@ from npde.fieldio import (_CHUNK, _write_field, block_from_dict, block_to_bytes,
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
 from npde.reactions import ReactionSpec, fisher, linear, no_reaction, sigmoid_reaction
 from npde.solver import forward_slices
-from npde.stencil import EllipticCoefficients, laplacian_2d_9pt
+from npde.stencil import EllipticCoefficients
 
 
 def test_fmt_round_trips_float64():
@@ -205,7 +205,7 @@ def _sample_blocks():
     grid2 = make_grid(5, 0.5, 0.02, periodic(), ndim=2)
     return [
         gen_conv1d(coeffs, grid),
-        gen_conv2d(0.1 * laplacian_2d_9pt(), grid2),
+        gen_conv2d(EllipticCoefficients(np.linspace(0.1, 1.0, 25).reshape(5, 5)), grid2, "9pt"),
         gen_dense(rng.standard_normal((3, 4)), rng.standard_normal(3),
                   sigmoid_reaction(1.5)),
         gen_rnn_cell(0.6, 0.3, 1.2, grid),
@@ -231,7 +231,7 @@ def test_block_bytes_stable_across_save_load_save(idx, tmp_path):
 
 
 def test_conv2d_file_with_a_channels_entry_loads_without_it(tmp_path):
-    # files written before the channel counts were dropped: the entry is ignored
+    # an entry outside shapes, weights and constants is not read, nor written back
     block = _sample_blocks()[1]
     path = tmp_path / "old.json"
     path.write_text(json.dumps({**block_to_dict(block), "channels": {"in": 2, "out": 2}}))
@@ -271,7 +271,9 @@ def _random_block(kind, seed):
         return gen_conv1d(coeffs, grid)
     if kind == "conv2d":
         grid2 = make_grid(n, grid.h, grid.k, bc, ndim=2)
-        return gen_conv2d(scale * rng.standard_normal((3, 3)), grid2, act)
+        stencil2d = "9pt" if rng.random() < 0.5 else "5pt"
+        return gen_conv2d(EllipticCoefficients(scale * rng.uniform(0.0, 1.0, grid2.shape), None,
+                                               act), grid2, stencil2d)
     if kind == "dense":
         m = int(rng.integers(1, 6))
         return gen_dense(scale * rng.standard_normal((m, n)), rng.standard_normal(m), act)
@@ -306,12 +308,12 @@ def _pinned_blocks():
                    b'"h":0.5,"k":0.125,"n_points":3,"ndim":1},"kind":"conv1d",'
                    b'"shapes":{"kernels":[3,3]},'
                    b'"weights":{"kernels":[0.25,0.5,0.25,0.5,-1.0,0.5,0.0,1.0,0.0]}}\n'),
-        "conv2d": (Conv2DBlock(np.array([[0.0, 0.25, 0.0], [0.25, -1.0, 0.25], [0.0, 0.25, 0.0]]),
-                               grid2, fisher(0.75)),
-                   b'{"activation":{"kind":"fisher","rate":0.75},"grid":{"bc":{"kind":"periodic",'
-                   b'"value":0.0},"h":0.5,"k":0.125,"n_points":3,"ndim":2},"kind":"conv2d",'
-                   b'"shapes":{"kernel":[3,3]},'
-                   b'"weights":{"kernel":[0.0,0.25,0.0,0.25,-1.0,0.25,0.0,0.25,0.0]}}\n'),
+        "conv2d": (Conv2DBlock(np.array([[0.5, 0.25, 1.0], [0.25, 0.75, 0.25], [1.5, 0.25, 0.0]]),
+                               grid2, "9pt", fisher(0.75)),
+                   b'{"activation":{"kind":"fisher","rate":0.75},"constants":{"stencil2d":"9pt"},'
+                   b'"grid":{"bc":{"kind":"periodic","value":0.0},"h":0.5,"k":0.125,"n_points":3,'
+                   b'"ndim":2},"kind":"conv2d","shapes":{"A":[3,3]},'
+                   b'"weights":{"A":[0.5,0.25,1.0,0.25,0.75,0.25,1.5,0.25,0.0]}}\n'),
         "dense": (DenseBlock(np.array([[1.0, -2.0], [0.5, 0.25], [0.0, 3.0]]),
                              np.array([0.125, -1.0, 2.0]), sigmoid_reaction(1.5)),
                   b'{"activation":{"kind":"sigmoid","rate":1.5},"kind":"dense",'
@@ -348,6 +350,13 @@ def test_block_file_entry_without_a_field_is_refused():
     rbm["constants"] = {"temperature": 2.0}
     with pytest.raises(ValueError, match="rbm block has no field 'temperature'"):
         block_from_dict(rbm)
+    # a conv2d file written while the block held a shared 3x3 kernel
+    conv2d = json.loads(b'{"activation":{"kind":"none","rate":0.0},"channels":{"in":1,"out":1},'
+                        b'"grid":{"bc":{"kind":"periodic","value":0.0},"h":0.5,"k":0.125,'
+                        b'"n_points":3,"ndim":2},"kind":"conv2d","shapes":{"kernel":[3,3]},'
+                        b'"weights":{"kernel":[0.0,0.25,0.0,0.25,-1.0,0.25,0.0,0.25,0.0]}}\n')
+    with pytest.raises(ValueError, match="conv2d block has no field 'kernel'"):
+        block_from_dict(conv2d)
 
 
 def test_pipeline_file_bytes_are_pinned(tmp_path):

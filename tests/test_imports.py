@@ -1,11 +1,12 @@
-"""Every name a package module imports is used, unless its line says ``# noqa: F401``,
-every private module-level definition or class method is referenced somewhere in
+"""Every name a package module imports is used, except a lone ``pad`` import marked
+``# noqa: F401``, every private module-level definition or class method is referenced somewhere in
 the package, every public one is named outside the tests, and every parameter
 of a package function or lambda is read.
 
 A stdlib stand-in for pyflakes' F401 over src/npde (``__init__`` re-exports
-by design). A ``# noqa: F401`` marks a binding kept on purpose, such as the
-``pad`` names the benchmark tracer rebinds.
+by design). A ``# noqa: F401`` keeps the ``pad`` names the benchmark tracer
+rebinds; it exempts only a statement that imports ``pad`` alone, so no other
+unused name can hide on its line.
 """
 
 import ast
@@ -26,7 +27,8 @@ def _unused_imports(path: Path) -> list[str]:
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+        if [alias.name for alias in node.names] == ["pad"] and \
+                any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
             continue
         for alias in node.names:
             imported[alias.asname or alias.name.split(".")[0]] = node.lineno

@@ -279,6 +279,8 @@ def test_unknown_stencil_refused_on_every_grid_and_scheme(scheme, ndim):
     if scheme == "explicit":
         with pytest.raises(ValueError, match="unknown 2D stencil 'bogus'"):
             step_explicit(u, coeffs, grid, "bogus")
+        with pytest.raises(ValueError, match="unknown 2D stencil 'bogus'"):
+            elliptic_apply(u, coeffs, grid, "bogus")
 
 
 def test_two_component_null_dynamics():
