@@ -29,8 +29,7 @@ import numpy as np
 from .grid import GridSpec
 from .grid import pad  # noqa: F401 (npde.blocks.pad stays bound; no block calls it)
 from .reactions import ReactionSpec, no_reaction
-from .stencil import (EllipticCoefficients, _band_matrix, _Step1D, _Step2D, _step_taps,
-                      laplacian_1d)
+from .stencil import EllipticCoefficients, _band_matrix, _Step1D, _Step2D, _step_taps
 
 
 def _finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -182,7 +181,7 @@ def _laplacian_matrix(grid: GridSpec) -> np.ndarray:
     The linear part of the padded 3-tap apply (a nonzero dirichlet value is an
     affine offset and does not belong in the matrix), laid out in O(n).
     """
-    taps = np.broadcast_to(laplacian_1d(grid.h)[:, None], (3, grid.n_points))
+    taps = np.broadcast_to(np.array([[1.0], [-2.0], [1.0]]) / grid.h**2, (3, grid.n_points))
     return _band_matrix(taps, grid.bc)
 
 

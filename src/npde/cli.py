@@ -40,7 +40,7 @@ from .grid import BoundaryCondition, GridSpec, make_grid
 from .reactions import ReactionSpec, gray_scott
 from .reference import GaussianProfile
 from .solver import DivergenceError, forward_slices, solve_two_component
-from .stencil import EllipticCoefficients
+from .stencil import STENCILS_2D, EllipticCoefficients
 from .optim import LossSpec
 
 
@@ -304,7 +304,7 @@ def cmd_solve(cfg: _Section, args) -> int:
     else:
         coeffs = _parse_coeffs(model, grid)
         scheme = run.value("scheme", _text("explicit", "implicit"), "explicit")
-        stencil2d = run.value("stencil2d", _text("5pt", "9pt"), "5pt") \
+        stencil2d = run.value("stencil2d", _text(*STENCILS_2D), "5pt") \
             if grid.ndim == 2 else "5pt"
         compute = partial(forward_slices, _parse_initial(run, grid, rng), coeffs, grid,
                           n_steps, scheme, stencil2d)
@@ -456,7 +456,7 @@ def cmd_gen_block(cfg: _Section, args) -> int:
     elif kind == "conv2d":
         grid = _parse_grid(cfg)
         coeffs = EllipticCoefficients.constant(grid, b.value("D", _real))
-        block = blocks.gen_conv2d(coeffs, grid, b.value("stencil", _text("5pt", "9pt"), "9pt"))
+        block = blocks.gen_conv2d(coeffs, grid, b.value("stencil", _text(*STENCILS_2D), "9pt"))
     elif kind == "dense":
         act = _reaction(b, b.value("activation", _text(), "none"), 1.0)
         block = blocks.gen_dense(b.value("W", _reals), b.value("bias", _reals), act)

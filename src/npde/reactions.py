@@ -73,10 +73,10 @@ class ReactionSpec:
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        if self.kind == "source":
-            if self.source.shape != u.shape:
+        if self.kind == "source":    # leading axes of u ride along, each gets the source
+            if u.shape[u.ndim - self.source.ndim:] != self.source.shape:
                 raise ValueError("source field shape does not match the field")
-            return self.source.copy()
+            return np.broadcast_to(self.source, u.shape).copy()
         folds, f, _ = _RATE_KINDS[self.kind]
         if f is None:
             return self.rate * u if folds else np.zeros_like(u)

@@ -74,8 +74,8 @@ import numpy as np
 from .grid import GridSpec, _fill_ghosts, _ghost_scatter
 from .grid import pad  # noqa: F401 (npde.solver.pad stays bound; no step calls it)
 from .reactions import TwoComponentReaction
-from .stencil import (EllipticCoefficients, _laplacian_2d, _Step1D, _Step2D, _step_taps,
-                      stencil_2d)
+from .stencil import (EllipticCoefficients, _known_stencil, _laplacian_2d, _Step1D, _Step2D,
+                      _step_taps)
 
 # A step is declared divergent when max|u| exceeds this factor times the
 # initial scale, long before float64 overflow turns values non-finite.
@@ -87,7 +87,7 @@ _TAIL = 64
 class DivergenceError(ArithmeticError):
     """Raised when a step produces non-finite or runaway values."""
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
 
@@ -331,7 +331,7 @@ def _stepper(initial: np.ndarray, coeffs: EllipticCoefficients, grid: GridSpec,
     u = np.array(initial, dtype=float)
     if u.shape != grid.shape:
         raise ValueError(f"initial shape {u.shape} does not match grid {grid.shape}")
-    stencil_2d(stencil2d)    # a misspelt name is refused on every grid
+    _known_stencil(stencil2d)    # a misspelt name is refused on every grid
     if scheme == "implicit":
         return u, _implicit_stepper(coeffs, grid)
     if scheme != "explicit":

@@ -13,7 +13,9 @@ and the 9-point variant includes the diagonals:
      [0.5, -3.0, 0.5 ],
      [0.25, 0.5, 0.25]]
 
-(both unscaled; divide by h**2 where a physical Laplacian is needed).
+(both unscaled; divide by h**2 where a physical Laplacian is needed). No
+table is stored: the steps below are the stencils' one definition, and verify
+reads their taps off the steps' unit-impulse responses.
 
 With a per-node diffusion field A the operator becomes the variable stencil
 (1/h**2)[A_{j-1}, -2 A_j, A_{j+1}], i.e. the second difference of the product
@@ -52,31 +54,9 @@ from .reactions import ReactionSpec, no_reaction
 STENCILS_2D = ("5pt", "9pt")
 
 
-def laplacian_1d(h: float) -> np.ndarray:
-    """3-point second-derivative stencil [1, -2, 1] scaled by 1/h**2."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    return np.array([1.0, -2.0, 1.0]) / h**2
-
-
-def laplacian_2d_5pt() -> np.ndarray:
-    """5-point transverse Laplacian taps (unscaled)."""
-    return np.array([[0.0, 1.0, 0.0],
-                     [1.0, -4.0, 1.0],
-                     [0.0, 1.0, 0.0]])
-
-
-def laplacian_2d_9pt() -> np.ndarray:
-    """9-point transverse Laplacian taps including the diagonals (unscaled)."""
-    return np.array([[0.25, 0.5, 0.25],
-                     [0.5, -3.0, 0.5],
-                     [0.25, 0.5, 0.25]])
-
-
-def stencil_2d(name: str) -> np.ndarray:
+def _known_stencil(name: str) -> None:
     if name not in STENCILS_2D:
         raise ValueError(f"unknown 2D stencil {name!r}; expected one of {STENCILS_2D}")
-    return laplacian_2d_5pt() if name == "5pt" else laplacian_2d_9pt()
 
 
 def _apply_taps(taps, P: np.ndarray) -> np.ndarray:
@@ -201,7 +181,7 @@ def _laplacian_2d(P: np.ndarray, S: np.ndarray, stencil2d: str = "5pt"):
     Returns lap(centre, out=None), which runs the passes and only then writes
     out = -4 centre + neighbours, so under 9pt out may alias S.
     """
-    stencil_2d(stencil2d)    # refuses an unknown name
+    _known_stencil(stencil2d)
     m, p = P.shape[-1], P.reshape(-1)
     if stencil2d == "9pt":
         # out[t] = left[t]/2 + centre[t] + right[t]/2; the y pass reads S one
@@ -310,17 +290,9 @@ def diffusion_term(u: np.ndarray, A: np.ndarray, grid: GridSpec,
     """
     if grid.ndim == 2:
         return _Step2D(A, grid, stencil2d).diffusion(u)
-    stencil_2d(stencil2d)    # refused on a 1D grid too, as by _laplacian_2d in 2D
+    _known_stencil(stencil2d)    # refused on a 1D grid too, as by _laplacian_2d in 2D
     P = pad_coefficient(A, grid.bc) * pad(u, grid.bc)
     return _apply_taps(np.array([1.0, -2.0, 1.0]), P) / grid.h**2
-
-
-def convection_term(u: np.ndarray, B: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Centered first difference B * (u_{j+1} - u_{j-1}) / (2h), 1D only."""
-    if grid.ndim != 1:
-        raise ValueError("convection B is only supported on 1D grids")
-    up = pad(u, grid.bc)
-    return B * (up[2:] - up[:-2]) / (2.0 * grid.h)
 
 
 def elliptic_apply(field: np.ndarray, coeffs: EllipticCoefficients,
@@ -332,7 +304,8 @@ def elliptic_apply(field: np.ndarray, coeffs: EllipticCoefficients,
     coeffs.validate_against(grid)
     out = diffusion_term(field, coeffs.A, grid, stencil2d)
     if coeffs.B is not None and grid.ndim == 1:
-        out += convection_term(field, coeffs.B, grid)
+        up = pad(field, grid.bc)
+        out += coeffs.B * (up[2:] - up[:-2]) / (2.0 * grid.h)
     if coeffs.C.kind != "none":
         out += coeffs.C(field)
     return out

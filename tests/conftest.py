@@ -40,3 +40,12 @@ def correlate_2d():
         return out
 
     return reference
+
+
+@pytest.fixture(scope="session")
+def stencil_taps():
+    """stencil_taps[name]: the unscaled 3pt, 5pt and 9pt Laplacian tables, the
+    literal taps the package's running steps are checked against."""
+    return {"3pt": np.array([1.0, -2.0, 1.0]),
+            "5pt": np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]]),
+            "9pt": np.array([[0.25, 0.5, 0.25], [0.5, -3.0, 0.5], [0.25, 0.5, 0.25]])}

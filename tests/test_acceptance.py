@@ -5,6 +5,9 @@ measured values and tolerances, or `npde verify all` for the same checks from
 the CLI.
 """
 
+import pytest
+
+import npde.stencil
 from npde import verify
 
 
@@ -17,6 +20,22 @@ def _assert_all(results):
 
 def test_criterion_01_stencil_fidelity():
     _assert_all(verify.check_stencils())
+
+
+@pytest.mark.parametrize("name", ["3pt", "5pt", "9pt"])
+def test_criterion_01_reads_the_running_kernels(monkeypatch, name):
+    # criterion 1 measures the steps that run: a slip in the one 3-tap apply or
+    # in one stencil of the one 2D Laplacian fails that stencil's line alone
+    apply_taps, laplacian_2d = npde.stencil._apply_taps, npde.stencil._laplacian_2d
+    if name == "3pt":
+        monkeypatch.setattr(npde.stencil, "_apply_taps", lambda taps, P: 1.5 * apply_taps(taps, P))
+    else:
+        def slipped(P, S, stencil2d="5pt"):
+            lap = laplacian_2d(P, S, stencil2d)
+            return (lambda centre, out=None: 1.5 * lap(centre, out)) if stencil2d == name else lap
+        monkeypatch.setattr(npde.stencil, "_laplacian_2d", slipped)
+    failed = [r.name for r in verify.check_stencils() if not r.passed]
+    assert failed == [f"stencil-{name}-taps"]
 
 
 def test_criterion_02_heat_kernel_convergence():

@@ -100,7 +100,8 @@ def test_conv2d_equals_2d_diffusion_step(bc, n, seed, stencil2d, activation):
 @settings(max_examples=60)
 @given(bc=_BCS_2D, n=st.integers(3, 10), c=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
        stencil2d=st.sampled_from(["5pt", "9pt"]),
-       activation=st.sampled_from([no_reaction(), fisher(0.7), sigmoid_reaction(1.5)]))
+       activation=st.sampled_from([no_reaction(), fisher(0.7), sigmoid_reaction(1.5),
+                                   linear(-0.4), "source"]))
 def test_conv2d_stack_is_each_channel_stepped(bc, n, c, seed, stencil2d, activation):
     rng = np.random.default_rng(seed)
     grid, coeffs = _medium_2d(rng, n, bc, activation)

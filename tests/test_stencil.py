@@ -3,29 +3,7 @@ import pytest
 
 from npde.grid import dirichlet, make_grid, periodic
 from npde.reactions import fisher, linear
-from npde.stencil import (EllipticCoefficients, _apply_taps, _step_taps,
-                          elliptic_apply, laplacian_1d, laplacian_2d_5pt,
-                          laplacian_2d_9pt)
-
-
-def test_laplacian_1d_taps():
-    np.testing.assert_array_equal(laplacian_1d(1.0), [1, -2, 1])
-    np.testing.assert_array_equal(laplacian_1d(0.5), [4, -8, 4])
-    np.testing.assert_array_equal(laplacian_1d(2.0), [0.25, -0.5, 0.25])
-
-
-def test_laplacian_2d_5pt_taps():
-    np.testing.assert_array_equal(laplacian_2d_5pt(),
-                                  [[0, 1, 0], [1, -4, 1], [0, 1, 0]])
-    assert laplacian_2d_5pt().sum() == 0.0
-
-
-def test_laplacian_2d_9pt_taps():
-    np.testing.assert_array_equal(laplacian_2d_9pt(),
-                                  [[0.25, 0.5, 0.25],
-                                   [0.5, -3.0, 0.5],
-                                   [0.25, 0.5, 0.25]])
-    assert laplacian_2d_9pt().sum() == 0.0
+from npde.stencil import EllipticCoefficients, _apply_taps, _step_taps, elliptic_apply
 
 
 def _variable_stencil(A, h):
@@ -43,9 +21,10 @@ def test_variable_stencil_substitution():
     np.testing.assert_array_equal(_variable_stencil([0, 0, 0], 1.0), [0, 0, 0])
 
 
-def test_variable_stencil_equals_scaled_laplacian_for_constant_a():
+def test_variable_stencil_equals_scaled_laplacian_for_constant_a(stencil_taps):
     a, h = 1.7, 0.25
-    np.testing.assert_array_equal(_variable_stencil([a, a, a], h), a * laplacian_1d(h))
+    np.testing.assert_array_equal(_variable_stencil([a, a, a], h),
+                                  a * (stencil_taps["3pt"] / h**2))
 
 
 def test_apply_taps_hand_convolution(np_pad):
@@ -60,21 +39,21 @@ def test_apply_taps_identity(np_pad):
         np.testing.assert_array_equal(_apply_taps(np.array([0.0, 1.0, 0.0]), np_pad(f, bc)), f)
 
 
-def test_zero_sum_stencil_annihilates_constants(np_pad, correlate_2d):
+def test_zero_sum_stencil_annihilates_constants(np_pad, correlate_2d, stencil_taps):
     f = np.full(6, 7.0)
     out = _apply_taps(np.array([1.0, -2.0, 1.0]), np_pad(f, periodic()))
     np.testing.assert_allclose(out, 0.0, atol=1e-14)
-    out2d = correlate_2d(np_pad(np.full((5, 5), 7.0), periodic()), laplacian_2d_5pt())
+    out2d = correlate_2d(np_pad(np.full((5, 5), 7.0), periodic()), stencil_taps["5pt"])
     np.testing.assert_allclose(out2d, 0.0, atol=1e-14)
 
 
-def test_9pt_annihilates_linear_functions_interior(np_pad, correlate_2d):
+def test_9pt_annihilates_linear_functions_interior(np_pad, correlate_2d, stencil_taps):
     # oracle: direct 3x3 correlation sum at one interior node
     n = 7
     x = np.arange(n, dtype=float)
     f = np.tile(x, (n, 1))                     # f(x, y) = x
-    out = correlate_2d(np_pad(f, periodic()), laplacian_2d_9pt())
-    taps = laplacian_2d_9pt()
+    taps = stencil_taps["9pt"]
+    out = correlate_2d(np_pad(f, periodic()), taps)
     manual = sum(taps[1 + di, 1 + dj] * f[3 + di, 3 + dj]
                  for di in (-1, 0, 1) for dj in (-1, 0, 1))
     assert out[3, 3] == pytest.approx(manual, abs=1e-14)
@@ -94,17 +73,18 @@ def test_apply_taps_linearity(np_pad):
                                rtol=1e-12, atol=1e-12)
 
 
-def test_elliptic_reduces_to_laplacian(np_pad):
+def test_elliptic_reduces_to_laplacian(np_pad, stencil_taps):
     grid = make_grid(9, 0.5, 0.05, periodic())
     rng = np.random.default_rng(4)
     u = rng.standard_normal(9)
     coeffs = EllipticCoefficients.constant(grid, 1.0)
-    np.testing.assert_allclose(elliptic_apply(u, coeffs, grid),
-                               np.correlate(np_pad(u, grid.bc), laplacian_1d(grid.h), "valid"),
-                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        elliptic_apply(u, coeffs, grid),
+        np.correlate(np_pad(u, grid.bc), stencil_taps["3pt"] / grid.h**2, "valid"),
+        rtol=1e-12, atol=1e-12)
 
 
-def test_elliptic_constant_a_scales(np_pad):
+def test_elliptic_constant_a_scales(np_pad, stencil_taps):
     grid = make_grid(9, 0.5, 0.05, periodic())
     rng = np.random.default_rng(5)
     u = rng.standard_normal(9)
@@ -112,7 +92,7 @@ def test_elliptic_constant_a_scales(np_pad):
     coeffs = EllipticCoefficients.constant(grid, const)
     np.testing.assert_allclose(
         elliptic_apply(u, coeffs, grid),
-        const * np.correlate(np_pad(u, grid.bc), laplacian_1d(grid.h), "valid"),
+        const * np.correlate(np_pad(u, grid.bc), stencil_taps["3pt"] / grid.h**2, "valid"),
         rtol=1e-12, atol=1e-12)
 
 

@@ -11,16 +11,14 @@ from npde.grid import _fill_ghosts, dirichlet, extend, make_grid, mirror, pad, p
 from npde.reactions import TwoComponentReaction, gray_scott
 from npde.solver import (DIVERGENCE_FACTOR, DivergenceError, solve_two_component,
                          step_two_component)
-from npde.stencil import laplacian_2d_9pt
 
 EPS = np.finfo(float).eps
 BCS = st.sampled_from([periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(0.7)])
 SEEDS = st.integers(0, 2**32 - 1)
 
 
-def _reference_step(U, V, Du, Dv, rxn, grid, correlate_2d):
-    """One step as two independent 9-tap correlations of padded channels."""
-    taps = laplacian_2d_9pt()
+def _reference_step(U, V, Du, Dv, rxn, grid, correlate_2d, taps):
+    """One step as two independent correlations of padded channels by the 9-tap table."""
     h2 = grid.h**2
     lap_u = correlate_2d(pad(U, grid.bc), taps) / h2
     lap_v = correlate_2d(pad(V, grid.bc), taps) / h2
@@ -54,10 +52,10 @@ def _case(seed, n, bc):
 
 @settings(max_examples=120)
 @given(seed=SEEDS, n=st.integers(3, 12), bc=BCS)
-def test_step_matches_nine_tap_reference(correlate_2d, seed, n, bc):
+def test_step_matches_nine_tap_reference(correlate_2d, stencil_taps, seed, n, bc):
     grid, U, V, Du, Dv, rxn = _case(seed, n, bc)
     U2, V2 = step_two_component(U, V, Du, Dv, rxn, grid)
-    U_ref, V_ref = _reference_step(U, V, Du, Dv, rxn, grid, correlate_2d)
+    U_ref, V_ref = _reference_step(U, V, Du, Dv, rxn, grid, correlate_2d, stencil_taps["9pt"])
     assert np.max(np.abs(U2 - U_ref)) <= _tolerance(U, V, Du, rxn.f, grid)
     assert np.max(np.abs(V2 - V_ref)) <= _tolerance(V, U, Dv, lambda V, U: rxn.g(U, V), grid)
 
@@ -98,13 +96,14 @@ def test_copy_path_equals_fused_kinetics_bit_for_bit(bc):
     np.testing.assert_array_equal(V_f.view(np.int64), V_c.view(np.int64))
 
 
-def test_inputs_and_reaction_outputs_are_not_written(correlate_2d):
+def test_inputs_and_reaction_outputs_are_not_written(correlate_2d, stencil_taps):
     grid, U, V, Du, Dv, _ = _case(3, 9, mirror())
     U0, V0 = U.copy(), V.copy()
     held = np.full(grid.shape, 0.25)
     aliasing = TwoComponentReaction("aliasing", lambda U, V: U, lambda U, V: held)
     U2, V2 = step_two_component(U, V, Du, Dv, aliasing, grid)
-    U_ref, V_ref = _reference_step(U0, V0, Du, Dv, aliasing, grid, correlate_2d)
+    U_ref, V_ref = _reference_step(U0, V0, Du, Dv, aliasing, grid, correlate_2d,
+                                   stencil_taps["9pt"])
     assert np.max(np.abs(U2 - U_ref)) <= _tolerance(U0, V0, Du, aliasing.f, grid)
     assert np.max(np.abs(V2 - V_ref)) <= _tolerance(V0, U0, Dv, lambda V, U: held, grid)
     solve_two_component(U, V, Du, Dv, aliasing, grid, 5)
