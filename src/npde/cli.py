@@ -400,25 +400,15 @@ def _parse_optimizer(cfg: _Section) -> train.OptimizerConfig:
 
 
 def _load_dataset(path: str, n_in: int, n_out: int) -> train.Dataset:
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise ConfigError(f"dataset file not found: {path}")
-    samples = []
-    for line_no, line in enumerate(p.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = [float(x) for x in line.split(",")]
-        except ValueError:
-            raise ConfigError(f"dataset {path} line {line_no} has a non-numeric "
-                              f"cell: {line!r}") from None
-        if len(row) != n_in + n_out:
-            raise ConfigError(f"dataset row has {len(row)} columns, "
-                              f"expected {n_in}+{n_out}")
-        samples.append((np.asarray(row[:n_in]), np.asarray(row[n_in:])))
-    if not samples:
+    table = fieldio.load_field_csv(path)
+    if not table.size:
         raise ConfigError(f"dataset file is empty: {path}")
-    return train.Dataset(samples)
+    if table.shape[1] != n_in + n_out:
+        raise ConfigError(f"dataset rows have {table.shape[1]} columns, "
+                          f"expected {n_in}+{n_out}")
+    return train.Dataset(list(zip(table[:, :n_in], table[:, n_in:])))
 
 
 def cmd_train(cfg: _Section, args) -> int:

@@ -6,7 +6,8 @@ round-trip exactly and index columns (slice index, epoch) print as integers.
 Every CSV file goes through one writer (_CsvWriter): it collects numbers in a
 table of _CHUNK, encodes each full table in numpy into work arrays made once
 per file, and writes it. A trajectory is written slice by slice as its
-iterable yields them, so a solve streamed into it is never held whole.
+iterable yields them, so a solve streamed into it is never held whole. Every
+CSV file is read by one reader, load_field_csv, as the 2D table written.
 2D fields additionally export to binary 8-bit PGM (min-max normalized),
 chosen over PNG for zero-dependency bit-exact output.
 
@@ -205,15 +206,21 @@ def save_field_csv(path, values: np.ndarray) -> None:
 
 
 def load_field_csv(path) -> np.ndarray:
-    """The table save_field_csv wrote, one array row per line.
-
-    A one-row file reads back 1D: a saved (1, n) table loads as shape (n,),
-    because the header-less format cannot tell the two apart.
-    """
-    rows = [[float(x) for x in line.split(",")]
-            for line in Path(path).read_text().splitlines() if line]
-    arr = np.asarray(rows, dtype=float)
-    return arr[0] if arr.shape[0] == 1 else arr
+    """The (rows, columns) table of a CSV file, one row per non-blank line: (1, n)
+    for one row, (0, 0) for none. A non-numeric cell, or a row not as wide as
+    the first, raises ValueError naming the file and line."""
+    rows = []
+    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append([float(x) for x in line.split(",")])
+        except ValueError:
+            raise ValueError(f"{path} line {line_no} has a non-numeric cell: {line!r}") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise ValueError(f"{path} line {line_no} has {len(rows[-1])} columns, "
+                             f"the first row {len(rows[0])}")
+    return np.array(rows) if rows else np.empty((0, 0))
 
 
 def save_trajectory_csv(path, slices) -> None:

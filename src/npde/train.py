@@ -23,9 +23,10 @@ node axis. A dense layer caches its activation output, and its backward pass
 reads a sigmoid's derivative rate * a * (1 - a) off that output instead of
 recomputing the sigmoid. A diffusion layer runs stencil's one explicit 1D
 step forward and that step's adjoint in reverse (see the stencil module).
-An epoch is one forward and one backward pass over the whole batch: the
-forward pass that scores an accepted step also supplies the caches,
-parameter views included, for the next gradient.
+A layer's forward(params, x) -> (y, cache) caches all that its backward(cache,
+gy) -> (gx, grads) reads, a dense layer's W included. An epoch is one forward
+and one backward pass over the whole batch: the forward pass that scores an
+accepted step also supplies the caches for the next gradient.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import gen_conv1d, gen_dense
+from .blocks import DenseBlock, gen_conv1d, gen_dense
 from .grid import GridSpec
 from .grid import pad  # noqa: F401 (npde.train.pad stays bound; no layer calls it)
 from .reactions import ReactionSpec, no_reaction
@@ -73,12 +74,12 @@ class DenseLayer:
         """x is (n_samples, n_in); returns act(x W^T + b), (n_samples, n_out)."""
         z = x @ params["W"].T + params["b"]
         a = self._act(z)
-        return a, (x, a if self._slope_of_output else z)
+        return a, (params["W"], x, a if self._slope_of_output else z)
 
-    def backward(self, params, cache, gy):
-        x, slope_at = cache
+    def backward(self, cache, gy):
+        W, x, slope_at = cache
         gz = gy * self._slope(slope_at)
-        return gz @ params["W"], {"W": gz.T @ x, "b": np.add.reduce(gz, axis=0)}
+        return gz @ W, {"W": gz.T @ x, "b": np.add.reduce(gz, axis=0)}
 
     def blocks(self, params):
         """The trained layer as the one DenseBlock it is."""
@@ -126,7 +127,7 @@ class DiffusionLayer:
             u = step(u, P)
         return u, (step, padded)
 
-    def backward(self, params, cache, gy):
+    def backward(self, cache, gy):
         step, padded = cache
         g, g_taps = gy, np.zeros((3, self.grid.n_points))
         for P in padded[::-1]:
@@ -149,9 +150,11 @@ class Pipeline:
     def __init__(self, layers: list):
         self.layers = list(layers)
         # the one parameter layout: per layer, (name, slice of theta, shape) of each tensor
-        self._tensors = []
-        cursor = 0
-        for layer in self.layers:
+        self._tensors, cursor = [], 0
+        for i, layer in enumerate(self.layers):
+            if i and layer.n_in != (prev := self.layers[i - 1]).n_out:
+                raise ValueError(f"layer{i} {type(layer).__name__} takes {layer.n_in} inputs, "
+                                 f"but layer{i - 1} {type(prev).__name__} gives {prev.n_out}")
             tensors = []
             for name, shape in layer.param_shapes():
                 size = int(np.prod(shape))
@@ -169,8 +172,10 @@ class Pipeline:
                     for i in range(len(dims) - 1)])
 
     @classmethod
-    def from_blocks(cls, blocks) -> "Pipeline":
+    def from_blocks(cls, blocks: list) -> "Pipeline":
         """Build from generated DenseBlocks (shapes and activations carry over)."""
+        if other := [type(b).__name__ for b in blocks if not isinstance(b, DenseBlock)]:
+            raise ValueError(f"from_blocks takes DenseBlocks, not {other[0]}")
         return cls([DenseLayer(b.W.shape[1], b.W.shape[0], b.activation) for b in blocks])
 
     def init_theta(self, rng: np.random.Generator) -> ThetaVector:
@@ -193,23 +198,22 @@ class Pipeline:
         return out if x.ndim > 1 else out[0]
 
     def forward_with_caches(self, theta: ThetaVector, x: np.ndarray):
-        """Batch output (n_samples, n_out) plus each layer's (params, cache) pair."""
+        """Batch output (n_samples, n_out) plus one cache per layer."""
         caches = []
         out = np.asarray(x, dtype=float)
         for layer, p in zip(self.layers, self.params(theta)):
             out, cache = layer.forward(p, out)
-            caches.append((p, cache))
+            caches.append(cache)
         return out, caches
 
     def backward(self, caches, grad_out: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. theta of <grad_out, output>, summed over the batch.
-
-        Reads the parameter views off ``caches``, from forward_with_caches(theta, x)."""
+        """Gradient w.r.t. theta of <grad_out, output>, summed over the batch,
+        from the caches of forward_with_caches(theta, x)."""
         grad = np.empty(self.n_params)
         g = np.asarray(grad_out, dtype=float)
-        for layer, (p, cache), tensors in zip(reversed(self.layers), reversed(caches),
-                                              reversed(self._tensors)):
-            g, grads = layer.backward(p, cache, g)
+        for layer, cache, tensors in zip(reversed(self.layers), reversed(caches),
+                                         reversed(self._tensors)):
+            g, grads = layer.backward(cache, g)
             for name, sl, _ in tensors:
                 grad[sl] = grads[name].ravel()
         return grad
@@ -281,9 +285,7 @@ class Dataset:
     def __post_init__(self):
         if not self.samples:
             raise ValueError("dataset needs at least one sample")
-        d_in = {np.asarray(x).shape for x, _ in self.samples}
-        d_out = {np.asarray(y).shape for _, y in self.samples}
-        if len(d_in) != 1 or len(d_out) != 1:
+        if len({(np.shape(x), np.shape(y)) for x, y in self.samples}) != 1:
             raise ValueError("samples are not dimensionally consistent")
         if not all(np.all(np.isfinite(v)) for sample in self.samples for v in sample):
             raise ValueError("samples must be finite")

@@ -899,6 +899,40 @@ def test_non_numeric_dataset_cell_names_file_and_line(tmp_path, capsys):
     assert not (tmp_path / "fit").exists()
 
 
+def test_short_dataset_row_names_file_and_line(tmp_path, capsys):
+    cfg_path = _linreg_files(tmp_path)
+    data = tmp_path / "linreg.csv"
+    rows = data.read_text().splitlines()
+    rows[4] = rows[4].rsplit(",", 1)[0]
+    data.write_text("\n".join(rows) + "\n")
+    assert run_cli(["train", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "linreg.csv line 5" in err
+    assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n \t\n"])
+def test_empty_dataset_file_is_a_config_error(tmp_path, capsys, text):
+    cfg_path = _linreg_files(tmp_path)
+    data = tmp_path / "linreg.csv"
+    data.write_text(text)
+    assert run_cli(["train", "--config", cfg_path]) == 1
+    assert f"config error: dataset file is empty: {data}" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
+def test_train_refuses_a_pipeline_that_does_not_chain(tmp_path, capsys):
+    cfg_path = _linreg_files(tmp_path)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["train"]["pipeline"] = [{"kind": "dense", "in": 3, "out": 4},
+                                {"kind": "dense", "in": 5, "out": 1}]
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(["train", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "config error: layer1 DenseLayer takes 5 inputs, but layer0 DenseLayer gives 4" in err
+    assert not (tmp_path / "fit").exists()
+
+
 def test_python_dash_m_npde_runs_the_cli(tmp_path):
     # an uninstalled checkout runs the CLI as PYTHONPATH=src python -m npde ...
     src = Path(__file__).resolve().parents[1] / "src"

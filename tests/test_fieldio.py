@@ -46,10 +46,26 @@ def test_field_csv_round_trip(tmp_path):
     rng = np.random.default_rng(71)
     f1 = rng.standard_normal(7)
     save_field_csv(tmp_path / "f1.csv", f1)
-    np.testing.assert_array_equal(load_field_csv(tmp_path / "f1.csv"), f1)
+    np.testing.assert_array_equal(load_field_csv(tmp_path / "f1.csv"), f1[None])
     f2 = rng.standard_normal((4, 5))
     save_field_csv(tmp_path / "f2.csv", f2)
     np.testing.assert_array_equal(load_field_csv(tmp_path / "f2.csv"), f2)
+
+
+def test_csv_reader_returns_the_table_and_names_a_bad_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("1,2\n \t\n\n3,4\n")
+    assert load_field_csv(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    save_field_csv(path, np.array([[0.5, -1.0, 2.0]]))
+    assert load_field_csv(path).shape == (1, 3)
+    path.write_text("")
+    assert load_field_csv(path).shape == (0, 0)
+    path.write_text("1,2\n\n3,x\n")
+    with pytest.raises(ValueError, match=r"t\.csv line 3 has a non-numeric cell"):
+        load_field_csv(path)
+    path.write_text("1,2\n3\n")
+    with pytest.raises(ValueError, match=r"t\.csv line 2 has 1 columns, the first row 2"):
+        load_field_csv(path)
 
 
 def test_trajectory_csv_has_slice_index(tmp_path):
@@ -174,7 +190,9 @@ def test_csv_bytes_match_fmt_on_bit_patterns(bits):
 def test_csv_round_trip_is_bit_exact(tmp_path_factory, field):
     path = tmp_path_factory.mktemp("csv") / "f.csv"
     save_field_csv(path, field)
-    back = load_field_csv(path).reshape(field.shape)
+    back = load_field_csv(path)
+    field = np.atleast_2d(field)      # a 1D field is written as one row
+    assert back.shape == field.shape
     nan = np.isnan(field)
     np.testing.assert_array_equal(np.isnan(back), nan)
     assert np.array_equal(back.view(np.uint64)[~nan], field.view(np.uint64)[~nan])

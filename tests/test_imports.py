@@ -79,9 +79,9 @@ def test_no_dead_private_definitions():
             for defn in _private_definitions(tree) if defn not in used] == []
 
 
-# Public readers that only tests call so far: the model and trajectory readers
-# that later work builds on.
-_READ_ONLY_BY_TESTS = {"fieldio.load_block", "fieldio.load_field_csv"}
+# Public readers that only tests call so far: the model reader that later work
+# builds on.
+_READ_ONLY_BY_TESTS = {"fieldio.load_block"}
 
 
 def _public_definitions(tree: ast.Module):
@@ -122,13 +122,6 @@ def test_every_public_definition_is_used_outside_tests():
     assert found >= _READ_ONLY_BY_TESTS         # no stale allowance
 
 
-# Signatures fixed by a protocol or a callback, whose callee has no use for one
-# argument: (module, function, parameter).
-_UNREAD_BY_DESIGN = {
-    ("train.py", "DiffusionLayer.backward", "params"),     # the layer protocol
-}
-
-
 def _functions(node: ast.AST, prefix: str = ""):
     """(qualified name, node) of every def and lambda under ``node``; a lambda
     is named ``<lambda>`` inside the def or class that holds it."""
@@ -158,5 +151,4 @@ def _unread_parameters(path: Path) -> list[tuple[str, str, str]]:
 
 def test_every_parameter_is_read():
     found = [entry for path in sorted(SRC.glob("*.py")) for entry in _unread_parameters(path)]
-    assert sorted(set(found) - _UNREAD_BY_DESIGN) == []
-    assert set(found) >= _UNREAD_BY_DESIGN      # no stale allowance
+    assert found == []

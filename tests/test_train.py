@@ -109,7 +109,7 @@ def test_diffusion_backward_memory_does_not_grow_with_steps():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        layer.backward(params, cache, gy)
+        layer.backward(cache, gy)
         growth = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -276,6 +276,25 @@ def test_pipeline_from_blocks_round_trip():
     z = 1.0 / (1.0 + np.exp(-(W1 @ x + b1)))
     expected = 1.0 / (1.0 + np.exp(-(W2 @ z + b2)))
     np.testing.assert_allclose(pipe.forward(theta, x), expected, atol=1e-12)
+
+
+def test_pipeline_refuses_layers_that_do_not_chain():
+    with pytest.raises(ValueError, match="layer1 DenseLayer takes 3 inputs, "
+                                         "but layer0 DenseLayer gives 4"):
+        Pipeline([DenseLayer(2, 4), DenseLayer(3, 1)])
+    grid = make_grid(5, 1.0, 0.25, periodic())
+    with pytest.raises(ValueError, match="layer2 DenseLayer takes 4 inputs, "
+                                         "but layer1 DiffusionLayer gives 5"):
+        Pipeline([DenseLayer(2, 5), DiffusionLayer(grid, 1), DenseLayer(4, 1)])
+
+
+def test_pipeline_from_blocks_refuses_a_block_that_is_not_dense():
+    from npde.blocks import gen_conv1d, gen_dense
+    grid = make_grid(4, 1.0, 0.25, periodic())
+    blocks = [gen_dense(np.ones((4, 2)), np.zeros(4), no_reaction()),
+              gen_conv1d(EllipticCoefficients.constant(grid, 1.0), grid)]
+    with pytest.raises(ValueError, match="takes DenseBlocks, not Conv1DBlock"):
+        Pipeline.from_blocks(blocks)
 
 
 def test_init_theta_respects_fan_in_bound():

@@ -10,7 +10,7 @@ from npde.reactions import ReactionSpec, no_reaction
 from npde.solver import solve_forward
 from npde.stencil import EllipticCoefficients
 from npde.train import (Dataset, DenseLayer, DiffusionLayer, OptimizerConfig, Pipeline,
-                        _jacobian, _stack, batch_gradient, train_supervised)
+                        _jacobian, _stack, batch_gradient, batch_loss, train_supervised)
 
 BCS = st.sampled_from([periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(0.7)])
 REACTIONS = st.sampled_from([ReactionSpec("none"), ReactionSpec("fisher", 0.8),
@@ -113,6 +113,32 @@ def _matrix(data, shape):
                                        max_size=int(np.prod(shape))))).reshape(shape)
 
 
+@settings(max_examples=40)
+@given(seed=SEEDS, n_samples=st.integers(1, 3), position=st.sampled_from(range(3)),
+       bc=BCS, reaction=REACTIONS,
+       activation=st.sampled_from(["none", "fisher", "sigmoid", "linear"]))
+def test_mixed_pipeline_gradient_matches_fd(seed, n_samples, position, bc, reaction,
+                                            activation):
+    # the diffusion layer first, between two dense layers, or last: in the middle
+    # it both receives and returns an input gradient
+    rng = np.random.default_rng(seed)
+    n, d_in, d_out = (int(d) for d in rng.integers([3, 1, 1], [9, 5, 5]))
+    grid = make_grid(n, 0.5, 0.1, bc)                 # r = 0.4: A starts in [0, 1.25]
+    diffusion = DiffusionLayer(grid, int(rng.integers(1, 4)), reaction)
+    act = ReactionSpec(activation, 1.0)
+    layers = [[diffusion, DenseLayer(n, d_out, act)],
+              [DenseLayer(d_in, n, act), diffusion, DenseLayer(n, d_out, act)],
+              [DenseLayer(d_in, n, act), diffusion]][position]
+    model = Pipeline(layers)
+    theta = model.init_theta(rng)
+    samples = [(rng.uniform(0.0, 1.0, layers[0].n_in), rng.uniform(0.0, 1.0, layers[-1].n_out))
+               for _ in range(n_samples)]
+    analytic = batch_gradient(model, theta, samples, LossSpec())
+    fd = grad_fd(lambda t: batch_loss(model, t, samples, LossSpec()), theta, 1e-6)
+    # criterion 5's allowance
+    assert np.all(np.abs(analytic - fd) <= np.maximum(1e-5 * np.abs(fd), 1e-8))
+
+
 @settings(max_examples=150)
 @given(data=st.data(), kind=st.sampled_from(["none", "fisher", "sigmoid", "linear"]),
        rate=st.floats(-50.0, 50.0), n_samples=st.integers(1, 5),
@@ -126,7 +152,7 @@ def test_dense_backward_matches_recomputed_derivative(data, kind, rate, n_sample
     gy = _matrix(data, (n_samples, n_out))
     with np.errstate(all="ignore"):
         _, cache = layer.forward(params, x)
-        gx, grads = layer.backward(params, cache, gy)
+        gx, grads = layer.backward(cache, gy)
         # the backward pass before the forward's activation was cached
         z = x @ params["W"].T + params["b"]
         gz = gy * activation.activate_deriv(z)
