@@ -17,7 +17,8 @@ block runs the solver's 2D step, stencil._Step2D, on its A. The RBM and RNN
 matrices lay taps out densely in O(n). Reaction terms enter conv blocks with
 weight k, evaluated on the input slice (diffuse first, react on the
 pre-update slice); dense layers compose their activation in the usual
-y = act(W x + b) sense.
+y = act(W x + b) sense. Each block has the one forward its generator runs;
+the independent routes, the dense per-channel sums among them, are verify's.
 """
 
 from __future__ import annotations
@@ -97,13 +98,10 @@ class Conv2DBlock:
             raise ValueError(f"field shape {u.shape} does not match grid {self.grid.shape}")
         return self._step(u)
 
-    def forward_without_identity(self, u: np.ndarray) -> np.ndarray:
-        return self.forward(u) - np.asarray(u, dtype=float)
-
 
 @dataclass(frozen=True)
 class DenseBlock:
-    """Full-connection layer; channel i of the multi-channel view is row i of W."""
+    """Full-connection layer; channel i of the per-channel view (verify's oracle) is row i of W."""
 
     W: np.ndarray                 # (l, m)
     bias: np.ndarray              # (l,)
@@ -121,22 +119,17 @@ class DenseBlock:
                              "in a dense block")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "bias", b)
+        object.__setattr__(self, "_act", self.activation._activation()[0])
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.W.shape[1],):
             raise ValueError(f"input length {u.shape} does not match W columns {self.W.shape[1]}")
-        return self.activation.activate(self.W @ u + self.bias)
+        return self._act(self.W @ u + self.bias)
 
     def forward_without_identity(self, u: np.ndarray) -> np.ndarray:
         # a dense block has no folded identity; its forward IS the residual branch
         return self.forward(u)
-
-    def forward_channels(self, u: np.ndarray) -> np.ndarray:
-        """Evaluate via explicit per-channel kernel sums (the multi-channel view)."""
-        u = np.asarray(u, dtype=float)
-        pre = np.array([float(np.dot(row, u)) for row in self.W]) + self.bias
-        return self.activation.activate(pre)
 
 
 def gen_conv1d(coeffs: EllipticCoefficients, grid: GridSpec) -> Conv1DBlock:
@@ -173,16 +166,6 @@ def residual_step(x: np.ndarray, block) -> np.ndarray:
     """ResNet update x_{l+1} = x_l + F(x_l, W_l)."""
     x = np.asarray(x, dtype=float)
     return x + block.forward_without_identity(x)
-
-
-def _laplacian_matrix(grid: GridSpec) -> np.ndarray:
-    """Dense matrix of the 3-point Laplacian (1/h**2 included) under the grid bc.
-
-    The linear part of the padded 3-tap apply (a nonzero dirichlet value is an
-    affine offset and does not belong in the matrix), laid out in O(n).
-    """
-    taps = np.broadcast_to(np.array([[1.0], [-2.0], [1.0]]) / grid.h**2, (3, grid.n_points))
-    return _band_matrix(taps, grid.bc)
 
 
 @dataclass(frozen=True)
@@ -241,7 +224,7 @@ def gen_rnn_cell(Dxy: float, Dz: float, v: float, grid: GridSpec) -> RNNCell:
     if den == 0.0:
         raise ValueError("degenerate denominator v*h**2 + k*Dz = 0")
     n = grid.n_points
-    T = _laplacian_matrix(grid) * h**2
+    T = _band_matrix(np.broadcast_to([[1.0], [-2.0], [1.0]], (3, n)), grid.bc)
     I = np.eye(n)
     W1 = ((v * h**2 + 2.0 * k * Dz) * I - k * Dxy * T) / den
     W2 = -(k * Dz / den) * I

@@ -214,6 +214,8 @@ def load_field_csv(path) -> np.ndarray:
         if not line.strip():
             continue
         try:
+            if "_" in line:     # float() reads the digit groups of 1_0 as 10
+                raise ValueError
             rows.append([float(x) for x in line.split(",")])
         except ValueError:
             raise ValueError(f"{path} line {line_no} has a non-numeric cell: {line!r}") from None

@@ -378,8 +378,11 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
     converged = False
     for _ in range(max_epochs):
         if opt.kind == "gauss_newton":
-            J = _jacobian(model, caches, residual.shape)
-            new_theta = gauss_newton_step(theta, residual.ravel(), J, opt.eta)
+            J, r = _jacobian(model, caches, residual.shape), residual.ravel()
+            if loss.nu > 0:     # the mean loss is 0.5/N ||[r; s theta]||^2, s = sqrt(N nu)
+                s = np.sqrt(len(X) * loss.nu)
+                J, r = np.vstack([J, s * np.eye(J.shape[1])]), np.append(r, s * theta.values)
+            new_theta = gauss_newton_step(theta, r, J, opt.eta)
         else:
             g = _gradient(model, theta, residual, caches, loss)
             if opt.kind == "sgd":

@@ -2,10 +2,11 @@
 
 Each check pits an implementation path against an independent route: fixed
 tap tables for the running steps' impulse responses, the closed-form heat
-kernel, a front tracker for the logistic RDE, scalar loop oracles for
-generated blocks, central differences for analytic gradients, normal
-equations and a dense BFGS recursion for the optimizers, and
-conservation/stability properties of the schemes. The CLI ``verify``
+kernel, a front tracker for the logistic RDE, the divergence-form operator
+for the conv1d block, scalar loop oracles for the dense block (its
+per-channel kernel sums) and the RNN cell, central differences for analytic
+gradients, normal equations and a dense BFGS recursion for the optimizers,
+and conservation/stability properties of the schemes. The CLI ``verify``
 command prints one PASS/FAIL line per check and the acceptance test suite
 asserts them.
 """
@@ -21,8 +22,6 @@ from . import blocks, optim, reference, solver, stencil, train
 from .grid import dirichlet, extend, make_grid, periodic
 from .reactions import fisher, gray_scott, sigmoid_reaction
 from .stencil import EllipticCoefficients, elliptic_apply
-
-SUITE_NAMES = ("stencils", "equivalence", "gradients", "oracles", "all")
 
 
 @dataclass(frozen=True)
@@ -118,22 +117,13 @@ def check_fisher_front() -> list[CheckResult]:
 
 # --- criterion 4: generator/solver equivalence -------------------------------
 
-def _rnn_scalar_oracle(u, u_prev, f, Dxy, Dz, v, h, k, bc_kind):
-    """Scalar loop solving the traveling-wave recurrence for u_{tau+1}."""
+def _rnn_scalar_oracle(u, u_prev, f, Dxy, Dz, v, h, k):
+    """Scalar loop solving the traveling-wave recurrence for u_{tau+1} on a
+    periodic transverse grid."""
     n = u.size
     out = np.empty(n)
     for j in range(n):
-        if j > 0:
-            left = u[j - 1]
-        else:
-            left = {"periodic": u[n - 1], "mirror": u[1],
-                    "extend": u[0], "dirichlet": 0.0}[bc_kind]
-        if j < n - 1:
-            right = u[j + 1]
-        else:
-            right = {"periodic": u[0], "mirror": u[n - 2],
-                     "extend": u[n - 1], "dirichlet": 0.0}[bc_kind]
-        lap = (left - 2.0 * u[j] + right) / h**2
+        lap = (u[j - 1] - 2.0 * u[j] + u[(j + 1) % n]) / h**2
         denom = v / k + Dz / h**2
         out[j] = ((v / k + 2.0 * Dz / h**2) * u[j] - Dxy * lap
                   - (Dz / h**2) * u_prev[j] - f[j]) / denom
@@ -169,7 +159,9 @@ def check_equivalence() -> list[CheckResult]:
         block = blocks.gen_dense(rng.standard_normal((l, m)), rng.standard_normal(l),
                                  sigmoid_reaction(1.0))
         u = rng.standard_normal(m)
-        diff = np.max(np.abs(block.forward(u) - block.forward_channels(u)))
+        # the per-channel view: one kernel sum per row of W
+        channels = np.array([float(np.dot(row, u)) for row in block.W]) + block.bias
+        diff = np.max(np.abs(block.forward(u) - block.activation.activate(channels)))
         worst = max(worst, float(diff))
     out.append(CheckResult("dense-two-path", worst <= 1e-12, worst, 1e-12,
                            "matrix product vs per-channel kernel sums"))
@@ -183,8 +175,7 @@ def check_equivalence() -> list[CheckResult]:
         u_prev = rng.standard_normal(n)
         f = rng.standard_normal(n)
         state = blocks.rnn_forward(cell, np.concatenate([u, u_prev]), f)
-        u_next = _rnn_scalar_oracle(u, u_prev, f, 0.7, 0.3, 1.3, grid.h, grid.k,
-                                    "periodic")
+        u_next = _rnn_scalar_oracle(u, u_prev, f, 0.7, 0.3, 1.3, grid.h, grid.k)
         diff = max(float(np.max(np.abs(state[:n] - u_next))),
                    float(np.max(np.abs(state[n:] - u))))
         worst = max(worst, diff)
@@ -414,14 +405,11 @@ SUITES = {
     "oracles": (check_heat_kernel, check_fisher_front, check_stability,
                 check_conservation, check_turing),
 }
+SUITES["all"] = sum(SUITES.values(), ())
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    if name == "all":
-        results = []
-        for suite in ("stencils", "equivalence", "gradients", "oracles"):
-            results.extend(run_suite(suite))
-        return results
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     results = []

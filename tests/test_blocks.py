@@ -155,7 +155,8 @@ def test_dense_two_path_equivalence():
         block = gen_dense(rng.standard_normal((l, m)), rng.standard_normal(l),
                           sigmoid_reaction(1.3))
         u = rng.standard_normal(m)
-        np.testing.assert_allclose(block.forward(u), block.forward_channels(u),
+        channels = np.array([float(np.dot(row, u)) for row in block.W]) + block.bias
+        np.testing.assert_allclose(block.forward(u), block.activation.activate(channels),
                                    rtol=0, atol=1e-12)
 
 
@@ -219,11 +220,11 @@ def test_rnn_cell_dz_zero():
 
 
 def test_rnn_cell_dz_zero_transverse_coupling():
-    from npde.blocks import _laplacian_matrix
+    from npde.stencil import _band_matrix
     grid = make_grid(5, 0.5, 0.1, periodic())
     v = 2.0
     cell = gen_rnn_cell(1.0, 0.0, v, grid)
-    L = _laplacian_matrix(grid)
+    L = _band_matrix(np.broadcast_to([[1.0], [-2.0], [1.0]], (3, 5)) / grid.h**2, grid.bc)
     np.testing.assert_allclose(cell.W1, np.eye(5) - (grid.k / v) * L, atol=1e-14)
 
 

@@ -68,6 +68,14 @@ def test_csv_reader_returns_the_table_and_names_a_bad_line(tmp_path):
         load_field_csv(path)
 
 
+def test_load_field_csv_refuses_digit_group_underscores(tmp_path):
+    # float() alone reads 1_0 as 10.0
+    path = tmp_path / "t.csv"
+    path.write_text("1_0,2\n")
+    with pytest.raises(ValueError, match=r"t\.csv line 1 has a non-numeric cell"):
+        load_field_csv(path)
+
+
 def test_trajectory_csv_has_slice_index(tmp_path):
     grid = make_grid(4, 1.0, 0.1, periodic())
     slices = list(forward_slices(np.ones(4), EllipticCoefficients.constant(grid, 0.0),

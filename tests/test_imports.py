@@ -79,11 +79,6 @@ def test_no_dead_private_definitions():
             for defn in _private_definitions(tree) if defn not in used] == []
 
 
-# Public readers that only tests call so far: the model reader that later work
-# builds on.
-_READ_ONLY_BY_TESTS = {"fieldio.load_block"}
-
-
 def _public_definitions(tree: ast.Module):
     """(qualified name, node) of every public module-level function and class,
     and of every public method of a module-level class."""
@@ -118,8 +113,7 @@ def test_every_public_definition_is_used_outside_tests():
             if named[bare] <= _references(node)[bare] and \
                     not re.search(rf"\b{bare}\b", readme):
                 found.add(f"{module}.{name}")
-    assert sorted(found - _READ_ONLY_BY_TESTS) == []
-    assert found >= _READ_ONLY_BY_TESTS         # no stale allowance
+    assert sorted(found) == []
 
 
 def _functions(node: ast.AST, prefix: str = ""):

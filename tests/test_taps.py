@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from npde.blocks import _laplacian_matrix, gen_conv1d, gen_rbm
+from npde.blocks import gen_conv1d, gen_rbm
 from npde.cli import main
 from npde.grid import (_ghost_fill, _ghost_scatter, dirichlet, extend, make_grid,
                        mirror, periodic)
@@ -225,7 +225,7 @@ def test_dense_band_columns_are_unit_vector_steps(np_pad, stencil_taps, seed, bc
     n = grid.n_points
     diffusion = EllipticCoefficients(coeffs.A)
     W = gen_rbm(diffusion, grid).W
-    L = _laplacian_matrix(grid)
+    L = _band_matrix(np.broadcast_to([[1.0], [-2.0], [1.0]], (3, n)) / grid.h**2, bc)
     step_offset = step_explicit(np.zeros(n), diffusion, grid)
 
     def stencil(f):

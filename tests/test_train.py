@@ -5,11 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import npde.train
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
 from npde.optim import LossSpec, ThetaVector, grad_fd
-from npde.reactions import fisher, no_reaction, sigmoid_reaction
+from npde.reactions import fisher, linear, no_reaction, sigmoid_reaction
 from npde.solver import cfl_check
 from npde.stencil import EllipticCoefficients
 from npde.train import (Dataset, DenseLayer, DiffusionLayer, OptimizerConfig,
@@ -189,6 +190,24 @@ def test_gauss_newton_linear_regression_one_epoch():
     assert report.final_loss == pytest.approx(min_loss, rel=1e-9)
 
 
+def test_gauss_newton_minimises_the_weight_decayed_loss():
+    # with nu > 0 the step solves the ridge normal equations, not plain least squares
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((20, 3))
+    y = X @ np.array([1.5, -2.0, 0.5])
+    data = Dataset([(x, np.array([t])) for x, t in zip(X, y)])
+    model = Pipeline.dense([3, 1], [no_reaction()])
+    nu = 1.0
+    Xb = np.hstack([X, np.ones((20, 1))])
+    w = np.linalg.solve(Xb.T @ Xb / 20 + nu * np.eye(4), Xb.T @ y / 20)
+    min_loss = 0.5 * np.mean((Xb @ w - y) ** 2) + 0.5 * nu * float(w @ w)
+    report = train_supervised(model, data, LossSpec(nu=nu),
+                              OptimizerConfig("gauss_newton", eta=1.0), seed=1,
+                              max_epochs=10, target_loss=min_loss + 1e-9)
+    assert report.converged and report.epochs == 1
+    assert report.final_loss == pytest.approx(min_loss, rel=1e-9)
+
+
 def test_lbfgs_beats_sgd_on_quadratic_bowl():
     rng = np.random.default_rng(56)
     X = rng.standard_normal((30, 4)) * np.array([1.0, 1.0, 5.0, 0.2])
@@ -345,6 +364,23 @@ def test_pipeline_blocks_replay_forward_bit_for_bit(n_steps):
             out = block.forward(out)
         np.testing.assert_array_equal(out.view(np.int64),
                                       model.forward(theta, x).view(np.int64))
+
+
+@settings(max_examples=50)
+@given(widths=st.lists(st.integers(1, 32), min_size=2, max_size=4),
+       kinds=st.lists(st.sampled_from([no_reaction(), sigmoid_reaction(1.3), fisher(0.7),
+                                       linear(-0.4)]), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_dense_pipeline_blocks_replay_forward_bit_for_bit(widths, kinds, seed):
+    model = Pipeline.dense(widths, kinds[:len(widths) - 1])
+    rng = np.random.default_rng(seed)
+    theta = model.init_theta(rng)
+    x = rng.standard_normal(widths[0])
+    out = x
+    for block in model.blocks(theta):
+        out = block.forward(out)
+    np.testing.assert_array_equal(out.view(np.int64),
+                                  model.forward(theta, x).view(np.int64))
 
 
 def _digest(report):
