@@ -11,7 +11,7 @@ from .solver import (CflReport, DivergenceError, Trajectory, cfl_check,
                      step_implicit, step_two_component, thomas_solve)
 from .blocks import (Conv1DBlock, Conv2DBlock, DenseBlock, RBMEnergy, RNNCell,
                      gen_conv1d, gen_conv2d, gen_dense, gen_rbm, gen_rnn_cell,
-                     rbm_free_energy, residual_step, rnn_forward)
+                     rbm_free_energy, rnn_forward)
 from .optim import (AdamState, LBFGSState, LossSpec, ThetaVector, adam_step,
                     gauss_newton_step, grad_fd, lbfgs_direction, lbfgs_update,
                     newton_pinv_step, sgd_step)

@@ -46,7 +46,7 @@ class Conv1DBlock:
 
     kernels[j] = [W_{j-1}, W_j, W_{j+1}] acts on the padded field around node
     j. ``forward`` equals one explicit solver step for the generating
-    coefficients; ``forward_without_identity`` is the residual branch F(x).
+    coefficients: x + F(x), a ResNet update with its skip in the centre tap.
     """
 
     kernels: np.ndarray           # (n, 3)
@@ -66,10 +66,6 @@ class Conv1DBlock:
         if u.shape != self.grid.shape:
             raise ValueError(f"field shape {u.shape} does not match grid {self.grid.shape}")
         return self._step(u)
-
-    def forward_without_identity(self, u: np.ndarray) -> np.ndarray:
-        """The residual branch: forward minus the identity skip."""
-        return self.forward(u) - np.asarray(u, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -114,9 +110,6 @@ class DenseBlock:
             raise ValueError("W must be a matrix")
         if b.shape != (W.shape[0],):
             raise ValueError("bias length must equal the output count")
-        if not self.activation.differentiable:
-            raise ValueError(f"activation {self.activation.kind!r} cannot be composed "
-                             "in a dense block")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "bias", b)
         object.__setattr__(self, "_act", self.activation._activation()[0])
@@ -126,10 +119,6 @@ class DenseBlock:
         if u.shape != (self.W.shape[1],):
             raise ValueError(f"input length {u.shape} does not match W columns {self.W.shape[1]}")
         return self._act(self.W @ u + self.bias)
-
-    def forward_without_identity(self, u: np.ndarray) -> np.ndarray:
-        # a dense block has no folded identity; its forward IS the residual branch
-        return self.forward(u)
 
 
 def gen_conv1d(coeffs: EllipticCoefficients, grid: GridSpec) -> Conv1DBlock:
@@ -158,14 +147,7 @@ def gen_conv2d(coeffs: EllipticCoefficients, grid: GridSpec,
 def gen_dense(W: np.ndarray, bias: np.ndarray,
               activation: ReactionSpec = no_reaction()) -> DenseBlock:
     """Build a dense layer; forward(u) = activation(W u + bias)."""
-    return DenseBlock(np.asarray(W, dtype=float), np.asarray(bias, dtype=float),
-                      activation)
-
-
-def residual_step(x: np.ndarray, block) -> np.ndarray:
-    """ResNet update x_{l+1} = x_l + F(x_l, W_l)."""
-    x = np.asarray(x, dtype=float)
-    return x + block.forward_without_identity(x)
+    return DenseBlock(W, bias, activation)
 
 
 @dataclass(frozen=True)

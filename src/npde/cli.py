@@ -202,7 +202,7 @@ def _parse_coeffs(m: _Section, grid: GridSpec) -> EllipticCoefficients:
         d = m.value("reaction", _object, None)
         kind = "none" if d is None else d.value("kind", _text())
         reaction = _reaction(d, kind, 0.0) if kind != "source" else ReactionSpec(
-            "source", source=d.value("values", _reals).reshape(grid.shape))
+            "source", source=d.value("values", _field(grid)))
     coeffs = EllipticCoefficients(A, B, reaction)
     coeffs.validate_against(grid)
     return coeffs
@@ -469,13 +469,7 @@ def cmd_gen_block(cfg: _Section, args) -> int:
 
 
 def cmd_verify(suite: str) -> int:
-    try:
-        results = verify.run_suite(suite)
-    except ValueError as err:
-        print(err, file=sys.stderr)
-        print(f"usage: npde verify [{'|'.join(verify.SUITE_NAMES)}]",
-              file=sys.stderr)
-        return 1
+    results = verify.run_suite(suite)
     for res in results:
         print(res.line())
     return 0 if all(r.passed for r in results) else 4
@@ -486,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="npde",
         description="Finite-difference PDE engine that generates and trains "
                     "neural building blocks.")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name in ("solve", "train", "gen-block"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment JSON file")
@@ -495,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None,
                            help="override the config seed")
     v = sub.add_parser("verify")
-    v.add_argument("suite", nargs="?", default="all")
+    v.add_argument("suite", nargs="?", default="all", choices=verify.SUITE_NAMES)
     return parser
 
 
@@ -506,9 +500,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return 0 if exc.code == 0 else 1
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
     if args.command == "verify":
         return cmd_verify(args.suite)
     try:

@@ -120,19 +120,17 @@ class ReactionSpec:
 
     def _activation(self):
         """(act, slope, of_output) for a dense layer: act(z) is activate(z), and slope
-        gives a fresh activate_deriv(z), read off act(z) if of_output, else off z."""
+        gives a fresh activate_deriv(z), read off act(z) if of_output, else off z.
+        The one refusal of a source, an additive field, as a composed activation."""
         if self.kind == "source":
-            raise ValueError("source term cannot be used as a composed activation")
+            raise ValueError("'source' cannot be composed: "
+                             "a source term is not a composed activation")
         if self.kind == "none":
             return np.ndarray.copy, np.ones_like, False
         if self.kind == "sigmoid":
             rate = np.array(self.rate)      # a 0-d operand, as _ONE
             return partial(_RATE_KINDS["sigmoid"][1], rate), partial(_sigmoid_slope, rate), True
         return self, self.deriv, False
-
-    @property
-    def differentiable(self) -> bool:
-        return self.kind in _RATE_KINDS
 
 
 def no_reaction() -> ReactionSpec:

@@ -55,8 +55,6 @@ class DenseLayer:
                  activation: ReactionSpec = no_reaction()):
         if n_in < 1 or n_out < 1:
             raise ValueError("layer sizes must be >= 1")
-        if not activation.differentiable:
-            raise ValueError(f"activation {activation.kind!r} is not differentiable")
         self.n_in = n_in
         self.n_out = n_out
         self.activation = activation
@@ -93,9 +91,9 @@ class DiffusionLayer:
     (C's linear part folded into the centre tap, scalar taps for a uniform A;
     blocks store the unfolded taps), so the trained A drops straight into
     gen_conv1d / step_explicit; backward runs _tap_step_vjp over the
-    forward's padded buffers in reverse. n_steps = 0 is the identity map (A
-    then only feels weight decay). Fields are rows of a batch (n_samples,
-    n_points); the batch axis rides along the node axis.
+    forward's padded buffers in reverse. Any reaction runs, a source included
+    (no dR/du). n_steps = 0 is the identity map (A then only feels weight
+    decay). Fields are rows of a batch (n_samples, n); the batch rides along.
     """
 
     def __init__(self, grid: GridSpec, n_steps: int,
@@ -104,8 +102,6 @@ class DiffusionLayer:
             raise ValueError("DiffusionLayer supports 1D grids")
         if n_steps < 0:
             raise ValueError("n_steps must be >= 0")
-        if not reaction.differentiable:
-            raise ValueError(f"reaction {reaction.kind!r} is not differentiable")
         self.grid = grid
         self.n_in = self.n_out = grid.n_points
         self.n_steps = n_steps
@@ -120,7 +116,7 @@ class DiffusionLayer:
 
     def forward(self, params, x):
         step = _Step1D(_step_taps(params["A"], None, self.grid), self.grid, self.reaction)
-        u = np.asarray(x, dtype=float)
+        u = np.array(x, dtype=float)   # a copy: n_steps = 0 must not hand x back
         # one padded buffer per step, kept for the backward pass
         padded = np.empty((self.n_steps,) + u.shape[:-1] + (u.shape[-1] + 2,))
         for P in padded:
@@ -333,9 +329,12 @@ class TrainReport:
 
     loss_curve: np.ndarray
     final_theta: ThetaVector
-    converged: bool
     stop_reason: str                # target_loss | max_epochs | divergence
     final_loss: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "target_loss"
 
     @property
     def epochs(self) -> int:
@@ -372,10 +371,9 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
     current, residual, caches = _evaluate(model, theta, X, T, loss)
     curve: list[float] = []
     if current <= target_loss:
-        return TrainReport(np.asarray(curve), theta, True, "target_loss", current)
+        return TrainReport(np.asarray(curve), theta, "target_loss", current)
 
     stop_reason = "max_epochs"
-    converged = False
     for _ in range(max_epochs):
         if opt.kind == "gauss_newton":
             J, r = _jacobian(model, caches, residual.shape), residual.ravel()
@@ -406,6 +404,5 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
         curve.append(current)
         if current <= target_loss:
             stop_reason = "target_loss"
-            converged = True
             break
-    return TrainReport(np.asarray(curve), theta, converged, stop_reason, current)
+    return TrainReport(np.asarray(curve), theta, stop_reason, current)

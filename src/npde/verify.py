@@ -3,7 +3,8 @@
 Each check pits an implementation path against an independent route: fixed
 tap tables for the running steps' impulse responses, the closed-form heat
 kernel, a front tracker for the logistic RDE, the divergence-form operator
-for the conv1d block, scalar loop oracles for the dense block (its
+for the conv1d block, a dense k*O_L branch iterated as a ResNet for the
+forward solve, scalar loop oracles for the dense block (its
 per-channel kernel sums) and the RNN cell, central differences for analytic
 gradients, normal equations and a dense BFGS recursion for the optimizers,
 and conservation/stability properties of the schemes. The CLI ``verify``
@@ -192,16 +193,18 @@ def check_equivalence() -> list[CheckResult]:
                                 - solver.step_explicit(u2, coeffs2, grid2, "9pt"))))
     out.append(CheckResult("conv2d-vs-explicit-step", diff2 <= 1e-12, diff2, 1e-12))
 
-    # residual iteration against the forward solve
+    # ResNet iteration x + F(x), F a generated dense k*O_L branch, against the
+    # forward solve, whose folded 3-tap apply is a route apart
     n = 20
     grid = make_grid(n, 0.5, 0.05, periodic())
     A = rng.uniform(0.2, 1.0, n)
     coeffs = EllipticCoefficients(A)
-    block = blocks.gen_conv1d(coeffs, grid)
+    branch = blocks.gen_dense(stencil._band_matrix(stencil._step_taps(A, None, grid, 0.0),
+                                                   grid.bc), np.zeros(n))
     u = rng.standard_normal(n)
     x = u.copy()
     for _ in range(10):
-        x = blocks.residual_step(x, block)
+        x = x + branch.forward(x)
     traj = solver.solve_forward(u, coeffs, grid, 10)
     diff = float(np.max(np.abs(x - traj.final())))
     out.append(CheckResult("residual-iterate-vs-solve", diff <= 1e-10, diff, 1e-10,

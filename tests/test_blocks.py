@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from npde.blocks import (Conv1DBlock, Conv2DBlock, RBMEnergy, gen_conv1d, gen_conv2d,
                          gen_dense, gen_rbm, gen_rnn_cell, rbm_free_energy,
-                         residual_step, rnn_forward)
+                         rnn_forward)
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
 from npde.reactions import fisher, linear, no_reaction, sigmoid_reaction, source
-from npde.solver import step_explicit, solve_forward
+from npde.solver import step_explicit
 from npde.stencil import EllipticCoefficients
 
 
@@ -172,42 +172,6 @@ def test_dense_refuses_a_source_activation():
     # a source is additive; forward composes act(W u + b), which it cannot be
     with pytest.raises(ValueError, match="'source' cannot be composed"):
         gen_dense(np.eye(2), np.zeros(2), source(np.ones(2)))
-
-
-def test_residual_zero_branch_is_identity():
-    block = gen_dense(np.zeros((3, 3)), np.zeros(3))
-    x = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(residual_step(x, block), x)
-
-
-def test_residual_scalar_arithmetic():
-    block = gen_dense(np.array([[2.0]]), np.zeros(1))
-    np.testing.assert_array_equal(residual_step(np.array([1.0]), block), [3.0])
-
-
-def test_residual_with_diffusion_block_equals_explicit_step():
-    rng = np.random.default_rng(26)
-    n = 13
-    grid = make_grid(n, 0.5, 0.05, periodic())
-    coeffs = EllipticCoefficients(rng.uniform(0.1, 1.0, n))
-    block = gen_conv1d(coeffs, grid)
-    u = rng.standard_normal(n)
-    np.testing.assert_allclose(residual_step(u, block),
-                               step_explicit(u, coeffs, grid), atol=1e-13)
-
-
-def test_residual_iteration_matches_trajectory():
-    rng = np.random.default_rng(27)
-    n = 13
-    grid = make_grid(n, 0.5, 0.05, periodic())
-    coeffs = EllipticCoefficients(rng.uniform(0.1, 1.0, n))
-    block = gen_conv1d(coeffs, grid)
-    u0 = rng.standard_normal(n)
-    x = u0.copy()
-    for _ in range(20):
-        x = residual_step(x, block)
-    traj = solve_forward(u0, coeffs, grid, 20)
-    np.testing.assert_allclose(x, traj.final(), atol=1e-10)
 
 
 def test_rnn_cell_dz_zero():

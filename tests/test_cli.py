@@ -16,7 +16,7 @@ from npde.cli import _load_config, main
 from npde.fieldio import (block_from_dict, field_to_pgm, fmt, load_block,
                           save_trajectory_csv)
 from npde.grid import extend, make_grid, periodic
-from npde.reactions import fisher
+from npde.reactions import ReactionSpec, fisher
 from npde.solver import forward_slices, solve_forward
 from npde.stencil import EllipticCoefficients
 
@@ -100,6 +100,30 @@ def test_2d_heat_frames_and_trajectory_match_the_library(tmp_path):
         ["trajectory.csv", "u_00003.pgm", "u_00006.pgm"]
     for step in (3, 6):
         assert (out / f"u_{step:05d}.pgm").read_bytes() == field_to_pgm(slices[step])
+
+
+def _pgm_heat_config(out_dir, k=0.1):
+    return {"grid": {"n_points": 9, "h": 1.0, "k": k, "bc": "periodic", "ndim": 2},
+            "model": {"kind": "heat", "A": 1.0},
+            "run": {"n_steps": 6, "frame_stride": 3,
+                    "initial": {"kind": "delta", "index": [4, 6]}},
+            "io": {"out_dir": str(out_dir), "formats": ["pgm"]}}
+
+
+def test_2d_heat_pgm_only_writes_frames_and_no_trajectory(tmp_path):
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(["solve", "--config", write_config(tmp_path, _pgm_heat_config(out))]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["u_00003.pgm", "u_00006.pgm"]
+
+
+def test_diverging_pgm_only_solve_removes_the_directory_it_made(tmp_path, capsys):
+    out = tmp_path / "new" / "out"
+    cfg = _pgm_heat_config(out, k=10.0)    # r A = 10: the explicit step blows up
+    cfg["run"]["n_steps"] = 200
+    assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "diverged at step" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def _solve_peak_bytes(tmp_path, n_steps):
@@ -465,6 +489,23 @@ def _gray_scott_config(out_dir):
         "run": {"n_steps": 2, "seed": 1},
         "io": {"out_dir": str(out_dir)},
     }
+
+
+@pytest.mark.parametrize("values,status", [([1.0, 2.0, 3.0], 1), (0.5, 0)])
+def test_source_values_are_read_as_a_field(tmp_path, capsys, values, status):
+    cfg = frozen_heat_config(tmp_path / "out")
+    cfg["model"] = {"kind": "scalar", "A": 1.0,
+                    "reaction": {"kind": "source", "values": values}}
+    assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == status
+    if status:
+        assert "config key model.reaction.values must be a scalar or a grid-shaped array" \
+            in capsys.readouterr().err
+    else:       # a scalar fills the grid, as model.A does
+        final = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",")[-1, 1:]
+        want = solve_forward(np.arange(1.0, 6.0), EllipticCoefficients(
+            np.ones(5), None, ReactionSpec("source", source=np.full(5, 0.5))),
+            make_grid(5, 1.0, 0.1, periodic()), 3).final()
+        np.testing.assert_array_equal(final, want)
 
 
 @pytest.mark.parametrize("path,key", [

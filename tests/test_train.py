@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import npde.train
 from npde.grid import dirichlet, extend, make_grid, mirror, periodic
 from npde.optim import LossSpec, ThetaVector, grad_fd
-from npde.reactions import fisher, linear, no_reaction, sigmoid_reaction
+from npde.reactions import fisher, linear, no_reaction, sigmoid_reaction, source
 from npde.solver import cfl_check
 from npde.stencil import EllipticCoefficients
 from npde.train import (Dataset, DenseLayer, DiffusionLayer, OptimizerConfig,
@@ -98,6 +98,44 @@ def test_diffusion_unroll_with_reaction_gradient_matches_fd():
     analytic = batch_gradient(model, theta, samples, LossSpec())
     fd = grad_fd(lambda t: batch_loss(model, t, samples, LossSpec()), theta, 1e-6)
     np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("bc", [periodic(), dirichlet(0.0), dirichlet(0.7),
+                                mirror(), extend()])
+def test_source_forced_diffusion_layer_gradient_matches_fd(bc):
+    # a source has no dR/du, so the step's adjoint in u is the taps' alone
+    rng = np.random.default_rng(54)
+    n = 10
+    grid = make_grid(n, 0.5, 0.05, bc)
+    model = Pipeline([DiffusionLayer(grid, 3, source(rng.standard_normal(n)))])
+    theta = model.init_theta(rng).with_values(rng.uniform(0.2, 1.0, n))
+    samples = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(2)]
+    spec = LossSpec(nu=0.05)
+    analytic = batch_gradient(model, theta, samples, spec)
+    fd = grad_fd(lambda t: batch_loss(model, t, samples, spec), theta, 1e-6)
+    np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8)
+
+
+def test_source_forced_diffusion_blocks_replay_forward_bit_for_bit():
+    grid = make_grid(7, 1.0, 0.2, mirror())
+    rng = np.random.default_rng(55)
+    model = Pipeline([DiffusionLayer(grid, 2, source(rng.standard_normal(7)))])
+    theta = model.init_theta(rng)
+    for x in rng.standard_normal((3, 7)):
+        out = x
+        for block in model.blocks(theta):
+            out = block.forward(out)
+        np.testing.assert_array_equal(out.view(np.int64),
+                                      model.forward(theta, x).view(np.int64))
+
+
+def test_identity_diffusion_layer_returns_a_fresh_array():
+    grid = make_grid(5, 1.0, 0.2, periodic())
+    model = Pipeline([DiffusionLayer(grid, 0)])
+    x = np.arange(5.0)
+    out = model.forward(model.init_theta(np.random.default_rng(56)), x)
+    np.testing.assert_array_equal(out, x)
+    assert not np.shares_memory(out, x)
 
 
 def test_diffusion_backward_memory_does_not_grow_with_steps():
