@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blocks, fieldio, train, verify
-from .grid import BoundaryCondition, GridSpec, make_grid
+from .grid import BC_KINDS, BoundaryCondition, GridSpec, make_grid
 from .reactions import ReactionSpec, gray_scott
 from .reference import GaussianProfile
 from .solver import DivergenceError, forward_slices, solve_two_component
@@ -173,7 +173,7 @@ def _load_config(path: str) -> _Section:
 
 def _parse_grid(cfg: _Section) -> GridSpec:
     g = cfg.value("grid", _object)
-    kind = g.value("bc", _text("dirichlet", "periodic", "mirror", "extend"))
+    kind = g.value("bc", _text(*BC_KINDS))
     # only a dirichlet boundary has a value
     bc = BoundaryCondition(kind, g.value("bc_value", _real, 0.0)
                            if kind == "dirichlet" else 0.0)
@@ -242,14 +242,10 @@ def _parse_initial(run: _Section, grid: GridSpec,
     raise ConfigError(f"unknown run.initial.kind {kind!r}")
 
 
-def _read_io(cfg: _Section, args, formats: bool = False) -> tuple[Path, set]:
-    """The output directory (io.out_dir is checked even when overridden) and,
-    when ``formats``, the io.formats to write."""
-    io = cfg.value("io", _object, {})
-    configured = io.value("out_dir", _text(), ".")
-    written = io.value("formats", _list_of(_text("csv", "pgm")), ["csv", "pgm"]) \
-        if formats else []
-    return Path(args.out or os.environ.get("NPDE_OUT") or configured), set(written)
+def _read_out(cfg: _Section, args) -> Path:
+    """The output directory; io.out_dir is checked even when overridden."""
+    configured = cfg.value("io", _object, {}).value("out_dir", _text(), ".")
+    return Path(args.out or os.environ.get("NPDE_OUT") or configured)
 
 
 def _read_seed(run: _Section, args) -> int:
@@ -274,7 +270,9 @@ def cmd_solve(cfg: _Section, args) -> int:
     if stride < 0:
         raise ConfigError("run.frame_stride must be >= 0")
     rng = np.random.default_rng(_read_seed(run, args))
-    out, formats = _read_io(cfg, args, formats=True)
+    out = _read_out(cfg, args)
+    formats = set(cfg.value("io", _object, {}).value(
+        "formats", _list_of(_text("csv", "pgm")), ["csv", "pgm"]))
     model = cfg.value("model", _object)
     two_component = model.value("kind", _text()) == "gray_scott"
 
@@ -423,7 +421,7 @@ def cmd_train(cfg: _Section, args) -> int:
 
     data = _load_dataset(t.value("dataset", _text()), model.layers[0].n_in,
                          model.layers[-1].n_out)
-    out, _ = _read_io(cfg, args)
+    out = _read_out(cfg, args)
     _reject_unread(cfg)
 
     report = train.train_supervised(model, data, loss, opt, seed, max_epochs,
@@ -440,26 +438,23 @@ def cmd_train(cfg: _Section, args) -> int:
 def cmd_gen_block(cfg: _Section, args) -> int:
     b = cfg.value("block", _object)
     kind = b.value("kind", _text())
+    grid = _parse_grid(cfg) if kind in ("conv1d", "conv2d", "rnn", "rbm") else None
     if kind == "conv1d":
-        grid = _parse_grid(cfg)
         block = blocks.gen_conv1d(_parse_coeffs(cfg.value("model", _object), grid), grid)
     elif kind == "conv2d":
-        grid = _parse_grid(cfg)
         coeffs = EllipticCoefficients.constant(grid, b.value("D", _real))
         block = blocks.gen_conv2d(coeffs, grid, b.value("stencil", _text(*STENCILS_2D), "9pt"))
     elif kind == "dense":
         act = _reaction(b, b.value("activation", _text(), "none"), 1.0)
         block = blocks.gen_dense(b.value("W", _reals), b.value("bias", _reals), act)
     elif kind == "rnn":
-        grid = _parse_grid(cfg)
         block = blocks.gen_rnn_cell(b.value("Dxy", _real), b.value("Dz", _real),
                                     b.value("v", _real), grid)
     elif kind == "rbm":
-        grid = _parse_grid(cfg)
         block = blocks.gen_rbm(_parse_coeffs(cfg.value("model", _object), grid), grid)
     else:
         raise ConfigError(f"unknown block kind {kind!r}")
-    out, _ = _read_io(cfg, args)
+    out = _read_out(cfg, args)
     _reject_unread(cfg)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"block_{kind}.json"
@@ -503,18 +498,10 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return cmd_verify(args.suite)
     try:
-        cfg = _load_config(args.config)
-        if args.command == "solve":
-            return cmd_solve(cfg, args)
-        if args.command == "train":
-            return cmd_train(cfg, args)
-        return cmd_gen_block(cfg, args)
+        command = {"solve": cmd_solve, "train": cmd_train, "gen-block": cmd_gen_block}
+        return command[args.command](_load_config(args.config), args)
     except ValueError as err:
         # a ConfigError, or the library refusing a config-derived value; a
         # failed command has left no output behind
         print(f"config error: {err}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_PAD_KINDS = ("dirichlet", "periodic", "mirror", "extend")
+BC_KINDS = ("dirichlet", "periodic", "mirror", "extend")
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class BoundaryCondition:
     value: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _PAD_KINDS:
+        if self.kind not in BC_KINDS:
             raise ValueError(f"unknown boundary condition kind {self.kind!r}")
         if not np.isfinite(self.value):
             raise ValueError("dirichlet boundary value must be finite")

@@ -125,10 +125,9 @@ def _march(u: np.ndarray, advance, n_steps: int, label: str):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A forward solve's outcome: its grid and its final slice (solve_forward).
+    """A forward solve's outcome: its final slice (solve_forward).
     forward_slices streams every slice, the initial state first."""
 
-    grid: GridSpec
     last: np.ndarray
 
     def final(self) -> np.ndarray:
@@ -451,7 +450,7 @@ def solve_forward(initial: np.ndarray, coeffs: EllipticCoefficients,
     forward_slices, in O(n) memory. n_steps < 1 and divergence
     (DivergenceError carrying the step) raise here."""
     stream = forward_slices(initial, coeffs, grid, n_steps, scheme, stencil2d)
-    return Trajectory(grid, collections.deque(stream, maxlen=1).pop())
+    return Trajectory(collections.deque(stream, maxlen=1).pop())
 
 
 def solve_two_component(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,

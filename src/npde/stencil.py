@@ -264,11 +264,9 @@ class EllipticCoefficients:
             object.__setattr__(self, "B", np.asarray(self.B, dtype=float))
 
     @classmethod
-    def constant(cls, grid: GridSpec, a: float, b: float | None = None,
+    def constant(cls, grid: GridSpec, a: float,
                  reaction: ReactionSpec = no_reaction()) -> "EllipticCoefficients":
-        A = np.full(grid.shape, float(a))
-        B = None if b is None else np.full(grid.shape, float(b))
-        return cls(A, B, reaction)
+        return cls(np.full(grid.shape, float(a)), None, reaction)
 
     def validate_against(self, grid: GridSpec) -> None:
         if self.A.shape != grid.shape:

@@ -197,6 +197,8 @@ class Pipeline:
         """Batch output (n_samples, n_out) plus one cache per layer."""
         caches = []
         out = np.asarray(x, dtype=float)
+        if out.shape[-1] != (n_in := self.layers[0].n_in):
+            raise ValueError(f"input has {out.shape[-1]} columns, but layer0 takes {n_in}")
         for layer, p in zip(self.layers, self.params(theta)):
             out, cache = layer.forward(p, out)
             caches.append(cache)
@@ -231,6 +233,8 @@ def _evaluate(model: Pipeline, theta: ThetaVector, X: np.ndarray, T: np.ndarray,
               loss: LossSpec):
     """One batched forward: the mean loss, the residual out - T and the caches."""
     out, caches = model.forward_with_caches(theta, X)
+    if T.shape != out.shape:    # out - T would broadcast
+        raise ValueError(f"targets of shape {T.shape} do not match the output {out.shape}")
     residual = out - T
     value = 0.5 * float(np.vdot(residual, residual)) / len(X)
     if loss.nu > 0:
@@ -365,7 +369,7 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
     adam = AdamState.fresh(model.n_params, opt.beta1, opt.beta2, opt.eps, opt.eta) \
         if opt.kind == "adam" else None
     lbfgs = LBFGSState(m=opt.memory) if opt.kind == "lbfgs" else None
-    prev_theta_g = None
+    prev = None     # the last step's (theta, gradient) pair
 
     # the accepted theta's forward pass; the next step's gradient reuses it
     current, residual, caches = _evaluate(model, theta, X, T, loss)
@@ -388,13 +392,11 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
             elif opt.kind == "adam":
                 adam, new_theta = adam_step(adam, theta, g)
             else:
-                if prev_theta_g is not None:
-                    s = theta.values - prev_theta_g[0]
-                    y = g - prev_theta_g[1]
-                    lbfgs = lbfgs_update(lbfgs, s, y)
+                if prev is not None:
+                    lbfgs = lbfgs_update(lbfgs, theta.values - prev[0], g - prev[1])
                 direction = lbfgs_direction(lbfgs, g)
                 new_theta = theta.with_values(theta.values + opt.eta * direction)
-                prev_theta_g = (theta.values.copy(), g.copy())
+                prev = theta.values, g
         new_loss, new_residual, new_caches = _evaluate(model, new_theta, X, T, loss)
         if not new_loss <= DIVERGENCE_LOSS:     # NaN and inf included
             stop_reason = "divergence"

@@ -183,14 +183,16 @@ def check_equivalence() -> list[CheckResult]:
     out.append(CheckResult("rnn-vs-scalar-recurrence", worst <= 1e-10, worst, 1e-10,
                            "100 random seeded steps"))
 
-    # 2D conv block against the 2D explicit diffusion step
+    # 2D conv block against u + r * (9-point table summed over a wrapped pad of A u)
     n2 = 12
     grid2 = make_grid(n2, 0.5, 0.02, periodic(), ndim=2)
     coeffs2 = EllipticCoefficients.constant(grid2, 0.8)
     block2 = blocks.gen_conv2d(coeffs2, grid2, "9pt")
     u2 = rng.standard_normal((n2, n2))
-    diff2 = float(np.max(np.abs(block2.forward(u2)
-                                - solver.step_explicit(u2, coeffs2, grid2, "9pt"))))
+    P = np.pad(coeffs2.A * u2, 1, mode="wrap")
+    route = u2 + grid2.r * sum(_TAPS["9pt"][i, j] * P[i:i + n2, j:j + n2]
+                               for i in range(3) for j in range(3))
+    diff2 = float(np.max(np.abs(block2.forward(u2) - route)))
     out.append(CheckResult("conv2d-vs-explicit-step", diff2 <= 1e-12, diff2, 1e-12))
 
     # ResNet iteration x + F(x), F a generated dense k*O_L branch, against the
@@ -312,9 +314,7 @@ def check_xor_training() -> list[CheckResult]:
                    (np.array([1.0, 0.0]), np.array([1.0])),
                    (np.array([1.0, 1.0]), np.array([0.0]))]
     data = train.Dataset(xor_samples)
-    hidden = blocks.gen_dense(np.zeros((4, 2)), np.zeros(4), sigmoid_reaction(1.0))
-    readout = blocks.gen_dense(np.zeros((1, 4)), np.zeros(1), sigmoid_reaction(1.0))
-    model = train.Pipeline.from_blocks([hidden, readout])
+    model = train.Pipeline.dense([2, 4, 1], [sigmoid_reaction(1.0)] * 2)
     opt = train.OptimizerConfig("adam")
     hits = 0
     for seed in XOR_SEEDS:

@@ -421,6 +421,57 @@ def test_dense_pipeline_blocks_replay_forward_bit_for_bit(widths, kinds, seed):
                                   model.forward(theta, x).view(np.int64))
 
 
+def test_pipeline_refuses_an_input_of_the_wrong_width():
+    # a uniform A folds the taps to three floats, which once stepped any width
+    grid = make_grid(8, 1.0, 0.25, periodic())
+    model = Pipeline([DiffusionLayer(grid, 1)])
+    theta = ThetaVector(np.full(8, 0.5))
+    with pytest.raises(ValueError, match="input has 5 columns, but layer0 takes 8"):
+        model.forward(theta, np.arange(5.0))
+    dense = Pipeline.dense([3, 2], [no_reaction()])
+    with pytest.raises(ValueError, match="input has 4 columns, but layer0 takes 3"):
+        dense.forward(dense.init_theta(np.random.default_rng(0)), np.ones((2, 4)))
+
+
+def test_training_refuses_targets_of_the_wrong_width():
+    # out - T broadcast 1-wide targets over a 3-wide output
+    model = Pipeline.dense([2, 3], [no_reaction()])
+    data = Dataset([(np.array([0.0, 1.0]), np.array([1.0])),
+                    (np.array([1.0, 0.0]), np.array([-1.0]))])
+    with pytest.raises(ValueError, match=r"targets of shape \(2, 1\) do not match "
+                                         r"the output \(2, 3\)"):
+        train_supervised(model, data, LossSpec(), OptimizerConfig("adam", eta=0.05),
+                         seed=0, max_epochs=200, target_loss=1e-12)
+
+
+@settings(max_examples=60)
+@given(diffusion=st.booleans(), width=st.integers(1, 16),
+       offset=st.integers(-16, 16), seed=st.integers(0, 2**32 - 1))
+def test_first_layer_refuses_inputs_and_targets_off_its_width(diffusion, width, offset,
+                                                              seed):
+    width = max(width, 3) if diffusion else width   # a grid has at least 3 nodes
+    first = DiffusionLayer(make_grid(width, 1.0, 0.2, mirror()), 2, fisher(0.7)) \
+        if diffusion else DenseLayer(width, 3, sigmoid_reaction(1.3))
+    model = Pipeline([first])
+    rng = np.random.default_rng(seed)
+    theta = model.init_theta(rng)
+    X, T = rng.standard_normal((2, width)), rng.standard_normal((2, first.n_out))
+    if offset and width + offset > 0:
+        with pytest.raises(ValueError, match=f"input has {width + offset} columns"):
+            model.forward(theta, rng.standard_normal((2, width + offset)))
+    if offset and first.n_out + offset > 0:
+        T_off = rng.standard_normal((2, first.n_out + offset))
+        with pytest.raises(ValueError, match="targets of shape"):
+            batch_loss(model, theta, list(zip(X, T_off)), LossSpec())
+    # matching widths: the layer's own forward and the loss, bit for bit
+    out, _ = first.forward(model.params(theta)[0], X)
+    np.testing.assert_array_equal(model.forward(theta, X).view(np.int64),
+                                  out.view(np.int64))
+    r = out - T
+    assert batch_loss(model, theta, list(zip(X, T)), LossSpec()) == \
+        0.5 * float(np.vdot(r, r)) / 2
+
+
 def _digest(report):
     return hashlib.sha256(report.loss_curve.tobytes()
                           + report.final_theta.values.tobytes()).hexdigest()
@@ -445,6 +496,31 @@ def test_xor_adam_training_keeps_its_pinned_bytes(seed):
     report = train_supervised(model, _xor_data(), LossSpec(), OptimizerConfig("adam"),
                               seed=seed, max_epochs=300, target_loss=0.0)
     assert report.epochs == 300 and _digest(report) == _XOR_ADAM_DIGESTS[seed]
+
+
+# L-BFGS keeps its last (theta, gradient) pair by reference: these pins
+# guard that no later write reaches it
+_LBFGS_DIGESTS = {
+    "dense nu=0": "876ec3814d6136be81687fbbf78bcd5d50d5f5916dd79e9d9562eeb3982abc01",
+    "dense nu=0.01": "dec312d1a1008464890b5faff5abe19ce52af2dc61722ae2adcb8d442c93a44e",
+    "diffusion": "99aeba02e92e2db4a7e217f1b343728b9ad980d192cfc545d05bfc73dfc87f65",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LBFGS_DIGESTS))
+def test_lbfgs_training_keeps_its_pinned_bytes(case):
+    rng = np.random.default_rng(7)
+    dense = Dataset(list(zip(rng.standard_normal((6, 3)), rng.standard_normal((6, 2)))))
+    opt = OptimizerConfig("lbfgs", eta=0.5, memory=3)
+    if case == "diffusion":
+        fields = Dataset([(x, t) for x, t in rng.uniform(0.0, 1.0, (3, 2, 16))])
+        model = Pipeline([DiffusionLayer(make_grid(16, 1.0, 0.2, mirror()), 4, fisher(1.0))])
+        report = train_supervised(model, fields, LossSpec(), opt, 5, 30, 0.0)
+    else:
+        model = Pipeline.dense([3, 4, 2], [fisher(0.5), no_reaction()])
+        nu = 0.01 if case == "dense nu=0.01" else 0.0
+        report = train_supervised(model, dense, LossSpec(nu), opt, 2, 40, 0.0)
+    assert _digest(report) == _LBFGS_DIGESTS[case]
 
 
 def test_diffusion_adam_fit_keeps_its_pinned_bytes():
