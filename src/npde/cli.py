@@ -291,8 +291,10 @@ def cmd_solve(cfg: _Section, args) -> int:
         n = grid.n_points
         s = max(2, n // 12)
         c = n // 2
-        U[c - s:c + s, c - s:c + s] = 0.5
-        V[c - s:c + s, c - s:c + s] = 0.25
+        # a start below 0 would wrap: on a 3x3 grid the square is the whole grid
+        seed = slice(max(c - s, 0), c + s)
+        U[seed, seed] = 0.5
+        V[seed, seed] = 0.25
         U += 0.02 * (rng.random(grid.shape) - 0.5)
         V += 0.02 * (rng.random(grid.shape) - 0.5)
         U = np.clip(U, 0.0, 1.0)

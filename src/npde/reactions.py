@@ -7,8 +7,9 @@ C's linear part l (the rate, or 0) and the rest R = C - l u (q = R/u where l
 folds): C and dC/du are built from them (fisher's C rounds as r*u - r*u**2),
 and an explicit 1D step folds l, and in a uniform medium q, into its centre
 tap. source adds a fixed forcing field, a read-only copy. A two-component pair
-fills a solver's (2, n, n) buffer through its fused evaluator (gray_scott
-computes U V^2 once), or else by copying f(U, V) and g(U, V), bit for bit alike.
+is pointwise over the solver's padded planes: it fills a (2, n+2, n+2) buffer
+through its fused evaluator (gray_scott computes U V^2 once), or else by
+copying f(U, V) and g(U, V), bit for bit alike.
 """
 
 from __future__ import annotations
@@ -157,6 +158,9 @@ def source(values) -> ReactionSpec:
 class TwoComponentReaction:
     """Pointwise pair f(U,V), g(U,V) driving a two-component system.
 
+    The solver evaluates them on whole padded planes, ghost cells included,
+    and discards what they return there, so each must be pointwise: its value
+    at a cell reads only that cell, and it returns its input's shape.
     ``fused(U, V, out, scratch)``, if given, writes f's and g's bits into out[0]
     and out[1] in one pass, using the plane ``scratch``, and never writes U or V.
     """
@@ -167,12 +171,17 @@ class TwoComponentReaction:
     fused: Callable[..., None] | None = field(default=None, compare=False)
 
     def _fill(self, U, V, out, scratch) -> None:
-        """Write f(U, V) into out[0] and g(U, V) into out[1]: fused, else copied."""
+        """Write f(U, V) into out[0] and g(U, V) into out[1]: fused, else copied.
+        A copied value not of U's shape is refused by the reaction's name."""
         if self.fused is not None:
             self.fused(U, V, out, scratch)
-        else:
-            out[0] = self.f(U, V)
-            out[1] = self.g(U, V)
+            return
+        for c, (name, rate) in enumerate((("f", self.f), ("g", self.g))):
+            value = rate(U, V)
+            if np.shape(value) != U.shape:
+                raise ValueError(f"reaction {self.name!r} is not pointwise: {name} returned "
+                                 f"shape {np.shape(value)} for inputs of shape {U.shape}")
+            out[c] = value
 
 
 def gray_scott(feed: float, kill: float) -> TwoComponentReaction:

@@ -38,15 +38,17 @@ transverse Laplacian:
 
     U' = U + k (Du lap U + f(U, V)),  V' = V + k (Dv lap V + g(U, V)).
 
-U and V are stacked into one (2, n, n) state that a solve advances in place,
-reusing one padded buffer and one scratch buffer for every step. Each pass
-stores from a 64-byte boundary (_aligned): a misaligned vector store splits
-across two cache lines, up to twice the cost, and placement moves no bit. Both
-channels ride along one separable 9-point _laplacian_2d, whose rounding
-differs from the 9-tap sum by a few ulps. The kinetics fill one stacked
-(2, n, n) buffer through the reaction's fused evaluator (gray_scott's
-computes U V^2 once), or by copying f and g when it has none, with the same
-bits; one multiply then scales both channels by k.
+U and V are stacked into one padded (2, n+2, n+2) state that a solve
+advances in place; a step refills its ghost cells after the update, so none
+copies the state in. Every operation runs on whole contiguous padded planes,
+into scratch allocated once per solve, and what lands in ghost cells is
+discarded. Each pass stores from a 64-byte boundary (_aligned): a misaligned
+vector store splits across two cache lines, up to twice the cost, and
+placement moves no bit. Both channels ride along one separable 9-point
+_laplacian_2d, whose rounding differs from the 9-tap sum by a few ulps. The
+pointwise kinetics fill one stacked buffer through the reaction's fused
+evaluator (gray_scott's computes U V^2 once), or by copying f and g when it
+has none, with the same bits; one multiply then scales both channels by k.
 
 Every solve validates once, builds its step once (_stepper or
 _two_component_stepper) and runs it through _march, the one time loop, a
@@ -377,49 +379,47 @@ def _aligned(size: int, lead: int = 0) -> np.ndarray:
 
 def _two_component_stepper(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
                            rxn: TwoComponentReaction, grid: GridSpec):
-    """Validate a two-component solve once; return its stacked state W = [U, V]
-    and the step that advances W in place by one explicit Euler step.
+    """Validate a two-component solve once; return its state, the padded
+    buffer P = [U, V] of shape (2, n+2, n+2) with its ghost cells filled, and
+    the step that advances P in place by one explicit Euler step.
 
-    The padded buffer P, the scratch S and the kinetics' plane are allocated
-    once per solve. The 9-point _laplacian_2d runs over P with both channels
-    riding along and writes into T = S[1:1 + W.size], where its x pass began.
-    The reaction then fills p[m:m + W.size], where the y pass began, as a
-    (2, n, n) region.
+    The scratch buffers are allocated once per solve, and every operation of
+    a step runs on whole contiguous padded planes. The 9-point _laplacian_2d
+    reads P with both channels riding along, its x pass storing into S and
+    its y pass into Y, and writes T = -4 P + Y over S[1:]. The kinetics fill
+    R = Y[m:] from the planes P[0] and P[1]. What lands in ghost cells is
+    discarded: P's are refilled after the update.
     """
     if grid.ndim != 2:
         raise ValueError("two-component stepping expects a 2D grid")
     U0, V0 = np.asarray(U0, dtype=float), np.asarray(V0, dtype=float)
     if U0.shape != grid.shape or V0.shape != grid.shape:
         raise ValueError("U and V must both be shaped to the grid")
-    W = _aligned(2 * U0.size).reshape(2, *grid.shape)
-    W[0], W[1] = U0, V0
-    if not np.all(np.isfinite(W)):
+    if not (np.all(np.isfinite(U0)) and np.all(np.isfinite(V0))):
         raise ValueError("U and V must be finite")
     if not (np.isfinite(Du) and np.isfinite(Dv)):
         raise ValueError(f"Du and Dv must be finite, got {Du} and {Dv}")
     # k * D / h**2 per channel
     scale = (grid.k / grid.h**2) * np.array([Du, Dv], dtype=float).reshape(2, 1, 1)
     m = grid.n_points + 2
-    P, S = _aligned(2 * m * m, m).reshape(2, m, m), _aligned(2 * m * m, 1)
-    lap, plane = _laplacian_2d(P, S, "9pt"), _aligned(U0.size).reshape(grid.shape)
-    interior, p = P[:, 1:-1, 1:-1], P.reshape(-1)
-    T, reaction = S[1:1 + W.size].reshape(W.shape), p[m:m + W.size].reshape(W.shape)
+    P = _aligned(2 * m * m).reshape(2, m, m)
+    P[:, 1:-1, 1:-1] = U0, V0
+    S, Y = _aligned(2 * m * m + 1, 1), _aligned(2 * m * m + m, m)
+    lap, plane = _laplacian_2d(P, S[:-1], "9pt", Y[:-m]), _aligned(m * m).reshape(m, m)
+    T, R = S[1:].reshape(P.shape), Y[m:].reshape(P.shape)
     bc, k = grid.bc, grid.k
 
-    def step(W: np.ndarray) -> np.ndarray:
-        interior[...] = W
-        _fill_ghosts(P, bc)
-        # T = k D/h**2 * lap W + k [f, g], in the now free S and P; out= keeps
-        # T and reaction the closure's buffers
-        lap(W, T)
+    def step(P: np.ndarray) -> np.ndarray:
+        # T = k D/h**2 * lap P + k [f, g]; out= keeps T and R the closure's buffers
+        lap(P, T)
         np.multiply(T, scale, out=T)
-        rxn._fill(W[0], W[1], reaction, plane)
-        np.multiply(reaction, k, out=reaction)
-        np.add(T, reaction, out=T)
-        W += T
-        return W
+        rxn._fill(P[0], P[1], R, plane)
+        np.multiply(R, k, out=R)
+        np.add(T, R, out=T)
+        P += T
+        return _fill_ghosts(P, bc)
 
-    return W, step
+    return _fill_ghosts(P, bc), step
 
 
 def step_two_component(U: np.ndarray, V: np.ndarray, Du: float, Dv: float,
@@ -461,13 +461,15 @@ def solve_two_component(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
     Returns (U, V, frames) where frames is a list of V copies sampled every
     ``record_every`` steps (empty when record_every == 0; a negative one
     raises ValueError). U0 and V0 are not written. Divergence raises
-    DivergenceError carrying the step index (_march).
+    DivergenceError carrying the step index (_march). It checks the padded
+    state, whose ghost cells copy boundary cells or hold the dirichlet value,
+    so the bound's scale is 1 + max(max|U0|, max|V0|, |value|).
     """
     if record_every < 0:
         raise ValueError("record_every must be >= 0")
-    W, advance = _two_component_stepper(U0, V0, Du, Dv, rxn, grid)
+    P, advance = _two_component_stepper(U0, V0, Du, Dv, rxn, grid)
     frames: list[np.ndarray] = []
-    for step, W in enumerate(_march(W, advance, n_steps, "two-component"), start=1):
+    for step, P in enumerate(_march(P, advance, n_steps, "two-component"), start=1):
         if record_every and step % record_every == 0:
-            frames.append(W[1].copy())
-    return W[0], W[1], frames
+            frames.append(P[1, 1:-1, 1:-1].copy())
+    return P[0, 1:-1, 1:-1].copy(), P[1, 1:-1, 1:-1].copy(), frames

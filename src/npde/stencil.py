@@ -167,28 +167,31 @@ def _band_matrix(taps: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
     return _ghost_scatter(M, bc)
 
 
-def _laplacian_2d(P: np.ndarray, S: np.ndarray, stencil2d: str = "5pt"):
+def _laplacian_2d(P: np.ndarray, S: np.ndarray, stencil2d: str = "5pt",
+                  Y: np.ndarray | None = None):
     """The package's one 2D Laplacian (unscaled) over the padded, C-contiguous P.
 
     The caller fills P's ghost cells before each call; leading axes ride
     along. S is a zeroed flat scratch of P.size cells. The passes are
     contiguous shifted adds over the flattened buffers, sliced here once;
     what lands in ghost cells is discarded. 9pt, outer([1/2, 1, 1/2],
-    [1/2, 1, 1/2]) - 4 delta, is a pass along x into S and one along y back
-    into P; 5pt sums the four edge neighbours into S. The first cell a pass
-    stores to is S[1] for the x pass, and p[m] (9pt) or S[m] (5pt) for the y
-    pass, with p the flat P and m its row length: a caller aligns these.
-    Returns lap(centre, out=None), which runs the passes and only then writes
-    out = -4 centre + neighbours, so under 9pt out may alias S.
+    [1/2, 1, 1/2]) - 4 delta, is a pass along x into S and one along y into
+    the flat Y if given, else back into P; 5pt sums the four edge neighbours
+    into S. The first cell a pass stores to is S[1] for the x pass, and Y[m]
+    or p[m] (9pt) or S[m] (5pt) for the y pass, with p the flat P and m its
+    row length: a caller aligns these. Returns lap(centre, out=None), which
+    runs the passes and only then writes out = -4 centre + neighbours, so
+    under 9pt out may alias S. centre and out are P's interior, or, when Y
+    (P.size cells) is given, whole padded planes of P's shape.
     """
     _known_stencil(stencil2d)
     m, p = P.shape[-1], P.reshape(-1)
     if stencil2d == "9pt":
         # out[t] = left[t]/2 + centre[t] + right[t]/2; the y pass reads S one
         # padded row (m cells) apart
+        sums = p if Y is None else Y
         passes = ((p[:-2], p[2:], p[1:-1], S[1:-1]),
-                  (S[:-2 * m], S[2 * m:], S[m:-m], p[m:-m]))
-        neighbours = P[..., 1:-1, 1:-1]
+                  (S[:-2 * m], S[2 * m:], S[m:-m], sums[m:-m]))
 
         def run_passes():
             for left, right, centre, out in passes:
@@ -196,14 +199,16 @@ def _laplacian_2d(P: np.ndarray, S: np.ndarray, stencil2d: str = "5pt"):
                 out *= 0.5
                 out += centre
     else:
-        x, y = S[1:-1], S[m:-m]
+        x, y, sums = S[1:-1], S[m:-m], S
         left, right, below, above = p[:-2], p[2:], p[:-2 * m], p[2 * m:]
-        neighbours = S.reshape(P.shape)[..., 1:-1, 1:-1]
 
         def run_passes():
             np.add(left, right, out=x)
             np.add(y, below, out=y)
             np.add(y, above, out=y)
+    neighbours = sums.reshape(P.shape)
+    if Y is None:
+        neighbours = neighbours[..., 1:-1, 1:-1]
 
     def lap(centre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         run_passes()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import npde.cli
 from npde import train
 from npde.cli import _load_config, main
 from npde.fieldio import (block_from_dict, field_to_pgm, fmt, load_block,
@@ -582,6 +583,25 @@ def test_gray_scott_accepts_the_scheme_it_runs(tmp_path):
     cfg = _gray_scott_config(tmp_path / "gs")
     cfg["run"].update(scheme="explicit", stencil2d="9pt")
     assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+
+
+@pytest.mark.parametrize("n, square", [(3, slice(0, 3)), (4, slice(0, 4)), (8, slice(2, 6)),
+                                       (30, slice(13, 17)), (48, slice(20, 28))])
+def test_gray_scott_seeds_its_centre_square(tmp_path, monkeypatch, n, square):
+    # the square is rows and columns c - s .. c + s - 1 (c = n // 2, s = max(2, n // 12)),
+    # cut at the grid's edge: on a 3x3 grid a wrapped start once seeded one cell
+    seeded = []
+    monkeypatch.setattr(npde.cli, "solve_two_component",
+                        lambda U, V, *args, **kw: seeded.append((U, V)) or (U, V, []))
+    cfg = _gray_scott_config(tmp_path / "gs")
+    cfg["grid"]["n_points"] = n
+    assert run_cli(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+    (U, V), = seeded
+    inside = np.zeros((n, n), dtype=bool)
+    inside[square, square] = True
+    # the noise is at most 0.01 either way, so the seed values stand apart
+    np.testing.assert_array_equal(np.abs(U - 0.5) <= 0.01, inside)
+    np.testing.assert_array_equal(np.abs(V - 0.25) <= 0.01, inside)
 
 
 def test_readme_solve_config_parses(tmp_path):

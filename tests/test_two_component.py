@@ -99,17 +99,48 @@ def test_copy_path_equals_fused_kinetics_bit_for_bit(bc):
 def test_inputs_and_reaction_outputs_are_not_written(correlate_2d, stencil_taps):
     grid, U, V, Du, Dv, _ = _case(3, 9, mirror())
     U0, V0 = U.copy(), V.copy()
-    held = np.full(grid.shape, 0.25)
-    aliasing = TwoComponentReaction("aliasing", lambda U, V: U, lambda U, V: held)
+    # g is pointwise: it hands back one held array per input shape
+    held = {}
+    aliasing = TwoComponentReaction(
+        "aliasing", lambda U, V: U,
+        lambda U, V: held.setdefault(U.shape, np.full(U.shape, 0.25)))
     U2, V2 = step_two_component(U, V, Du, Dv, aliasing, grid)
     U_ref, V_ref = _reference_step(U0, V0, Du, Dv, aliasing, grid, correlate_2d,
                                    stencil_taps["9pt"])
     assert np.max(np.abs(U2 - U_ref)) <= _tolerance(U0, V0, Du, aliasing.f, grid)
-    assert np.max(np.abs(V2 - V_ref)) <= _tolerance(V0, U0, Dv, lambda V, U: held, grid)
+    assert np.max(np.abs(V2 - V_ref)) <= _tolerance(V0, U0, Dv, lambda V, U: aliasing.g(U, V),
+                                                    grid)
     solve_two_component(U, V, Du, Dv, aliasing, grid, 5)
     np.testing.assert_array_equal(U, U0)
     np.testing.assert_array_equal(V, V0)
-    np.testing.assert_array_equal(held, 0.25)
+    assert len(held) == 2
+    for values in held.values():
+        np.testing.assert_array_equal(values, 0.25)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ghost_cell_kinetics_never_reach_the_interior():
+    # the kinetics run on whole padded planes: a NaN they return where U holds
+    # the dirichlet value 5.0, which only ghost cells hold, must go nowhere
+    grid = make_grid(9, 0.5, 0.01, dirichlet(5.0), ndim=2)
+    U, V = np.random.default_rng(8).uniform(0.0, 1.0, (2, 9, 9))
+    rxn = gray_scott(0.04, 0.06)
+    sentinel = TwoComponentReaction(
+        "sentinel", lambda U, V: np.where(U == 5.0, np.nan, rxn.f(U, V)), rxn.g)
+    U_s, V_s, _ = solve_two_component(U, V, 2.0, 1.0, sentinel, grid, 12)
+    U_g, V_g, _ = solve_two_component(U, V, 2.0, 1.0, rxn, grid, 12)
+    assert np.isfinite(U_g).all() and np.all(U_g != 5.0)
+    np.testing.assert_array_equal(U_s.view(np.int64), U_g.view(np.int64))
+    np.testing.assert_array_equal(V_s.view(np.int64), V_g.view(np.int64))
+
+
+@pytest.mark.parametrize("returns", ["grid", "scalar"])
+def test_a_reaction_that_is_not_pointwise_is_refused_by_name(returns):
+    grid, U, V, Du, Dv, rxn = _case(9, 6, mirror())
+    held = np.full(grid.shape, 0.25) if returns == "grid" else 0.25
+    bad = TwoComponentReaction("held-V", rxn.f, lambda U, V: held)
+    with pytest.raises(ValueError, match=r"'held-V' is not pointwise: g returned shape"):
+        solve_two_component(U, V, Du, Dv, bad, grid, 3)
 
 
 def test_recorded_frames_are_copies():
@@ -143,6 +174,17 @@ def test_runaway_growth_trips_the_bound_at_its_step():
         solve_two_component(U, V, 0.0, 0.0, rxn, grid, 40)
     assert err.value.step == expected == 13
     assert f"step {expected}" in str(err.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_dirichlet_value_enters_the_divergence_scale():
+    # the check reads the padded state, so the scale is 1 + max(max|U0|, max|V0|, |value|)
+    U, V, rxn, _ = _uniform_growth(lambda U, V: 9.0 * U)
+    grid = make_grid(6, 1.0, 1.0, dirichlet(-1e3), ndim=2)
+    expected = next(s for s in range(1, 40) if 10.0**s > (1.0 + 1e3) * DIVERGENCE_FACTOR)
+    with pytest.raises(DivergenceError, match="exceeded") as err:
+        solve_two_component(U, V, 0.0, 0.0, rxn, grid, 40)
+    assert err.value.step == expected == 16
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -211,10 +253,10 @@ def test_every_pass_of_the_step_stores_from_a_cache_line(monkeypatch, n):
         made.append(aligned(size, lead))
         return made[-1]
 
-    def recording_laplacian(P, S, stencil2d):
-        lap = laplacian(P, S, stencil2d)
+    def recording_laplacian(P, S, stencil2d, Y):
+        lap = laplacian(P, S, stencil2d, Y)
         first["x pass, S[1]"] = S[1:]
-        first["y pass, p[m]"] = P.reshape(-1)[P.shape[-1]:]
+        first["y pass, Y[m]"] = Y[P.shape[-1]:]
 
         def recorded(centre, out=None):
             first["T"] = out
@@ -232,9 +274,9 @@ def test_every_pass_of_the_step_stores_from_a_cache_line(monkeypatch, n):
     monkeypatch.setattr(solver, "_laplacian_2d", recording_laplacian)
     grid = make_grid(n, 1.0, 0.1, periodic(), ndim=2)
     rxn = TwoComponentReaction(gs.name, gs.f, gs.g, fused)
-    W, step = solver._two_component_stepper(np.ones(grid.shape), np.zeros(grid.shape),
+    P, step = solver._two_component_stepper(np.ones(grid.shape), np.zeros(grid.shape),
                                             0.1, 0.05, rxn, grid)
-    first["W"] = step(W)
+    first["state"] = step(P)
     assert len(first) == 6
     for name, buf in first.items():
         assert buf.ctypes.data % 64 == 0, name
