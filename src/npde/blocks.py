@@ -5,7 +5,7 @@ scaled by the time step and with the Euler identity folded into the center
 tap, is a 1D convolution kernel; a per-node diffusion field under a named 3x3
 Laplacian stencil is a 2D convolution layer; a full-size kernel with one
 channel per output neuron is a dense layer; the traveling-wave substitution
-tau = z - v t turns depth propagation into a two-tap recurrence, i.e. an RNN
+tau = z - v t turns depth propagation into a two-level recurrence, i.e. an RNN
 cell; the explicit one-step matrix assembled from the variable-coefficient
 stencil supplies the coupling weights of an RBM energy.
 
@@ -13,12 +13,13 @@ The central contract is generator/solver equivalence: a generated block's
 forward pass reproduces the corresponding solver step. For conv blocks it
 holds by construction: gen_conv1d's kernels are stencil._step_taps, and a
 block runs the solver's step built from them, stencil._Step1D; a gen_conv2d
-block runs the solver's 2D step, stencil._Step2D, on its A. The RBM and RNN
-matrices lay taps out densely in O(n). Reaction terms enter conv blocks with
-weight k, evaluated on the input slice (diffuse first, react on the
-pre-update slice); dense layers compose their activation in the usual
-y = act(W x + b) sense. Each block has the one forward its generator runs;
-the independent routes, the dense per-channel sums among them, are verify's.
+block runs the solver's 2D step, stencil._Step2D, on its A; an RNN cell runs
+a conv1d block's step plus two scalar couplings. The RBM matrix lays taps out
+densely in O(n). Reaction terms enter conv blocks with weight k, evaluated on
+the input slice (diffuse first, react on the pre-update slice); dense layers
+compose their activation in the usual y = act(W x + b) sense. Each block has
+the one forward its generator runs; the independent routes, the dense
+per-channel sums among them, are verify's.
 """
 
 from __future__ import annotations
@@ -152,50 +153,44 @@ def gen_dense(W: np.ndarray, bias: np.ndarray,
 
 @dataclass(frozen=True)
 class RNNCell:
-    """Two-tap recurrence of the traveling-wave discretization.
+    """Two-level recurrence of the traveling-wave discretization.
 
-    State update: u_{tau+1} = W1 u_tau + W2 u_{tau-1} + U f(tau); the stacked
-    transition [[W1, W2], [I, 0]] shifts the state (W3 = I, W4 = 0 implicit).
-    Generation constants are retained for provenance.
+    State update: u_{tau+1} = step(u_tau) + w_prev u_{tau-1} + w_in f(tau),
+    where step is the 1D step of a Conv1DBlock with these kernels; the stacked
+    state [u_tau; u_{tau-1}] shifts by one. Dxy, Dz and v are kept for
+    provenance.
     """
 
-    W1: np.ndarray
-    W2: np.ndarray
-    U: np.ndarray
+    kernels: np.ndarray           # (n, 3)
+    grid: GridSpec
+    w_prev: float
+    w_in: float
     Dxy: float
     Dz: float
     v: float
-    h: float
-    k: float
 
     def __post_init__(self):
-        for name in ("W1", "W2", "U"):
-            m = _finite(name, getattr(self, name))
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"{name} must be square")
-            object.__setattr__(self, name, m)
-        if self.W1.shape != self.W2.shape or self.W1.shape != self.U.shape:
-            raise ValueError("W1, W2, U must share a shape")
-
-    @property
-    def n(self) -> int:
-        return self.W1.shape[0]
+        conv = Conv1DBlock(self.kernels, self.grid)
+        object.__setattr__(self, "kernels", conv.kernels)
+        object.__setattr__(self, "_conv", conv)
+        for name in ("w_prev", "w_in"):
+            object.__setattr__(self, name, float(_finite(name, getattr(self, name))))
 
 
 def gen_rnn_cell(Dxy: float, Dz: float, v: float, grid: GridSpec) -> RNNCell:
-    """Closed-form RNN weights from the traveling-wave recurrence.
+    """Closed-form RNN cell from the traveling-wave recurrence.
 
     Solving -v (u_{tau+1} - u_tau)/k = Dxy L_T u_tau
             + Dz (u_{tau+1} - 2 u_tau + u_{tau-1})/h**2 + f
-    for u_{tau+1} gives, with T = h**2 L_T (unscaled taps) and
-    den = v h**2 + k Dz:
+    for u_{tau+1}, with den = v h**2 + k Dz, gives the 1D step's taps for the
+    uniform medium A = -Dxy h**2/den with identity (v h**2 + 2 k Dz)/den (L_T
+    pads by the grid's rule, a dirichlet value included), w_prev = -k Dz/den
+    and w_in = -k h**2/den. k -> 0 freezes the recurrence and Dz = 0 gives
+    step = I - (k/v) Dxy L_T, w_prev = 0, w_in = -k/v.
 
-        W1 = (v h**2 I + 2 k Dz I - k Dxy T) / den
-        W2 = -(k Dz / den) I
-        U  = -(k h**2 / den) I
-
-    so k -> 0 freezes the recurrence (W1 -> I, W2, U -> 0) and Dz = 0 gives
-    W1 = I - (k/v) Dxy L_T, W2 = 0, U = -(k/v) I.
+    Marched toward +tau, a cell with Dxy > 0 is the backward heat equation
+    across the transverse grid and grows, its highest mode by about
+    1 + 4 k Dxy/(v h**2) per step; Dxy <= 0 is the diffusive sign.
     """
     if grid.ndim != 1:
         raise ValueError("gen_rnn_cell expects a 1D transverse grid")
@@ -205,26 +200,25 @@ def gen_rnn_cell(Dxy: float, Dz: float, v: float, grid: GridSpec) -> RNNCell:
     den = v * h**2 + k * Dz
     if den == 0.0:
         raise ValueError("degenerate denominator v*h**2 + k*Dz = 0")
-    n = grid.n_points
-    T = _band_matrix(np.broadcast_to([[1.0], [-2.0], [1.0]], (3, n)), grid.bc)
-    I = np.eye(n)
-    W1 = ((v * h**2 + 2.0 * k * Dz) * I - k * Dxy * T) / den
-    W2 = -(k * Dz / den) * I
-    U = -(k * h**2 / den) * I
-    return RNNCell(W1, W2, U, float(Dxy), float(Dz), float(v), h, k)
+    taps = _step_taps(np.full(grid.n_points, -Dxy * h**2 / den), None, grid,
+                      (v * h**2 + 2.0 * k * Dz) / den)
+    return RNNCell(taps.T, grid, -k * Dz / den, -k * h**2 / den,
+                   float(Dxy), float(Dz), float(v))
 
 
 def rnn_forward(cell: RNNCell, h_prev: np.ndarray, f_input: np.ndarray) -> np.ndarray:
     """Advance the stacked state [u_tau; u_{tau-1}] one recurrence step."""
     h_prev = np.asarray(h_prev, dtype=float)
     f_input = np.asarray(f_input, dtype=float)
-    n = cell.n
+    n = cell.grid.n_points
     if h_prev.shape != (2 * n,):
         raise ValueError(f"stacked state must have 2n = {2 * n} entries")
     if f_input.shape != (n,):
         raise ValueError(f"input must have n = {n} entries")
     u_t, u_tm1 = h_prev[:n], h_prev[n:]
-    top = cell.W1 @ u_t + cell.W2 @ u_tm1 + cell.U @ f_input
+    top = cell._conv.forward(u_t)
+    top += cell.w_prev * u_tm1
+    top += cell.w_in * f_input
     return np.concatenate([top, u_t])
 
 

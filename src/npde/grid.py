@@ -10,9 +10,13 @@ padding fields with ghost cells before applying a stencil:
     extend     ghost cells replicate the edge node
     dirichlet  ghost cells are filled with a fixed boundary value
 
-Mirror padding reflects without duplicating the edge cell, which preserves a
-zero normal derivative to first order. 2D grids are square (same n_points and
-h on both axes).
+With nodes at x = 0, h, ..., (n-1) h, the boundary each rule imposes is:
+periodic, period n h; dirichlet, u = value at x = -h and x = n h; mirror,
+(A u)' = 0 at the edge nodes; extend, (A u)' = 0 half a cell outside them.
+Under dirichlet a coefficient is edge-replicated (_coefficient_bc), so a
+nonzero value with a non-uniform A is first order at the edge: node 0's left
+tap weighs the value by A_0, not by A at x = -h. 2D grids are square (same
+n_points and h on both axes).
 
 The rule lives in one table, _GHOST_SOURCE (which cell each ghost copies).
 _ghost_fill applies it along a buffer's last axis; _fill_ghosts and pad are

@@ -27,14 +27,14 @@ with C a pointwise reaction. The gradient-of-A cross term is absorbed into B,
 so B is the effective convection coefficient.
 
 The 1D explicit step has one definition. _step_taps builds the per-node taps
-that gen_conv1d's blocks store, cfl_check judges and the RBM/RNN matrices
-(_band_matrix) and implicit bands read. _Step1D builds the step that solver,
-blocks and DiffusionLayer run, so they agree bit for bit: k l, C's linear part,
-in the centre tap, scalar taps for a uniform medium, and if those are symmetric
-and R = q u (fisher), a (left + right) + (b + k q(u)) u. It is within 4 eps
-((max_j sum_d |taps[d, j]| + k |l|) max|P| + k max|C(u)|) + 5 eta (eta the
-smallest subnormal) of the unfolded taps(P) + k C(u), bit for bit when nothing
-folds. _tap_step_vjp takes an output cotangent to u and the tap rows,
+that gen_conv1d's and gen_rnn_cell's blocks store, cfl_check judges and the
+RBM matrix (_band_matrix) and implicit bands read. _Step1D builds the step
+that solver, blocks and DiffusionLayer run, so they agree bit for bit: k l,
+C's linear part, in the centre tap, scalar taps for a uniform medium, and if
+those are symmetric and R = q u (fisher), a (left + right) + (b + k q(u)) u.
+It is within 4 eps ((max_j sum_d |taps[d, j]| + k |l|) max|P| + k max|C(u)|)
++ 5 eta (eta the smallest subnormal) of the unfolded taps(P) + k C(u), bit
+for bit when nothing folds. _tap_step_vjp takes an output cotangent to u and the tap rows,
 _step_taps_vjp the rows to A. elliptic_apply keeps the divergence form,
 (1/h**2) stencil(A*u), in 1D the reference for the unfolded taps.
 The 2D step has one definition, _Step2D, which the solver, gen_conv2d's blocks

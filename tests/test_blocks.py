@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from npde.blocks import (Conv1DBlock, Conv2DBlock, RBMEnergy, gen_conv1d, gen_conv2d,
                          gen_dense, gen_rbm, gen_rnn_cell, rbm_free_energy,
                          rnn_forward)
-from npde.grid import dirichlet, extend, make_grid, mirror, periodic
+from npde.fieldio import block_to_bytes
+from npde.grid import dirichlet, extend, make_grid, mirror, pad, periodic
 from npde.reactions import fisher, linear, no_reaction, sigmoid_reaction, source
 from npde.solver import step_explicit
-from npde.stencil import EllipticCoefficients
+from npde.stencil import EllipticCoefficients, _band_matrix
 
 
 def test_gen_conv1d_constant_a_rows():
@@ -178,43 +181,99 @@ def test_rnn_cell_dz_zero():
     grid = make_grid(5, 0.5, 0.1, periodic())
     v = 2.0
     cell = gen_rnn_cell(0.0, 0.0, v, grid)
-    np.testing.assert_allclose(cell.W1, np.eye(5), atol=1e-15)
-    np.testing.assert_allclose(cell.W2, np.zeros((5, 5)), atol=1e-15)
-    np.testing.assert_allclose(cell.U, -(grid.k / v) * np.eye(5), atol=1e-15)
+    np.testing.assert_allclose(cell.kernels, np.tile([0.0, 1.0, 0.0], (5, 1)), atol=1e-15)
+    assert abs(cell.w_prev) <= 1e-15
+    assert cell.w_in == pytest.approx(-grid.k / v, abs=1e-15)
 
 
 def test_rnn_cell_dz_zero_transverse_coupling():
-    from npde.stencil import _band_matrix
+    # the step is I - (k/v) L_T, L_T the unscaled [1, -2, 1] over h**2
     grid = make_grid(5, 0.5, 0.1, periodic())
     v = 2.0
     cell = gen_rnn_cell(1.0, 0.0, v, grid)
-    L = _band_matrix(np.broadcast_to([[1.0], [-2.0], [1.0]], (3, 5)) / grid.h**2, grid.bc)
-    np.testing.assert_allclose(cell.W1, np.eye(5) - (grid.k / v) * L, atol=1e-14)
+    side = (grid.k / v) / grid.h**2
+    np.testing.assert_allclose(cell.kernels, np.tile([-side, 1.0 + 2.0 * side, -side], (5, 1)),
+                               atol=1e-14)
 
 
 def test_rnn_cell_frozen_at_k_zero_limit():
     grid = make_grid(5, 0.5, 1e-12, periodic())
     cell = gen_rnn_cell(0.8, 0.4, 1.5, grid)
-    np.testing.assert_allclose(cell.W1, np.eye(5), atol=1e-9)
-    np.testing.assert_allclose(cell.W2, np.zeros((5, 5)), atol=1e-9)
-    np.testing.assert_allclose(cell.U, np.zeros((5, 5)), atol=1e-9)
+    np.testing.assert_allclose(cell.kernels, np.tile([0.0, 1.0, 0.0], (5, 1)), atol=1e-9)
+    assert abs(cell.w_prev) <= 1e-9
+    assert abs(cell.w_in) <= 1e-9
 
 
 def test_rnn_cell_satisfies_recurrence():
-    # the generated matrices must solve the traveling-wave recurrence
+    # the generated cell must solve the traveling-wave recurrence, its
+    # transverse Laplacian padded by the grid's rule, a dirichlet value included
     rng = np.random.default_rng(28)
     n = 9
     Dxy, Dz, v = 0.6, 0.25, 1.1
-    grid = make_grid(n, 0.5, 0.05, periodic())
+    for bc in [periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(0.5)]:
+        grid = make_grid(n, 0.5, 0.05, bc)
+        cell = gen_rnn_cell(Dxy, Dz, v, grid)
+        u = rng.standard_normal(n)
+        u_prev = rng.standard_normal(n)
+        f = rng.standard_normal(n)
+        nxt = rnn_forward(cell, np.concatenate([u, u_prev]), f)[:n]
+        P = pad(u, bc)
+        lap = (P[:-2] - 2 * u + P[2:]) / grid.h**2
+        lhs = -v * (nxt - u) / grid.k
+        rhs = Dxy * lap + Dz * (nxt - 2 * u + u_prev) / grid.h**2 + f
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10, err_msg=bc.kind)
+
+
+@pytest.mark.parametrize("bc", [periodic(), mirror(), extend(), dirichlet(0.0)],
+                         ids=["periodic", "mirror", "extend", "dirichlet0"])
+def test_rnn_forward_equals_the_dense_cell(bc):
+    # the reference is the dense cell: W1 the unscaled band T as an (n, n)
+    # matrix, W2 and U multiples of I
+    rng = np.random.default_rng(29)
+    n, Dxy, Dz, v = 11, 0.7, 0.3, 1.3
+    grid = make_grid(n, 0.5, 0.05, bc)
+    h, k = grid.h, grid.k
+    den = v * h**2 + k * Dz
+    T = _band_matrix(np.broadcast_to([[1.0], [-2.0], [1.0]], (3, n)), bc)
+    W1 = ((v * h**2 + 2.0 * k * Dz) * np.eye(n) - k * Dxy * T) / den
+    W2 = -(k * Dz / den) * np.eye(n)
+    U = -(k * h**2 / den) * np.eye(n)
     cell = gen_rnn_cell(Dxy, Dz, v, grid)
-    u = rng.standard_normal(n)
-    u_prev = rng.standard_normal(n)
-    f = rng.standard_normal(n)
-    nxt = rnn_forward(cell, np.concatenate([u, u_prev]), f)[:n]
-    lap = (np.roll(u, 1) - 2 * u + np.roll(u, -1)) / grid.h**2
-    lhs = -v * (nxt - u) / grid.k
-    rhs = Dxy * lap + Dz * (nxt - 2 * u + u_prev) / grid.h**2 + f
-    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
+    for _ in range(10):
+        u, u_prev, f = rng.standard_normal((3, n))
+        out = rnn_forward(cell, np.concatenate([u, u_prev]), f)
+        np.testing.assert_allclose(out[:n], W1 @ u + W2 @ u_prev + U @ f, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(out[n:], u)
+
+
+def _companion_radius(cell):
+    # columns of the stacked map [u; u_prev] -> rnn_forward, input f = 0
+    n = cell.grid.n_points
+    M = np.column_stack([rnn_forward(cell, e, np.zeros(n)) for e in np.eye(2 * n)])
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
+
+
+def test_rnn_cell_with_positive_dxy_grows():
+    # Dxy > 0 marches the backward heat equation: the highest mode grows by
+    # about 1 + 4 k Dxy/(v h**2) per step; Dxy <= 0 is diffusive
+    verify_cell = gen_rnn_cell(0.7, 0.3, 1.3, make_grid(16, 0.5, 0.05, periodic()))
+    assert 1.0 < _companion_radius(verify_cell) == pytest.approx(1.425, abs=1e-3)
+    diffusive = gen_rnn_cell(-0.5, 0.2, 1.0, make_grid(32, 0.5, 0.05, periodic()))
+    assert _companion_radius(diffusive) <= 1.0 + 1e-12
+
+
+def test_rnn_cell_allocates_o_of_n():
+    # a 3-tap step and two scalars: neither the build nor the file holds an
+    # (n, n) matrix (three of them at n = 2000 are 92 MiB)
+    grid = make_grid(2000, 0.5, 0.05, dirichlet(0.5))
+    tracemalloc.start()
+    try:
+        cell = gen_rnn_cell(0.7, 0.3, 1.3, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(block_to_bytes(cell)) < 2**20
 
 
 def test_rnn_degenerate_denominator_rejected():
@@ -228,8 +287,8 @@ def test_rnn_degenerate_denominator_rejected():
 def test_rnn_forward_shift_register():
     grid = make_grid(4, 1.0, 0.1, periodic())
     cell = gen_rnn_cell(0.0, 0.0, 1.0, grid)
-    zero_cell = type(cell)(np.zeros((4, 4)), np.zeros((4, 4)), cell.U,
-                           cell.Dxy, cell.Dz, cell.v, cell.h, cell.k)
+    zero_cell = type(cell)(np.zeros((4, 3)), grid, 0.0, cell.w_in,
+                           cell.Dxy, cell.Dz, cell.v)
     state = np.concatenate([np.arange(4.0), np.zeros(4)])
     out = rnn_forward(zero_cell, state, np.zeros(4))
     np.testing.assert_array_equal(out[:4], np.zeros(4))
@@ -241,7 +300,7 @@ def test_rnn_forward_zero_state_gives_uf():
     cell = gen_rnn_cell(0.3, 0.2, 1.0, grid)
     f = np.array([1.0, -1.0, 2.0, 0.5])
     out = rnn_forward(cell, np.zeros(8), f)
-    np.testing.assert_allclose(out[:4], cell.U @ f, atol=1e-15)
+    np.testing.assert_allclose(out[:4], cell.w_in * f, atol=1e-15)
     np.testing.assert_array_equal(out[4:], np.zeros(4))
 
 

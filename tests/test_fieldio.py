@@ -345,13 +345,12 @@ def _pinned_blocks():
                   b'{"activation":{"kind":"sigmoid","rate":1.5},"kind":"dense",'
                   b'"shapes":{"W":[3,2],"bias":[3]},'
                   b'"weights":{"W":[1.0,-2.0,0.5,0.25,0.0,3.0],"bias":[0.125,-1.0,2.0]}}\n'),
-        "rnn": (RNNCell(np.array([[0.5, 0.25], [0.25, 0.5]]),
-                        np.array([[-0.125, 0.0], [0.0, -0.125]]),
-                        np.array([[-0.25, 0.0], [0.0, -0.25]]), 0.5, 0.25, 1.5, 0.5, 0.125),
-                b'{"constants":{"Dxy":0.5,"Dz":0.25,"h":0.5,"k":0.125,"v":1.5},"kind":"rnn",'
-                b'"shapes":{"U":[2,2],"W1":[2,2],"W2":[2,2]},'
-                b'"weights":{"U":[-0.25,0.0,0.0,-0.25],"W1":[0.5,0.25,0.25,0.5],'
-                b'"W2":[-0.125,0.0,0.0,-0.125]}}\n'),
+        "rnn": (RNNCell(np.array([[0.25, 0.5, 0.25], [0.25, 0.5, 0.25], [0.25, 0.5, 0.25]]),
+                        grid, -0.125, -0.25, 0.5, 0.25, 1.5),
+                b'{"constants":{"Dxy":0.5,"Dz":0.25,"v":1.5,"w_in":-0.25,"w_prev":-0.125},'
+                b'"grid":{"bc":{"kind":"dirichlet","value":0.25},"h":0.5,"k":0.125,"n_points":3,'
+                b'"ndim":1},"kind":"rnn","shapes":{"kernels":[3,3]},'
+                b'"weights":{"kernels":[0.25,0.5,0.25,0.25,0.5,0.25,0.25,0.5,0.25]}}\n'),
         "rbm": (RBMEnergy(np.array([[1.0, -1.0, 0.0], [0.5, 0.0, 2.0]]), np.array([0.25, -0.5]),
                           np.array([1.0, 0.0, -1.0])),
                 b'{"kind":"rbm","shapes":{"W":[2,3],"b":[2],"c":[3]},'
@@ -383,6 +382,13 @@ def test_block_file_entry_without_a_field_is_refused():
                         b'"weights":{"kernel":[0.0,0.25,0.0,0.25,-1.0,0.25,0.0,0.25,0.0]}}\n')
     with pytest.raises(ValueError, match="conv2d block has no field 'kernel'"):
         block_from_dict(conv2d)
+    # an rnn file written while the cell held dense W1, W2 and U matrices
+    rnn = json.loads(b'{"constants":{"Dxy":0.5,"Dz":0.25,"h":0.5,"k":0.125,"v":1.5},"kind":"rnn",'
+                     b'"shapes":{"U":[2,2],"W1":[2,2],"W2":[2,2]},'
+                     b'"weights":{"U":[-0.25,0.0,0.0,-0.25],"W1":[0.5,0.25,0.25,0.5],'
+                     b'"W2":[-0.125,0.0,0.0,-0.125]}}\n')
+    with pytest.raises(ValueError, match="rnn block has no field 'U'"):
+        block_from_dict(rnn)
 
 
 def test_pipeline_file_bytes_are_pinned(tmp_path):

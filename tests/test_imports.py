@@ -1,7 +1,8 @@
 """Every name a package module imports is used, except a lone ``pad`` import marked
 ``# noqa: F401``, every private module-level definition or class method is referenced somewhere in
-the package, every public one is named outside the tests, and every parameter
-of a package function or lambda is read.
+the package, every public one is named outside the tests, every parameter
+of a package function or lambda is read, and among the block generators only
+gen_rbm lays taps out as a dense matrix.
 
 A stdlib stand-in for pyflakes' F401 over src/npde (``__init__`` re-exports
 by design). A ``# noqa: F401`` keeps the ``pad`` names the benchmark tracer
@@ -146,3 +147,12 @@ def _unread_parameters(path: Path) -> list[tuple[str, str, str]]:
 def test_every_parameter_is_read():
     found = [entry for path in sorted(SRC.glob("*.py")) for entry in _unread_parameters(path)]
     assert found == []
+
+
+def test_only_gen_rbm_builds_a_dense_band():
+    # an RBM's W is a general bilinear energy; every other block runs the
+    # step's taps. verify's dense k O_L branch is an independent route.
+    callers = sorted(f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+                     for name, fn in _functions(ast.parse(path.read_text()))
+                     if _references(fn)["_band_matrix"])
+    assert callers == ["blocks.gen_rbm", "verify.check_equivalence"]
