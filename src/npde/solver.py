@@ -52,9 +52,10 @@ has none, with the same bits; one multiply then scales both channels by k.
 
 Every solve validates once, builds its step once (_stepper or
 _two_component_stepper) and runs it through _march, the one time loop, a
-generator that computes a step only when the next slice is asked for.
-forward_slices streams every slice (`npde solve` to disk); solve_forward
-keeps only the final one, the last slice of that stream.
+generator that computes a step only when the next slice is asked for. A
+1D explicit step writes one of two aligned padded buffers from the other and
+hands it back. forward_slices streams a copy of every slice (`npde solve` to
+disk); solve_forward copies only the final one, the last slice of that stream.
 Divergence (non-finite values, or magnitudes beyond DIVERGENCE_FACTOR times
 the initial scale) is reported there with the failing step index, never
 clamped. A single step is a one-step solve.
@@ -73,11 +74,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, _fill_ghosts, _ghost_scatter
+from .grid import GridSpec, _fill_ghosts, _ghost_fill, _ghost_scatter
 from .grid import pad  # noqa: F401 (npde.solver.pad stays bound; no step calls it)
 from .reactions import TwoComponentReaction
-from .stencil import (EllipticCoefficients, _known_stencil, _laplacian_2d, _Step1D, _Step2D,
-                      _step_taps)
+from .stencil import (EllipticCoefficients, _aligned, _known_stencil, _laplacian_2d, _Step1D,
+                      _Step2D, _step_taps)
 
 # A step is declared divergent when max|u| exceeds this factor times the
 # initial scale, long before float64 overflow turns values non-finite.
@@ -96,7 +97,8 @@ class DivergenceError(ArithmeticError):
 
 def _march(u: np.ndarray, advance, n_steps: int, label: str):
     """The one time loop of every solve: yields u after each of ``n_steps``
-    steps u <- advance(u), computing a step only when it is asked for.
+    steps u <- advance(u), computing a step only when it is asked for. A
+    stepper may hand back its own buffer, so a caller that keeps u copies it.
 
     A step whose u is non-finite or beyond DIVERGENCE_FACTOR * (1 + max|u0|)
     raises DivergenceError carrying the step index. The bound is finite even
@@ -324,10 +326,12 @@ def _implicit_stepper(coeffs: EllipticCoefficients, grid: GridSpec):
 
 def _stepper(initial: np.ndarray, coeffs: EllipticCoefficients, grid: GridSpec,
              scheme: str, stencil2d: str = "5pt"):
-    """Validate a solve once; return a copy of its initial state and the step
-    u -> u' each of its steps applies, which reads no array the caller can
-    write later (A is copied, a source field is read-only): a stream read
-    after the caller writes them still marches the solve it was built for.
+    """Validate a solve once; return its initial state (a copy the solve owns)
+    and the step u -> u' each of its steps applies, which reads no array the
+    caller can write later (A is copied, a source field is read-only): a
+    stream read after the caller writes them still marches the solve it was
+    built for. A 1D explicit step runs _Step1D from u's padded buffer into the
+    other's interior (each on a cache line), fills its ghosts and hands it back.
     """
     u = np.array(initial, dtype=float)
     if u.shape != grid.shape:
@@ -340,9 +344,18 @@ def _stepper(initial: np.ndarray, coeffs: EllipticCoefficients, grid: GridSpec,
     coeffs.validate_against(grid)
     if grid.ndim == 2:
         return u, _Step2D(coeffs.A, grid, stencil2d, coeffs.C)
-    P = np.empty(grid.n_points + 2)
-    step = _Step1D(_step_taps(coeffs.A, coeffs.B, grid), grid, coeffs.C)
-    return u, lambda u: step(u, P)
+    step, bc = _Step1D(_step_taps(coeffs.A, coeffs.B, grid), grid, coeffs.C), grid.bc
+    padded = [_aligned(grid.n_points + 2, lead=1) for _ in range(2)]
+    padded[0][1:-1] = u
+    inner = [_ghost_fill(P, bc)[1:-1] for P in padded]
+
+    def advance(u: np.ndarray) -> np.ndarray:
+        dst = int(u is inner[0])    # the buffer u is not in
+        step._into(padded[1 - dst], inner[dst])
+        _ghost_fill(padded[dst], bc)
+        return inner[dst]
+
+    return inner[0], advance
 
 
 def step_explicit(field: np.ndarray, coeffs: EllipticCoefficients,
@@ -368,13 +381,6 @@ def step_implicit(field: np.ndarray, coeffs: EllipticCoefficients,
     into the implicit recurrence recovers the right-hand side within 1e-10.
     """
     return solve_forward(field, coeffs, grid, 1, "implicit").final()
-
-
-def _aligned(size: int, lead: int = 0) -> np.ndarray:
-    """A zeroed flat float buffer of ``size`` cells, element ``lead`` 64-byte aligned."""
-    raw = np.zeros(size + 8)
-    skip = -(raw.ctypes.data // 8 + lead) % 8
-    return raw[skip:skip + size]
 
 
 def _two_component_stepper(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
@@ -435,12 +441,12 @@ def forward_slices(initial: np.ndarray, coeffs: EllipticCoefficients,
                    grid: GridSpec, n_steps: int, scheme: str = "explicit",
                    stencil2d: str = "5pt"):
     """Stream a forward solve: its n_steps+1 slices, initial state first, each
-    a fresh array computed when it is asked for (_march). The input is
+    a fresh copy computed when it is asked for (_march). The input is
     validated, the step built and an implicit matrix factored before this
     returns (_stepper); n_steps < 1 and divergence raise while iterating.
     """
     u, step = _stepper(initial, coeffs, grid, scheme, stencil2d)
-    return itertools.chain((u,), _march(u, step, n_steps, scheme))
+    return map(np.copy, itertools.chain((u,), _march(u, step, n_steps, scheme)))
 
 
 def solve_forward(initial: np.ndarray, coeffs: EllipticCoefficients,
@@ -449,8 +455,8 @@ def solve_forward(initial: np.ndarray, coeffs: EllipticCoefficients,
     """March ``n_steps`` steps now and keep only the final slice, the last of
     forward_slices, in O(n) memory. n_steps < 1 and divergence
     (DivergenceError carrying the step) raise here."""
-    stream = forward_slices(initial, coeffs, grid, n_steps, scheme, stencil2d)
-    return Trajectory(collections.deque(stream, maxlen=1).pop())
+    u, step = _stepper(initial, coeffs, grid, scheme, stencil2d)
+    return Trajectory(collections.deque(_march(u, step, n_steps, scheme), maxlen=1).pop().copy())
 
 
 def solve_two_component(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,

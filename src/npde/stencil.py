@@ -34,7 +34,9 @@ C's linear part, in the centre tap, scalar taps for a uniform medium, and if
 those are symmetric and R = q u (fisher), a (left + right) + (b + k q(u)) u.
 It is within 4 eps ((max_j sum_d |taps[d, j]| + k |l|) max|P| + k max|C(u)|)
 + 5 eta (eta the smallest subnormal) of the unfolded taps(P) + k C(u), bit
-for bit when nothing folds. _tap_step_vjp takes an output cotangent to u and the tap rows,
+for bit when nothing folds. _Step1D._into writes it into a given array: the
+solver's 1D state lives in two aligned padded buffers (_aligned) that steps
+write in turn. _tap_step_vjp takes an output cotangent to u and the tap rows,
 _step_taps_vjp the rows to A. elliptic_apply keeps the divergence form,
 (1/h**2) stencil(A*u), in 1D the reference for the unfolded taps.
 The 2D step has one definition, _Step2D, which the solver, gen_conv2d's blocks
@@ -57,6 +59,13 @@ STENCILS_2D = ("5pt", "9pt")
 def _known_stencil(name: str) -> None:
     if name not in STENCILS_2D:
         raise ValueError(f"unknown 2D stencil {name!r}; expected one of {STENCILS_2D}")
+
+
+def _aligned(size: int, lead: int = 0) -> np.ndarray:
+    """A zeroed flat float buffer of ``size`` cells, element ``lead`` 64-byte aligned."""
+    raw = np.zeros(size + 8)
+    skip = -(raw.ctypes.data // 8 + lead) % 8
+    return raw[skip:skip + size]
 
 
 def _apply_taps(taps, P: np.ndarray) -> np.ndarray:
@@ -105,9 +114,11 @@ def _step_taps_vjp(g_taps: np.ndarray, grid: GridSpec) -> np.ndarray:
 class _Step1D:
     """The 1D explicit step that runs, built once from _step_taps' (3, n) taps:
     k l (ReactionSpec.split) added to the centre row, constant rows as three
-    floats, whose products are the rows' bit for bit. A call pads u's last axis
-    (into P when given), applies the taps and adds k R(u), or, for symmetric
-    scalar taps and R = q u (fisher), runs a (left + right) + (b + k q(u)) u.
+    0-d arrays, whose products are the rows' bit for bit. A call pads u's last
+    axis (into P when given, else into a buffer kept per leading shape) and
+    returns a fresh array (_into: into out), applying the taps and adding k R(u),
+    or, for symmetric scalar taps and R = q u (fisher), running a (left + right)
+    + (b + k q(u)) u, the centre factor in an aligned scratch.
     """
 
     def __init__(self, taps: np.ndarray, grid: GridSpec,
@@ -116,26 +127,40 @@ class _Step1D:
         if linear != 0.0:
             taps = np.stack([taps[0], taps[1] + linear, taps[2]])
         if np.all(taps == taps[:, :1]):
-            taps = tuple(float(row[0]) for row in taps)
-        self.taps, self.grid = taps, grid
+            taps = tuple(np.array(row[0]) for row in taps)
+        self.taps, self.grid, self.shape = taps, grid, None
         self.pair = isinstance(taps, tuple) and taps[0] == taps[2] and self.q is not None
+        self._buffers((grid.n_points,))
+
+    def _buffers(self, shape: tuple) -> None:
+        """Rebuild the padded buffer and the centre scratch when u's shape changes."""
+        if self.shape != shape:
+            self.shape, self.P = shape, np.empty(shape[:-1] + (shape[-1] + 2,))
+            self.centre = _aligned(int(np.prod(shape))).reshape(shape) if self.pair else None
 
     def __call__(self, u: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
-        if P is None:
-            P = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
+        self._buffers(u.shape)
+        P = self.P if P is None else P
         P[..., 1:-1] = u
-        _ghost_fill(P, self.grid.bc)
+        return self._into(_ghost_fill(P, self.grid.bc))
+
+    def _into(self, P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The step from the ghost-filled P into out (a fresh array when None)."""
         if self.pair:
-            out = np.add(P[..., :-2], P[..., 2:])
+            u = P[..., 1:-1]
+            out = np.add(P[..., :-2], P[..., 2:], out=out)
             out *= self.taps[0]
-            centre = self.q(u)
+            centre = self.q(u, out=self.centre)
             centre += self.taps[1]
             centre *= u
             out += centre
             return out
-        out = _apply_taps(self.taps, P)
+        step = _apply_taps(self.taps, P)
         if self.rest is not None:
-            out += self.rest(u)
+            step += self.rest(P[..., 1:-1])
+        if out is None:
+            return step
+        out[...] = step
         return out
 
 

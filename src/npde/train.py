@@ -333,7 +333,7 @@ class TrainReport:
 
     loss_curve: np.ndarray
     final_theta: ThetaVector
-    stop_reason: str                # target_loss | max_epochs | divergence
+    stop_reason: str                # target_loss | max_epochs | divergence | stalled
     final_loss: float
 
     @property
@@ -357,7 +357,9 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
 
     Theta starts from ``theta0`` when given, else seed-randomized. Divergence
     (non-finite loss or loss above 1e12) stops the run and keeps the last
-    finite parameters.
+    finite parameters. A Gauss-Newton step that raises the loss is halved, at
+    most 30 times; if none lowers it, the run stops as ``stalled`` and keeps
+    the last accepted parameters.
     """
     if max_epochs < 0:
         raise ValueError("max_epochs must be >= 0")
@@ -398,6 +400,17 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
                 new_theta = theta.with_values(theta.values + opt.eta * direction)
                 prev = theta.values, g
         new_loss, new_residual, new_caches = _evaluate(model, new_theta, X, T, loss)
+        if opt.kind == "gauss_newton":      # halve a step that raises the loss, at most 30 times
+            step = new_theta.values - theta.values
+            for _ in range(30):
+                if new_loss <= current:
+                    break
+                step *= 0.5
+                new_theta = theta.with_values(theta.values + step)
+                new_loss, new_residual, new_caches = _evaluate(model, new_theta, X, T, loss)
+            if not new_loss <= current:
+                stop_reason = "stalled"
+                break
         if not new_loss <= DIVERGENCE_LOSS:     # NaN and inf included
             stop_reason = "divergence"
             break

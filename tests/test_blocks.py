@@ -50,6 +50,27 @@ def test_conv1d_equals_explicit_step(bc):
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("A, reaction", [(1.0, fisher(1.0)), (None, sigmoid_reaction(1.5)),
+                                         (None, source(np.linspace(-1.0, 1.0, 9)))],
+                         ids=["pair", "taps", "source"])
+def test_conv1d_step_rebuilds_its_buffers_when_the_shape_changes(A, reaction):
+    # the step keeps its padded buffer and centre scratch per leading shape:
+    # (n,), then a batch, then (n,) again each equal a fresh block's step
+    rng = np.random.default_rng(11)
+    grid = make_grid(9, 0.5, 0.02, mirror())
+    A = rng.uniform(0.5, 1.5, 9) if A is None else np.full(9, A)
+    coeffs = EllipticCoefficients(A, None, reaction)
+    block = gen_conv1d(coeffs, grid)
+    for u in (rng.uniform(0.0, 1.0, 9), rng.uniform(0.0, 1.0, (3, 9)), rng.uniform(0.0, 1.0, 9)):
+        fresh = gen_conv1d(coeffs, grid)._step(u)
+        got = block._step(u)
+        assert got.shape == u.shape
+        np.testing.assert_array_equal(got.view(np.int64), fresh.view(np.int64))
+        if u.ndim == 1:
+            want = step_explicit(u, coeffs, grid)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_conv1d_folds_convection():
     rng = np.random.default_rng(22)
     n = 11

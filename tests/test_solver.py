@@ -350,6 +350,58 @@ def test_solve_is_the_last_slice_of_its_stream(bc, n, m, seed, reaction, case):
 
 
 @pytest.mark.parametrize("scheme,ndim", [("explicit", 1), ("explicit", 2), ("implicit", 1)])
+def test_a_written_slice_changes_no_later_slice(scheme, ndim):
+    # the 1D explicit state lives in two buffers that the steps write in turn:
+    # a streamed slice is a copy, so the caller may keep or write it
+    rng = np.random.default_rng(8)
+    grid = make_grid(8, 0.5, 0.01, mirror(), ndim)
+    coeffs = EllipticCoefficients(rng.uniform(0.5, 1.5, grid.shape), None, fisher(0.5))
+    u0 = rng.uniform(0.0, 1.0, grid.shape)
+    want = [_bits(s).copy() for s in forward_slices(u0, coeffs, grid, 6, scheme)]
+    kept = []
+    for s in forward_slices(u0, coeffs, grid, 6, scheme):
+        kept.append(s)
+        np.testing.assert_array_equal(_bits(s), want[len(kept) - 1])
+        s[...] = np.nan
+    assert all(np.isnan(s).all() for s in kept)
+    assert len({id(s) for s in kept}) == len(kept)
+
+
+@pytest.mark.parametrize("n", [3, 8, 17, 4000])
+@pytest.mark.parametrize("bc", [periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(-1.3)])
+def test_every_store_of_the_1d_march_starts_on_a_cache_line(monkeypatch, n, bc):
+    # a misaligned vector store splits across two cache lines: the two state
+    # interiors and the pair form's centre scratch each start on a 64-byte
+    # boundary, inside a buffer that _aligned made
+    aligned, into = npde.stencil._aligned, npde.stencil._Step1D._into
+    made, stores = [], []
+
+    def recording_aligned(size, lead=0):
+        made.append(aligned(size, lead))
+        return made[-1]
+
+    def recording_into(step, P, out=None):
+        stores.append((out, step.centre))
+        return into(step, P, out)
+
+    for module in (npde.solver, npde.stencil):
+        monkeypatch.setattr(module, "_aligned", recording_aligned)
+    monkeypatch.setattr(npde.stencil._Step1D, "_into", recording_into)
+    grid = make_grid(n, 0.1, 0.004, bc)
+    coeffs = EllipticCoefficients.constant(grid, 1.0, reaction=fisher(1.0))
+    u0 = np.random.default_rng(n).uniform(0.0, 1.0, n)
+    u, advance = npde.solver._stepper(u0, coeffs, grid, "explicit")
+    states = [u, advance(u)]
+    states.append(advance(states[-1]))
+    assert states[2] is states[0] and states[1] is not states[0]
+    assert len(stores) == 2 and all(centre is not None for _, centre in stores)
+    for buf in [*states, *(b for pair in stores for b in pair)]:
+        assert buf.ctypes.data % 64 == 0
+        assert any(np.shares_memory(buf, b) for b in made)
+    np.testing.assert_array_equal(states[0], solve_forward(u0, coeffs, grid, 2).final())
+
+
+@pytest.mark.parametrize("scheme,ndim", [("explicit", 1), ("explicit", 2), ("implicit", 1)])
 def test_stream_ignores_writes_after_it_is_built(scheme, ndim):
     # the step reads no array the caller keeps: A is copied (the 2D step
     # reads it every step) and a source field is the reaction's read-only copy

@@ -246,6 +246,51 @@ def test_gauss_newton_minimises_the_weight_decayed_loss():
     assert report.final_loss == pytest.approx(min_loss, rel=1e-9)
 
 
+def _sigmoid_net_case():
+    # a 3-4-2 sigmoid net on 40 sigmoid targets: undamped steps without
+    # acceptance drove max|theta| to about 4e191 in 30 epochs
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((40, 3))
+    Y = 1.0 / (1.0 + np.exp(-rng.standard_normal((40, 2))))
+    model = Pipeline.dense([3, 4, 2], [sigmoid_reaction(1.0), sigmoid_reaction(1.0)])
+    return model, Dataset([(x, y) for x, y in zip(X, Y)])
+
+
+def test_gauss_newton_keeps_only_steps_that_lower_the_loss():
+    model, data = _sigmoid_net_case()
+    theta0 = model.init_theta(np.random.default_rng(1))
+    loss0 = batch_loss(model, theta0, data.samples, LossSpec())
+    report = train_supervised(model, data, LossSpec(), OptimizerConfig("gauss_newton", eta=0.5),
+                              seed=1, max_epochs=30, target_loss=0.0)
+    assert report.stop_reason == "max_epochs" and report.epochs == 30
+    curve = np.concatenate([[loss0], report.loss_curve])
+    assert np.all(np.diff(curve) <= 0.0) and curve[-1] < curve[0]
+    assert float(np.max(np.abs(report.final_theta.values))) < 1e3
+
+
+def test_gauss_newton_stalls_when_no_halving_lowers_the_loss(monkeypatch):
+    # an ascent step: every halving still raises the loss, so after 30 halvings
+    # the run stops with the last accepted theta, here the initial one
+    model, data = _sigmoid_net_case()
+    theta0 = model.init_theta(np.random.default_rng(1))
+    monkeypatch.setattr(npde.train, "gauss_newton_step",
+                        lambda theta, r, J, eta: theta.with_values(theta.values + J.T @ r))
+    calls = []
+    forward = Pipeline.forward_with_caches
+
+    def counted(self, theta, x):
+        calls.append(theta)
+        return forward(self, theta, x)
+
+    monkeypatch.setattr(Pipeline, "forward_with_caches", counted)
+    report = train_supervised(model, data, LossSpec(nu=0.01), OptimizerConfig("gauss_newton"),
+                              seed=0, max_epochs=5, target_loss=0.0, theta0=theta0)
+    assert report.stop_reason == "stalled" and not report.converged
+    assert report.epochs == 0 and len(calls) == 1 + 1 + 30
+    np.testing.assert_array_equal(report.final_theta.values, theta0.values)
+    assert report.final_loss == batch_loss(model, theta0, data.samples, LossSpec(nu=0.01))
+
+
 def test_lbfgs_beats_sgd_on_quadratic_bowl():
     rng = np.random.default_rng(56)
     X = rng.standard_normal((30, 4)) * np.array([1.0, 1.0, 5.0, 0.2])
