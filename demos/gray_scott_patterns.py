@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from npde import gray_scott, make_grid, periodic, solve_two_component
+from npde import gray_scott, gray_scott_start, make_grid, periodic, solve_two_component
 from npde.fieldio import save_field_pgm
 
 N = 128
@@ -19,16 +19,8 @@ OUT = Path("gray_scott_out")
 
 if __name__ == "__main__":
     grid = make_grid(N, 2.5 / N, 1.0, periodic(), ndim=2)
-    rng = np.random.default_rng(42)
-    U = np.ones((N, N))
-    V = np.zeros((N, N))
-    for ci, cj in ((N // 2, N // 2), (N // 4, N // 4), (N // 4, 3 * N // 4),
-                   (3 * N // 4, N // 4), (3 * N // 4, 3 * N // 4)):
-        U[ci - 3:ci + 3, cj - 3:cj + 3] = 0.5
-        V[ci - 3:ci + 3, cj - 3:cj + 3] = 0.25
-    U += 0.02 * (rng.random((N, N)) - 0.5)
-    V += 0.02 * (rng.random((N, N)) - 0.5)
-    U, V = np.clip(U, 0, 1), np.clip(V, 0, 1)
+    centres = [(i * N // 4, j * N // 4) for i, j in ((2, 2), (1, 1), (1, 3), (3, 1), (3, 3))]
+    U, V = gray_scott_start(N, np.random.default_rng(42), centres, 3)
 
     var0 = np.var(V)
     OUT.mkdir(exist_ok=True)

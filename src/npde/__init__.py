@@ -4,7 +4,8 @@ discretization generates neural building blocks with learnable coefficients."""
 from .grid import (BoundaryCondition, GridSpec, dirichlet, extend, make_grid,
                    mirror, pad, pad_coefficient, periodic)
 from .reactions import (ReactionSpec, TwoComponentReaction, fisher, gray_scott,
-                        linear, no_reaction, sigmoid, sigmoid_reaction, source)
+                        gray_scott_start, linear, no_reaction, sigmoid,
+                        sigmoid_reaction, source)
 from .stencil import EllipticCoefficients, elliptic_apply
 from .solver import (CflReport, DivergenceError, Trajectory, cfl_check,
                      solve_forward, solve_two_component, step_explicit,

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import blocks, fieldio, train, verify
 from .grid import BC_KINDS, BoundaryCondition, GridSpec, make_grid
-from .reactions import ReactionSpec, gray_scott
+from .reactions import ReactionSpec, gray_scott, gray_scott_start
 from .reference import GaussianProfile
 from .solver import DivergenceError, forward_slices, solve_two_component
 from .stencil import STENCILS_2D, EllipticCoefficients
@@ -286,19 +286,8 @@ def cmd_solve(cfg: _Section, args) -> int:
         # and it seeds its own U and V, so it reads no run.initial
         run.value("scheme", _text("explicit"), "explicit")
         run.value("stencil2d", _text("9pt"), "9pt")
-        U = np.ones(grid.shape)
-        V = np.zeros(grid.shape)
         n = grid.n_points
-        s = max(2, n // 12)
-        c = n // 2
-        # a start below 0 would wrap: on a 3x3 grid the square is the whole grid
-        seed = slice(max(c - s, 0), c + s)
-        U[seed, seed] = 0.5
-        V[seed, seed] = 0.25
-        U += 0.02 * (rng.random(grid.shape) - 0.5)
-        V += 0.02 * (rng.random(grid.shape) - 0.5)
-        U = np.clip(U, 0.0, 1.0)
-        V = np.clip(V, 0.0, 1.0)
+        U, V = gray_scott_start(n, rng, [(n // 2, n // 2)], max(2, n // 12))
         compute = partial(solve_two_component, U, V, Du, Dv, rxn, grid, n_steps,
                           record_every=stride)
     else:

@@ -210,3 +210,17 @@ def gray_scott(feed: float, kill: float) -> TwoComponentReaction:
         np.subtract(uvv, out[1], out=out[1])
 
     return TwoComponentReaction(f"gray_scott(F={F},kr={kr})", f, g, fused)
+
+
+def gray_scott_start(n: int, rng: np.random.Generator, centres, half: int):
+    """Gray-Scott's seeded (U, V) on an n x n grid: U = 1, V = 0 but for U = 1/2,
+    V = 1/4 on the square of half-width ``half`` about each (i, j) of centres,
+    cut at the low edge (a start below 0 would wrap), plus uniform noise in
+    +-0.01 drawn from rng, U's before V's, then clipped to [0, 1]."""
+    U, V = np.ones((n, n)), np.zeros((n, n))
+    for i, j in centres:
+        square = slice(max(i - half, 0), i + half), slice(max(j - half, 0), j + half)
+        U[square], V[square] = 0.5, 0.25
+    U += 0.02 * (rng.random((n, n)) - 0.5)
+    V += 0.02 * (rng.random((n, n)) - 0.5)
+    return np.clip(U, 0.0, 1.0), np.clip(V, 0.0, 1.0)

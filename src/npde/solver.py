@@ -417,7 +417,7 @@ def _two_component_stepper(U0: np.ndarray, V0: np.ndarray, Du: float, Dv: float,
 
     def step(P: np.ndarray) -> np.ndarray:
         # T = k D/h**2 * lap P + k [f, g]; out= keeps T and R the closure's buffers
-        lap(P, T)
+        lap(T)
         np.multiply(T, scale, out=T)
         rxn._fill(P[0], P[1], R, plane)
         np.multiply(R, k, out=R)

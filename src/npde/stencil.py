@@ -34,13 +34,15 @@ C's linear part, in the centre tap, scalar taps for a uniform medium, and if
 those are symmetric and R = q u (fisher), a (left + right) + (b + k q(u)) u.
 It is within 4 eps ((max_j sum_d |taps[d, j]| + k |l|) max|P| + k max|C(u)|)
 + 5 eta (eta the smallest subnormal) of the unfolded taps(P) + k C(u), bit
-for bit when nothing folds. _Step1D._into writes it into a given array: the
-solver's 1D state lives in two aligned padded buffers (_aligned) that steps
-write in turn. _tap_step_vjp takes an output cotangent to u and the tap rows,
-_step_taps_vjp the rows to A. elliptic_apply keeps the divergence form,
-(1/h**2) stencil(A*u), in 1D the reference for the unfolded taps.
-The 2D step has one definition, _Step2D, which the solver, gen_conv2d's blocks
-and diffusion_term run over the one separable 2D Laplacian, _laplacian_2d.
+for bit when nothing folds. _apply_taps and _Step1D._into write into the
+array they are handed (a fresh one when none): the solver's 1D state lives in
+two aligned padded buffers (_aligned) that steps write in turn. _tap_step_vjp
+takes an output cotangent to u and the tap rows, _step_taps_vjp the rows to
+A. elliptic_apply keeps the divergence form, (1/h**2) stencil(A*u), in 1D the
+reference for the unfolded taps. The 2D step has one definition, _Step2D,
+which the solver, gen_conv2d's blocks and diffusion_term run over the one
+separable 2D Laplacian, _laplacian_2d, on whole padded planes: _Step2D keeps
+the interior of its result, the Gray-Scott step all of it.
 """
 
 from __future__ import annotations
@@ -68,13 +70,13 @@ def _aligned(size: int, lead: int = 0) -> np.ndarray:
     return raw[skip:skip + size]
 
 
-def _apply_taps(taps, P: np.ndarray) -> np.ndarray:
-    """The package's one 3-tap correlation, along P's last axis.
+def _apply_taps(taps, P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The package's one 3-tap correlation along P's last axis, into out if given.
 
     Each taps[d] is a scalar or a contiguous row of per-node weights; leading
     axes of P ride along.
     """
-    out = taps[0] * P[..., :-2]
+    out = np.multiply(taps[0], P[..., :-2], out=out)
     out += taps[1] * P[..., 1:-1]
     out += taps[2] * P[..., 2:]
     return out
@@ -155,12 +157,9 @@ class _Step1D:
             centre *= u
             out += centre
             return out
-        step = _apply_taps(self.taps, P)
+        out = _apply_taps(self.taps, P, out)
         if self.rest is not None:
-            step += self.rest(P[..., 1:-1])
-        if out is None:
-            return step
-        out[...] = step
+            out += self.rest(P[..., 1:-1])
         return out
 
 
@@ -192,31 +191,27 @@ def _band_matrix(taps: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
     return _ghost_scatter(M, bc)
 
 
-def _laplacian_2d(P: np.ndarray, S: np.ndarray, stencil2d: str = "5pt",
-                  Y: np.ndarray | None = None):
-    """The package's one 2D Laplacian (unscaled) over the padded, C-contiguous P.
+def _laplacian_2d(P: np.ndarray, S: np.ndarray, stencil2d: str, Y: np.ndarray):
+    """The package's one 2D Laplacian (unscaled), over whole padded C-contiguous planes P.
 
     The caller fills P's ghost cells before each call; leading axes ride
-    along. S is a zeroed flat scratch of P.size cells. The passes are
-    contiguous shifted adds over the flattened buffers, sliced here once;
-    what lands in ghost cells is discarded. 9pt, outer([1/2, 1, 1/2],
-    [1/2, 1, 1/2]) - 4 delta, is a pass along x into S and one along y into
-    the flat Y if given, else back into P; 5pt sums the four edge neighbours
-    into S. The first cell a pass stores to is S[1] for the x pass, and Y[m]
-    or p[m] (9pt) or S[m] (5pt) for the y pass, with p the flat P and m its
-    row length: a caller aligns these. Returns lap(centre, out=None), which
-    runs the passes and only then writes out = -4 centre + neighbours, so
-    under 9pt out may alias S. centre and out are P's interior, or, when Y
-    (P.size cells) is given, whole padded planes of P's shape.
+    along. S and Y are zeroed flat scratch of P.size cells (5pt reads no Y).
+    The passes are contiguous shifted adds over the flattened buffers, sliced
+    here once; what lands in ghost cells is discarded. 9pt, outer([1/2, 1,
+    1/2], [1/2, 1, 1/2]) - 4 delta, is a pass along x into S and one along y
+    into Y; 5pt sums the four edge neighbours into S. The first cell a pass
+    stores to is S[1] for the x pass, and Y[m] (9pt) or S[m] (5pt) for the y
+    pass, with m P's row length: a caller aligns these. Returns lap(out=None),
+    which runs the passes and only then writes out = -4 P + neighbours, a
+    plane of P's shape, so under 9pt out may alias S.
     """
     _known_stencil(stencil2d)
     m, p = P.shape[-1], P.reshape(-1)
     if stencil2d == "9pt":
         # out[t] = left[t]/2 + centre[t] + right[t]/2; the y pass reads S one
         # padded row (m cells) apart
-        sums = p if Y is None else Y
         passes = ((p[:-2], p[2:], p[1:-1], S[1:-1]),
-                  (S[:-2 * m], S[2 * m:], S[m:-m], sums[m:-m]))
+                  (S[:-2 * m], S[2 * m:], S[m:-m], Y[m:-m]))
 
         def run_passes():
             for left, right, centre, out in passes:
@@ -224,20 +219,18 @@ def _laplacian_2d(P: np.ndarray, S: np.ndarray, stencil2d: str = "5pt",
                 out *= 0.5
                 out += centre
     else:
-        x, y, sums = S[1:-1], S[m:-m], S
+        x, y = S[1:-1], S[m:-m]
         left, right, below, above = p[:-2], p[2:], p[:-2 * m], p[2 * m:]
 
         def run_passes():
             np.add(left, right, out=x)
             np.add(y, below, out=y)
             np.add(y, above, out=y)
-    neighbours = sums.reshape(P.shape)
-    if Y is None:
-        neighbours = neighbours[..., 1:-1, 1:-1]
+    neighbours = (Y if stencil2d == "9pt" else S).reshape(P.shape)
 
-    def lap(centre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def lap(out: np.ndarray | None = None) -> np.ndarray:
         run_passes()
-        out = np.multiply(centre, -4.0, out=out)
+        out = np.multiply(P, -4.0, out=out)
         out += neighbours
         return out
 
@@ -245,20 +238,20 @@ def _laplacian_2d(P: np.ndarray, S: np.ndarray, stencil2d: str = "5pt",
 
 
 class _Step2D:
-    """The 2D explicit step that runs, _Step1D's counterpart: A copied and padded
-    once. A call fills one ghost buffer (rebuilt when u's leading axes change),
-    scales it by the padded A in place and runs _laplacian_2d on it; diffusion
-    divides that by h**2, and the step adds C(u) and returns u + k out.
+    """The 2D explicit step that runs, _Step1D's counterpart: A padded once. A
+    call fills one ghost buffer (rebuilt when u's leading axes change), scales
+    it by the padded A in place and takes the interior of _laplacian_2d on it;
+    diffusion divides that by h**2, and the step adds C(u) and returns u + k out.
     """
 
     def __init__(self, A: np.ndarray, grid: GridSpec, stencil2d: str,
                  reaction: ReactionSpec = no_reaction()):
-        self.A, self.Ap = A.copy(), pad_coefficient(A, grid.bc)
+        self.Ap = pad_coefficient(A, grid.bc)
         self.grid, self.stencil2d, self.reaction = grid, stencil2d, reaction
         self._buffer(np.empty(self.Ap.shape))
 
     def _buffer(self, P: np.ndarray) -> None:
-        self.P, self.lap = P, _laplacian_2d(P, np.zeros(P.size), self.stencil2d)
+        self.P, self.lap = P, _laplacian_2d(P, np.zeros(P.size), self.stencil2d, np.zeros(P.size))
 
     def diffusion(self, u: np.ndarray) -> np.ndarray:
         """(1/h**2) stencil(A*u), the divergence form."""
@@ -266,7 +259,7 @@ class _Step2D:
             self._buffer(np.empty(u.shape[:-2] + self.Ap.shape))
         self.P[..., 1:-1, 1:-1] = u
         np.multiply(self.Ap, _fill_ghosts(self.P, self.grid.bc), out=self.P)
-        return self.lap(self.A * u) / self.grid.h**2
+        return self.lap()[..., 1:-1, 1:-1] / self.grid.h**2
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         out = self.diffusion(u)

@@ -184,6 +184,9 @@ class Pipeline:
 
     def params(self, theta: ThetaVector) -> list[dict]:
         """Per layer, ``{name: tensor}`` views of theta shaped as the layer declares."""
+        if theta.values.size != self.n_params:
+            raise ValueError(f"theta holds {theta.values.size} values, but the pipeline "
+                             f"has {self.n_params} parameters")
         return [{name: theta.values[sl].reshape(shape) for name, sl, shape in tensors}
                 for tensors in self._tensors]
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import blocks, optim, reference, solver, stencil, train
 from .grid import dirichlet, extend, make_grid, periodic
-from .reactions import fisher, gray_scott, sigmoid_reaction
+from .reactions import fisher, gray_scott, gray_scott_start, sigmoid_reaction
 from .stencil import EllipticCoefficients, elliptic_apply
 
 
@@ -380,18 +380,9 @@ def check_conservation() -> list[CheckResult]:
 def check_turing() -> list[CheckResult]:
     n, n_steps = 128, 8000
     grid = make_grid(n, 2.5 / n, 1.0, periodic(), ndim=2)
-    rng = np.random.default_rng(42)
-    U = np.ones((n, n))
-    V = np.zeros((n, n))
     # five small V seeds plus low-amplitude noise on a uniform background
-    for ci, cj in ((n // 2, n // 2), (n // 4, n // 4), (n // 4, 3 * n // 4),
-                   (3 * n // 4, n // 4), (3 * n // 4, 3 * n // 4)):
-        U[ci - 3:ci + 3, cj - 3:cj + 3] = 0.5
-        V[ci - 3:ci + 3, cj - 3:cj + 3] = 0.25
-    U += 0.02 * (rng.random((n, n)) - 0.5)
-    V += 0.02 * (rng.random((n, n)) - 0.5)
-    U = np.clip(U, 0.0, 1.0)
-    V = np.clip(V, 0.0, 1.0)
+    centres = [(i * n // 4, j * n // 4) for i, j in ((2, 2), (1, 1), (1, 3), (3, 1), (3, 3))]
+    U, V = gray_scott_start(n, np.random.default_rng(42), centres, 3)
     var0 = float(np.var(V))
     _, V_final, _ = solver.solve_two_component(U, V, 2e-5, 1e-5,
                                                gray_scott(0.04, 0.06), grid, n_steps)

@@ -28,11 +28,12 @@ def test_criterion_01_reads_the_running_kernels(monkeypatch, name):
     # in one stencil of the one 2D Laplacian fails that stencil's line alone
     apply_taps, laplacian_2d = npde.stencil._apply_taps, npde.stencil._laplacian_2d
     if name == "3pt":
-        monkeypatch.setattr(npde.stencil, "_apply_taps", lambda taps, P: 1.5 * apply_taps(taps, P))
+        monkeypatch.setattr(npde.stencil, "_apply_taps",
+                            lambda taps, P, out=None: 1.5 * apply_taps(taps, P, out))
     else:
-        def slipped(P, S, stencil2d="5pt"):
-            lap = laplacian_2d(P, S, stencil2d)
-            return (lambda centre, out=None: 1.5 * lap(centre, out)) if stencil2d == name else lap
+        def slipped(P, S, stencil2d, Y):
+            lap = laplacian_2d(P, S, stencil2d, Y)
+            return (lambda out=None: 1.5 * lap(out)) if stencil2d == name else lap
         monkeypatch.setattr(npde.stencil, "_laplacian_2d", slipped)
     failed = [r.name for r in verify.check_stencils() if not r.passed]
     assert failed == [f"stencil-{name}-taps"]

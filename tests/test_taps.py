@@ -153,6 +153,25 @@ def test_pair_form_is_within_the_unfolded_bound(seed, bc, batch, kind, draw):
     assert float(np.max(np.abs(ran - unfolded))) <= tol
 
 
+@settings(max_examples=100)
+@given(seed=SEEDS, bc=BCS, batch=st.integers(1, 3), uniform=st.booleans(),
+       reaction=st.sampled_from([no_reaction(), fisher(0.8), sigmoid_reaction(1.5)]))
+def test_kernels_write_into_the_callers_array(seed, bc, batch, uniform, reaction):
+    # the 3-tap apply and the step (scalar or row taps; a uniform fisher step in
+    # the pair form) each return the out they are handed, with a fresh result's bits
+    rng, grid, coeffs = _case(seed, bc, False, uniform, reaction)
+    step = _Step1D(_step_taps(coeffs.A, None, grid), grid, reaction)
+    assert step.pair == (uniform and reaction.kind == "fisher")
+    assert isinstance(step.taps, tuple) == uniform
+    P = _fill(rng.standard_normal((batch, grid.n_points)), bc)
+    step._buffers(P[..., 1:-1].shape)
+    for run in (lambda out=None: _apply_taps(step.taps, P, out),
+                lambda out=None: step._into(P, out)):
+        out = np.full(P[..., 1:-1].shape, np.nan)
+        assert run(out) is out
+        np.testing.assert_array_equal(out.view(np.int64), run().view(np.int64))
+
+
 @pytest.mark.parametrize("bc", [periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(-1.3)])
 def test_criterion_3_steps_in_the_pair_form(monkeypatch, bc):
     # criterion 3's medium (h = 0.1, k = 0.004, A = 1, fisher(1)) on a short grid

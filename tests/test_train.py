@@ -336,6 +336,37 @@ def test_divergence_stops_and_keeps_last_finite_theta():
     assert np.all(np.isfinite(report.final_theta.values))
 
 
+def test_a_diverging_diffusion_layer_stops_training():
+    # the layer's march runs no divergence check of its own: the trainer's loss
+    # check stops the run, which keeps the seeded theta and its finite loss
+    rng = np.random.default_rng(3)
+    grid = make_grid(16, 1.0, 0.1, mirror())
+    model = Pipeline([DiffusionLayer(grid, 40)])
+    data = Dataset([(rng.standard_normal(16), rng.standard_normal(16)) for _ in range(3)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = train_supervised(model, data, LossSpec(), OptimizerConfig("sgd", eta=1e4),
+                                  seed=5, max_epochs=20, target_loss=0.0)
+    assert report.stop_reason == "divergence" and report.epochs == 0
+    theta0 = model.init_theta(np.random.default_rng(5))
+    np.testing.assert_array_equal(report.final_theta.values, theta0.values)
+    assert report.final_loss == batch_loss(model, theta0, data.samples, LossSpec())
+
+
+@pytest.mark.parametrize("size", [5, 20])
+def test_a_theta_of_the_wrong_size_is_refused_by_name(size):
+    # a 2-4-1 net has 17 parameters: 20 values once trained with the extra 3 in
+    # the weight decay, and 5 failed in numpy's reshape
+    model = Pipeline.dense([2, 4, 1], [sigmoid_reaction(1.0), no_reaction()])
+    theta = ThetaVector(np.linspace(-1.0, 1.0, size))
+    message = f"theta holds {size} values, but the pipeline has 17 parameters"
+    with pytest.raises(ValueError, match=message):
+        model.forward(theta, np.ones(2))
+    for max_epochs in (0, 5):
+        with pytest.raises(ValueError, match=message):
+            train_supervised(model, _xor_data(), LossSpec(nu=0.1), OptimizerConfig("sgd"),
+                             seed=0, max_epochs=max_epochs, target_loss=0.0, theta0=theta)
+
+
 def test_residuals_and_jacobian_match_fd():
     rng = np.random.default_rng(59)
     model = Pipeline.dense([2, 3, 2], [sigmoid_reaction(1.0), no_reaction()])

@@ -258,9 +258,9 @@ def test_every_pass_of_the_step_stores_from_a_cache_line(monkeypatch, n):
         first["x pass, S[1]"] = S[1:]
         first["y pass, Y[m]"] = Y[P.shape[-1]:]
 
-        def recorded(centre, out=None):
+        def recorded(out=None):
             first["T"] = out
-            return lap(centre, out)
+            return lap(out)
 
         return recorded
 
