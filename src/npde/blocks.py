@@ -194,8 +194,8 @@ def gen_rnn_cell(Dxy: float, Dz: float, v: float, grid: GridSpec) -> RNNCell:
     """
     if grid.ndim != 1:
         raise ValueError("gen_rnn_cell expects a 1D transverse grid")
-    if v <= 0:
-        raise ValueError("propagation speed v must be positive")
+    if not v > 0:
+        raise ValueError(f"propagation speed v must be positive, got {v}")
     h, k = grid.h, grid.k
     den = v * h**2 + k * Dz
     if den == 0.0:

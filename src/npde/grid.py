@@ -81,6 +81,9 @@ class GridSpec:
     def __post_init__(self):
         if self.ndim not in (1, 2):
             raise ValueError("only 1D and 2D grids are supported")
+        if not float(self.n_points).is_integer():
+            raise ValueError(f"n_points must be a whole number, got {self.n_points}")
+        object.__setattr__(self, "n_points", int(self.n_points))
         if self.n_points < 3:
             raise ValueError("grid too small: need n_points >= 3 for a 3-point stencil")
         for name in ("h", "k"):
@@ -100,8 +103,8 @@ class GridSpec:
 
 def make_grid(n_points: int, h: float, k: float, bc: BoundaryCondition,
               ndim: int = 1) -> GridSpec:
-    """Validate and build a GridSpec. Rejects n_points < 3 and non-positive h, k."""
-    return GridSpec(int(n_points), float(h), float(k), bc, ndim)
+    """Validate and build a GridSpec. Rejects a fractional or < 3 n_points, non-positive h, k."""
+    return GridSpec(n_points, float(h), float(k), bc, ndim)
 
 
 def pad(field: np.ndarray, bc: BoundaryCondition) -> np.ndarray:

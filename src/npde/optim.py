@@ -69,14 +69,14 @@ class LossSpec:
     nu: float = 0.0
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError("nu must be >= 0")
+        if not self.nu >= 0:
+            raise ValueError(f"weight decay nu must be >= 0, got {self.nu}")
 
 
 def _descend(th: ThetaVector, eta: float, step) -> ThetaVector:
-    """th - eta * step(), refusing eta <= 0 before the step is computed."""
-    if eta <= 0:
-        raise ValueError("step size eta must be positive")
+    """th - eta * step(), refusing eta <= 0 or NaN before the step is computed."""
+    if not eta > 0:
+        raise ValueError(f"step size eta must be positive, got {eta}")
     return th.with_values(th.values - eta * step())
 
 
@@ -106,8 +106,8 @@ class AdamState:
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("decay rates must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
         if not 0 < self.eta < np.inf:
             raise ValueError("step size eta must be positive and finite")
         if self.t < 0:
@@ -180,8 +180,9 @@ class LBFGSState:
     m: int = 10
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("memory size must be >= 1")
+        if not (self.m >= 1 and float(self.m).is_integer()):
+            raise ValueError(f"memory size m must be a whole number >= 1, got {self.m}")
+        object.__setattr__(self, "m", int(self.m))
         for s, y in self.history:
             if float(np.dot(s, y)) <= 0.0:
                 raise ValueError("stored pairs must satisfy s^T y > 0")
@@ -232,8 +233,8 @@ def grad_fd(loss_fn, theta, eps: float) -> np.ndarray:
     The independent oracle for every analytic gradient here; raises with the
     offending coordinate index when an evaluation is non-finite.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     th = _as_theta(theta)
     base = th.values
     wrap = (lambda v: loss_fn(th.with_values(v))) if isinstance(theta, ThetaVector) else loss_fn

@@ -21,8 +21,8 @@ class GaussianProfile:
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("variance sigma2 must be positive")
+        if not self.sigma2 > 0:
+            raise ValueError(f"variance sigma2 must be positive, got {self.sigma2}")
 
     def sample(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -34,16 +34,16 @@ def heat_kernel_evolve(p: GaussianProfile, D: float, T: float) -> GaussianProfil
 
     Mass conservation keeps amplitude * sqrt(sigma2) invariant.
     """
-    if D < 0 or T < 0:
-        raise ValueError("D and T must be non-negative")
+    if not (D >= 0 and T >= 0):
+        raise ValueError(f"D and T must be non-negative, got {D} and {T}")
     sigma2 = p.sigma2 + 2.0 * D * T
     return GaussianProfile(p.amplitude * np.sqrt(p.sigma2 / sigma2), p.center, sigma2)
 
 
 def fisher_min_front_speed(r: float, D: float) -> float:
     """Minimal pulled-front speed 2 sqrt(r D) of the logistic RDE."""
-    if r < 0 or D < 0:
-        raise ValueError("r and D must be non-negative")
+    if not (r >= 0 and D >= 0):
+        raise ValueError(f"r and D must be non-negative, got {r} and {D}")
     return 2.0 * np.sqrt(r * D)
 
 

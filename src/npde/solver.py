@@ -60,10 +60,10 @@ Divergence (non-finite values, or magnitudes beyond DIVERGENCE_FACTOR times
 the initial scale) is reported there with the failing step index, never
 clamped. A single step is a one-step solve.
 
-Explicit stability (cfl_check) requires a monotone 1D step, every unfolded
-tap >= 0 (r A <= 1/2 and |B| h <= 2 A), and in 2D r * max(A) <= 1/4 with
-A >= 0: the 5-point limit, conservative under 9pt, which is monotone up to
-1/3. The implicit scheme is unconditionally stable.
+Explicit stability (cfl_check) is one rule in every dimension, a monotone
+step: every unfolded tap >= 0 (_step_taps in 1D; 1 - 4 r A and r A in 2D,
+conservative under 9pt, monotone up to 1/3). CflReport gives the verdict, the
+smallest tap and its node. The implicit scheme is unconditionally stable.
 """
 
 from __future__ import annotations
@@ -141,23 +141,21 @@ class Trajectory:
 @dataclass(frozen=True)
 class CflReport:
     stable: bool
-    max_r_a: float
-    limit: float
+    min_tap: float
+    node: int
 
 
 def cfl_check(coeffs: EllipticCoefficients, grid: GridSpec) -> CflReport:
-    """Explicit stability: in 1D a monotone step (every unfolded tap >= 0, i.e.
-    r A <= 1/2 and |B| h <= 2 A per node), in 2D r * max(A) <= 1/4 and A >= 0,
-    the 5-point limit: conservative under 9pt, which is monotone up to 1/3.
-    """
+    """Explicit stability, a monotone step: every unfolded tap >= 0. The taps are
+    _step_taps in 1D (r A <= 1/2, |B| h <= 2 A), in 2D the 5-point 1 - 4 r A and
+    r A (conservative under 9pt). Returns CflReport(stable, min_tap, node): the
+    verdict, the smallest tap as float64 computes it, and its first node, row-major."""
     coeffs.validate_against(grid)
-    limit = 0.5 if grid.ndim == 1 else 0.25
-    max_r_a = grid.r * float(np.max(coeffs.A))
-    if grid.ndim == 1:
-        stable = bool(np.all(_step_taps(coeffs.A, coeffs.B, grid) >= 0.0))
-    else:
-        stable = max_r_a <= limit and float(np.min(coeffs.A)) >= 0.0
-    return CflReport(stable, max_r_a, limit)
+    taps = (_step_taps(coeffs.A, coeffs.B, grid) if grid.ndim == 1 else
+            np.stack([1.0 - 4.0 * (r_a := grid.r * coeffs.A.ravel()), r_a]))
+    node = int(np.argmin(taps.min(axis=0)))
+    min_tap = float(taps[:, node].min())
+    return CflReport(min_tap >= 0.0, min_tap, node)
 
 
 class _TridiagonalFactor:

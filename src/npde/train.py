@@ -13,9 +13,11 @@ they are checked against. Training follows the plain supervised loop: fix the
 initial/boundary data, randomize theta (dense tensors uniform in +-1/sqrt(n_in),
 a diffusion layer's A uniform in the monotone range [0, 1/(2r)]), solve
 forward, take an optimizer step on the L2-with-weight-decay loss, and repeat
-until the target loss or the epoch cap is reached. Gradients are full batch
-(mean over samples); runs are deterministic given the seed. A trained layer is
-the blocks it generates (blocks(params)), which Pipeline.blocks(theta) chains.
+until the target loss or the epoch cap is reached, or the loss diverges: turns
+non-finite or passes solver.DIVERGENCE_FACTOR * (1 + the initial loss), the
+relative bound a solve puts on max|u|. Gradients are full batch (mean over
+samples); runs are deterministic given the seed. A trained layer is the blocks
+it generates (blocks(params)), which Pipeline.blocks(theta) chains.
 
 Samples ride a leading axis: every layer maps a batch (n_samples, n) in one
 call, dense layers as X W^T + b and diffusion layers with the stencil on the
@@ -40,12 +42,10 @@ from .blocks import DenseBlock, gen_conv1d, gen_dense
 from .grid import GridSpec
 from .grid import pad  # noqa: F401 (npde.train.pad stays bound; no layer calls it)
 from .reactions import ReactionSpec, no_reaction
-from .solver import cfl_check
+from .solver import DIVERGENCE_FACTOR, cfl_check
 from .stencil import EllipticCoefficients, _Step1D, _step_taps, _step_taps_vjp, _tap_step_vjp
 from .optim import (AdamState, LBFGSState, LossSpec, ThetaVector, adam_step,
                     gauss_newton_step, lbfgs_direction, lbfgs_update, sgd_step)
-
-DIVERGENCE_LOSS = 1e12
 
 
 class DenseLayer:
@@ -145,6 +145,8 @@ class Pipeline:
 
     def __init__(self, layers: list):
         self.layers = list(layers)
+        if not self.layers:
+            raise ValueError("a pipeline needs at least one layer")
         # the one parameter layout: per layer, (name, slice of theta, shape) of each tensor
         self._tensors, cursor = [], 0
         for i, layer in enumerate(self.layers):
@@ -299,19 +301,15 @@ class Dataset:
 
 
 def _warn_if_unstable(model: Pipeline, theta: ThetaVector) -> None:
-    """Flag explicit-unstable initial coefficients in unrolled solver layers.
-
-    Only a warning: the coefficients are the thing being learned and may move
-    into (or out of) the stable region during training.
-    """
+    """Warn of explicit-unstable initial coefficients in unrolled solver layers
+    (cfl_check): training may move them into (or out of) the stable region."""
     for i, (layer, p) in enumerate(zip(model.layers, model.params(theta))):
         if isinstance(layer, DiffusionLayer) and layer.n_steps > 0:
             report = cfl_check(EllipticCoefficients(p["A"]), layer.grid)
             if not report.stable:
-                warnings.warn(
-                    f"layer{i}: initial coefficients are explicit-unstable "
-                    f"(a step tap is negative; r*max A = {report.max_r_a:.3g}, "
-                    f"limit {report.limit})", RuntimeWarning)
+                warnings.warn(f"layer{i}: initial coefficients are explicit-unstable (step tap "
+                              f"{report.min_tap:.3g} at node {report.node} is negative)",
+                              RuntimeWarning)
 
 
 @dataclass(frozen=True)
@@ -358,11 +356,11 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
                      theta0: ThetaVector | None = None) -> TrainReport:
     """Deterministic full-batch training until target_loss or max_epochs.
 
-    Theta starts from ``theta0`` when given, else seed-randomized. Divergence
-    (non-finite loss or loss above 1e12) stops the run and keeps the last
-    finite parameters. A Gauss-Newton step that raises the loss is halved, at
-    most 30 times; if none lowers it, the run stops as ``stalled`` and keeps
-    the last accepted parameters.
+    Theta starts from ``theta0`` when given, else seed-randomized. A loss that
+    turns non-finite or passes DIVERGENCE_FACTOR * (1 + initial loss), the
+    solver's bound, stops the run as ``divergence`` with the last finite theta.
+    A Gauss-Newton step that raises the loss is halved, at most 30 times; if
+    none lowers it, the run stops as ``stalled`` with the last accepted theta.
     """
     if max_epochs < 0:
         raise ValueError("max_epochs must be >= 0")
@@ -379,6 +377,7 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
     # the accepted theta's forward pass; the next step's gradient reuses it
     current, residual, caches = _evaluate(model, theta, X, T, loss)
     curve: list[float] = []
+    bound = float(min(DIVERGENCE_FACTOR * (1.0 + current), np.finfo(float).max))
     if current <= target_loss:
         return TrainReport(np.asarray(curve), theta, "target_loss", current)
 
@@ -414,7 +413,7 @@ def train_supervised(model: Pipeline, data: Dataset, loss: LossSpec,
             if not new_loss <= current:
                 stop_reason = "stalled"
                 break
-        if not new_loss <= DIVERGENCE_LOSS:     # NaN and inf included
+        if not new_loss <= bound:  # NaN and inf included
             stop_reason = "divergence"
             break
         theta, residual, caches = new_theta, new_residual, new_caches

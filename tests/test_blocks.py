@@ -305,6 +305,11 @@ def test_rnn_degenerate_denominator_rejected():
         gen_rnn_cell(0.0, 0.0, -1.0, grid)      # v <= 0
 
 
+def test_rnn_nan_speed_is_refused_by_name():
+    with pytest.raises(ValueError, match="propagation speed v"):
+        gen_rnn_cell(0.0, 0.0, np.nan, make_grid(5, 1.0, 1.0, periodic()))
+
+
 def test_rnn_forward_shift_register():
     grid = make_grid(4, 1.0, 0.1, periodic())
     cell = gen_rnn_cell(0.0, 0.0, 1.0, grid)

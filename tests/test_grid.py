@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from npde.grid import (BoundaryCondition, dirichlet, extend, make_grid, mirror,
+from npde.grid import (BoundaryCondition, GridSpec, dirichlet, extend, make_grid, mirror,
                        pad, pad_coefficient, periodic)
 
 ALL_BCS = [periodic(), mirror(), extend(), dirichlet(0.0), dirichlet(2.5)]
@@ -17,6 +17,19 @@ def test_make_grid_echoes_fields():
 def test_grid_too_small_rejected():
     with pytest.raises(ValueError, match="grid too small"):
         make_grid(2, 1.0, 0.1, periodic())
+
+
+@pytest.mark.parametrize("n", [3.7, 5.5, float("nan"), float("inf")])
+def test_a_fractional_point_count_is_refused(n):
+    with pytest.raises(ValueError, match="n_points must be a whole number"):
+        make_grid(n, 1.0, 0.1, periodic())
+    with pytest.raises(ValueError, match="n_points must be a whole number"):
+        GridSpec(n, 1.0, 0.1, periodic())
+
+
+def test_an_integral_float_point_count_builds_an_integer_grid():
+    for g in (make_grid(5.0, 1.0, 0.1, periodic()), GridSpec(5.0, 1.0, 0.1, periodic(), 2)):
+        assert g.n_points == 5 and type(g.n_points) is int and g.shape == (5,) * g.ndim
 
 
 @pytest.mark.parametrize("h,k", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0),

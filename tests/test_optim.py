@@ -16,6 +16,34 @@ def test_loss_spec_validation():
         LossSpec(nu=-0.1)
 
 
+# each guard reads "not x > 0", so NaN fails it, and names its parameter
+_REFUSED = {
+    "LossSpec nu": (lambda: LossSpec(nu=np.nan), "weight decay nu"),
+    "AdamState eps": (lambda: AdamState.fresh(3, eps=np.nan), "eps"),
+    "sgd_step eta": (lambda: sgd_step(np.zeros(2), np.ones(2), np.nan), "step size eta"),
+    "gauss_newton_step eta": (lambda: gauss_newton_step(np.zeros(2), np.ones(2), np.eye(2),
+                                                        np.nan), "step size eta"),
+    "newton_pinv_step eta": (lambda: newton_pinv_step(np.zeros(2), np.ones(2), np.eye(2),
+                                                      np.nan), "step size eta"),
+    "grad_fd eps": (lambda: grad_fd(lambda v: float(v @ v), np.zeros(2), np.nan), "eps"),
+    "LBFGSState m=1.5": (lambda: LBFGSState(m=1.5), "memory size m"),
+    "LBFGSState m=nan": (lambda: LBFGSState(m=np.nan), "memory size m"),
+}
+
+
+@pytest.mark.parametrize("build,name", _REFUSED.values(), ids=_REFUSED.keys())
+def test_nan_and_fractional_settings_are_refused_by_name(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
+def test_an_integral_float_memory_size_still_works():
+    state = LBFGSState(m=2.0)
+    for i in range(3):
+        state = lbfgs_update(state, np.full(2, i + 1.0), np.full(2, i + 1.0))
+    assert state.m == 2 and len(state.history) == 2
+
+
 # --- sgd ----------------------------------------------------------------------
 
 def test_sgd_zero_gradient_fixed_point():

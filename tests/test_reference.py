@@ -30,6 +30,23 @@ def test_gaussian_requires_positive_variance():
         GaussianProfile(1.0, 0.0, 0.0)
 
 
+_REFUSED = {
+    "GaussianProfile sigma2": (lambda: GaussianProfile(1.0, 0.0, np.nan), "sigma2"),
+    "heat_kernel_evolve D": (lambda: heat_kernel_evolve(GaussianProfile(1.0, 0.0, 1.0),
+                                                        np.nan, 1.0), "D and T"),
+    "heat_kernel_evolve T": (lambda: heat_kernel_evolve(GaussianProfile(1.0, 0.0, 1.0),
+                                                        1.0, np.nan), "D and T"),
+    "fisher_min_front_speed r": (lambda: fisher_min_front_speed(np.nan, 1.0), "r and D"),
+    "fisher_min_front_speed D": (lambda: fisher_min_front_speed(1.0, np.nan), "r and D"),
+}
+
+
+@pytest.mark.parametrize("build,name", _REFUSED.values(), ids=_REFUSED.keys())
+def test_nan_parameters_are_refused_by_name(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
 def test_fisher_speed_values():
     assert fisher_min_front_speed(1.0, 1.0) == pytest.approx(2.0)
     assert fisher_min_front_speed(4.0, 1.0) == pytest.approx(4.0)

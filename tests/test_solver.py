@@ -426,20 +426,20 @@ def test_stream_ignores_writes_after_it_is_built(scheme, ndim):
 def test_cfl_check_examples():
     grid = make_grid(5, 1.0, 0.25, periodic())
     assert cfl_check(EllipticCoefficients.constant(grid, 1.0), grid) == \
-        CflReport(True, 0.25, 0.5)
+        CflReport(True, 0.25, 0)
     grid = make_grid(5, 1.0, 0.6, periodic())
     rep = cfl_check(EllipticCoefficients.constant(grid, 1.0), grid)
-    assert not rep.stable and rep.max_r_a == pytest.approx(0.6)
+    assert not rep.stable and rep.min_tap == pytest.approx(-0.2) and rep.node == 0
     grid = make_grid(5, 1.0, 0.3, periodic())
     A = np.array([0.5, 1.0, 2.0, 1.0, 0.5])
     rep = cfl_check(EllipticCoefficients(A), grid)
-    assert not rep.stable and rep.max_r_a == pytest.approx(0.6)
+    assert not rep.stable and rep.min_tap == pytest.approx(-0.2) and rep.node == 2
 
 
 def test_cfl_flags_anti_diffusion():
     grid = make_grid(5, 1.0, 0.4, periodic())
     rep = cfl_check(EllipticCoefficients.constant(grid, -0.5), grid)
-    assert not rep.stable and rep.max_r_a == pytest.approx(-0.2)
+    assert not rep.stable and rep.min_tap == pytest.approx(-0.2) and rep.node == 0
     grid = make_grid(5, 1.0, 0.1, periodic(), ndim=2)
     assert not cfl_check(EllipticCoefficients.constant(grid, -0.5), grid).stable
 
@@ -449,7 +449,7 @@ def test_cfl_flags_cell_peclet_violation_that_diverges():
     grid = make_grid(64, 1.0, 0.4, periodic())
     coeffs = EllipticCoefficients(np.full(64, 0.01), np.full(64, 5.0))
     rep = cfl_check(coeffs, grid)
-    assert not rep.stable and rep.max_r_a == pytest.approx(0.004)
+    assert not rep.stable and rep.min_tap == pytest.approx(-0.996) and rep.node == 0
     u0 = np.zeros(64)
     u0[32] = 1.0
     with pytest.raises(DivergenceError) as err:
@@ -463,7 +463,44 @@ def test_cfl_flags_cell_peclet_violation_that_diverges():
 def test_cfl_limit_tighter_in_2d():
     grid = make_grid(5, 1.0, 0.3, periodic(), ndim=2)
     rep = cfl_check(EllipticCoefficients.constant(grid, 1.0), grid)
-    assert rep.limit == 0.25 and not rep.stable
+    assert rep.min_tap == pytest.approx(-0.2) and rep.node == 0 and not rep.stable
+
+
+@st.composite
+def _media(draw):
+    """A grid and a medium: 1D with or without B, or 2D; A may go negative,
+    and some entries sit exactly on the limits r A = 1/2 (1D) and 1/4 (2D)."""
+    ndim = draw(st.sampled_from([1, 2]))
+    grid = make_grid(draw(st.integers(3, 9)), draw(st.floats(0.05, 2.0)),
+                     draw(st.floats(1e-3, 1.0)), draw(BCS), ndim=ndim)
+    # normal or zero entries: an r A that underflows to -0.0 reads as a zero
+    # tap in both dimensions, whereas the reference's 2D rule reads A's sign
+    entry = st.one_of(st.floats(-3.0, 3.0, allow_subnormal=False),
+                      st.sampled_from([0.0, 0.25 / grid.r, 0.5 / grid.r]))
+    A = np.array(draw(st.lists(entry, min_size=grid.n_points**ndim,
+                               max_size=grid.n_points**ndim))).reshape(grid.shape)
+    B = None
+    if ndim == 1 and draw(st.booleans()):
+        B = np.array(draw(st.lists(st.floats(-20.0, 20.0), min_size=grid.n_points,
+                                   max_size=grid.n_points)))
+    return EllipticCoefficients(A, B), grid
+
+
+@settings(max_examples=300)
+@given(medium=_media())
+def test_cfl_verdict_is_the_smallest_unfolded_tap(medium):
+    coeffs, grid = medium
+    rep = cfl_check(coeffs, grid)
+    if grid.ndim == 1:
+        taps = npde.stencil._step_taps(coeffs.A, coeffs.B, grid)
+        reference = bool(np.all(taps >= 0.0))
+    else:
+        r_a = grid.r * coeffs.A.ravel()
+        taps = np.stack([1.0 - 4.0 * r_a, r_a])
+        reference = (grid.r * float(np.max(coeffs.A)) <= 0.25
+                     and float(np.min(coeffs.A)) >= 0.0)
+    assert rep.stable == (rep.min_tap >= 0.0) == reference
+    assert rep.min_tap == taps.min() == taps[:, rep.node].min()
 
 
 def test_mass_conservation_varying_a():

@@ -352,6 +352,28 @@ def test_a_diverging_diffusion_layer_stops_training():
     assert report.final_loss == batch_loss(model, theta0, data.samples, LossSpec())
 
 
+@pytest.mark.parametrize("kind,eta", [("adam", 0.01), ("lbfgs", 1.0)])
+def test_a_fit_at_large_scale_does_not_diverge(kind, eta):
+    # the initial loss is 2.2e14; divergence is judged relative to it, as a
+    # solve judges max|u| relative to max|u0|
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((20, 3))
+    y = 1e7 * (X @ np.array([1.5, -2.0, 0.5]))
+    data = Dataset([(x, np.array([t])) for x, t in zip(X, y)])
+    model = Pipeline.dense([3, 1], [no_reaction()])
+    report = train_supervised(model, data, LossSpec(), OptimizerConfig(kind, eta=eta),
+                              seed=0, max_epochs=50, target_loss=0.0)
+    assert report.stop_reason == "max_epochs" and report.epochs == 50
+    assert np.all(np.isfinite(report.loss_curve))
+    if kind == "lbfgs":
+        assert report.final_loss < 1e-10
+
+
+def test_an_empty_pipeline_is_refused():
+    with pytest.raises(ValueError, match="at least one layer"):
+        Pipeline([])
+
+
 @pytest.mark.parametrize("size", [5, 20])
 def test_a_theta_of_the_wrong_size_is_refused_by_name(size):
     # a 2-4-1 net has 17 parameters: 20 values once trained with the extra 3 in
